@@ -144,14 +144,14 @@ fn bench(c: &mut Criterion) {
                 steps
             })
         });
-        // Skewed bulk union on the *generic* (Value-level) tier: tuple
-        // elements keep the operands off the columnar tiers, so this pins
-        // the galloping fast path of `merge_union_sorted` itself. The long
-        // side has n*n elements, the short side 8 spread across its range —
-        // above the skew threshold the merge locates the long runs by
-        // exponential probe and copies them wholesale, so the balanced
-        // variant (two halves of the same elements) is the linear-merge
-        // contrast.
+        // Skewed bulk union over atom pairs (the rows tier): this pins the
+        // galloping fast path of the in-place row merge. The long side has
+        // n*n elements, the short side 8 spread across its range — above
+        // the skew threshold the merge locates the long runs by exponential
+        // probe and moves them wholesale, so the balanced variant (two
+        // halves of the same elements) is the linear-merge contrast. Each
+        // iteration merges into a fresh copy of the left operand, the path
+        // a shared accumulator takes (`Arc::make_mut`, then in place).
         let pair = |i: u64| Value::tuple([Value::atom(i), Value::atom(i + 1)]);
         let long: SetRepr = {
             let mut s = SetRepr::new();
@@ -176,10 +176,18 @@ fn bench(c: &mut Criterion) {
         };
         let (left, right) = (half(0..n * n / 2), half(n * n / 2..n * n));
         group.bench_with_input(BenchmarkId::new("skewed_merge_union", n), &n, |b, _| {
-            b.iter(|| long.merge_union(&short).len())
+            b.iter(|| {
+                let mut u = long.clone();
+                u.merge_union(&short);
+                u.len()
+            })
         });
         group.bench_with_input(BenchmarkId::new("balanced_merge_union", n), &n, |b, _| {
-            b.iter(|| left.merge_union(&right).len())
+            b.iter(|| {
+                let mut u = left.clone();
+                u.merge_union(&right);
+                u.len()
+            })
         });
     }
     group.finish();

@@ -53,7 +53,11 @@
 //!   afterwards compiles to [`Insn::Take`] instead of a clone, so the
 //!   accumulator threaded through an `insert`-fold (or through a call like
 //!   the powerset's `finsert`) stays uniquely owned and every
-//!   `Arc::make_mut` mutates in place instead of copying;
+//!   `Arc::make_mut` mutates in place instead of copying. The base of a
+//!   reduce in tail position counts as such a read when neither `extra`
+//!   nor the lambdas read its slot: the cartesian product's
+//!   `union(slice, acc)` then receives its accumulator uniquely owned and
+//!   [`ReduceKind::Union`] merges the slice into it in place;
 //! * **fold superinstructions** — a `set-reduce` whose lambdas match one of
 //!   the stdlib's shapes compiles to a single fused [`ReduceKind`]:
 //!   [`ReduceKind::Member`] (the `member` scan becomes a binary search),
@@ -1104,7 +1108,7 @@ impl<'a> Codegen<'a> {
                 extra,
             } => {
                 self.gen_reduce(
-                    fs, code, floor, *set, app, acc, *base, *extra, d, dst, false,
+                    fs, code, floor, *set, app, acc, *base, *extra, d, dst, tail, false,
                 );
             }
             LExpr::ListReduce {
@@ -1120,7 +1124,7 @@ impl<'a> Codegen<'a> {
                     depth: d,
                 });
                 self.gen_reduce(
-                    fs, code, floor, *list, app, acc, *base, *extra, d, dst, true,
+                    fs, code, floor, *list, app, acc, *base, *extra, d, dst, tail, true,
                 );
             }
             LExpr::Call { def, args } => {
@@ -1376,12 +1380,22 @@ impl<'a> Codegen<'a> {
         extra: LId,
         d: u32,
         dst: Reg,
+        tail: bool,
         is_list: bool,
     ) {
         let rset = fs.alloc();
         self.gen(fs, code, floor, set, d + 1, rset, false, false);
+        // Last-use move of the base: a reduce in tail position whose base
+        // is a slot that nothing after it reads (neither `extra`, evaluated
+        // next, nor either lambda) hands the fold its accumulator uniquely
+        // owned, so a fused union merges into it in place.
+        let base_moves = tail
+            && matches!(self.node(base), LExpr::Local(s) if *s >= floor as u32
+                && ![extra, app.body, acc.body]
+                    .iter()
+                    .any(|&id| reads_slot(self.nodes, id, *s as u16)));
         let rbase = fs.alloc();
-        self.gen(fs, code, floor, base, d + 1, rbase, false, false);
+        self.gen(fs, code, floor, base, d + 1, rbase, base_moves, false);
         let rextra = fs.alloc();
         self.gen(fs, code, floor, extra, d + 1, rextra, false, false);
         let x_slot = fs.height;

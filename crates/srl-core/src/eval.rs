@@ -59,7 +59,7 @@ use crate::limits::{EvalLimits, EvalStats};
 use crate::lower::{CompiledProgram, LExpr, LId, LLambda, LoweredExpr};
 use crate::program::{Env, Program};
 use crate::setrepr::{ColumnarKind, SetRepr};
-use crate::value::Value;
+use crate::value::{nat_weight, Value};
 
 /// Cap used when measuring accumulator sizes: accumulators larger than this
 /// are recorded as "at least the cap", which is all the logspace experiments
@@ -692,7 +692,7 @@ impl EvalCore {
                 let weight = elem.weight();
                 self.charge_allocation(weight)?;
                 // Copy-on-write: in place when uniquely owned.
-                let novel = Arc::make_mut(&mut items).insert(elem);
+                let novel = Arc::make_mut(&mut items).insert_weighted(elem, weight);
                 Ok((Value::Set(items), novel, weight))
             }
             other => Err(EvalError::Shape {
@@ -1234,36 +1234,26 @@ pub(crate) fn next_fresh_index(v: &Value) -> u64 {
     cur.map_or(0, |c| c + 1)
 }
 
-/// Computes `v.weight()` but stops counting once `cap` is exceeded, returning
-/// `cap + 1` in that case.
-pub(crate) fn weight_capped(v: &Value, cap: usize) -> usize {
-    fn go(v: &Value, budget: &mut usize) -> bool {
-        if *budget == 0 {
-            return false;
+/// `min(v.weight(), cap + 1)`: exact while the weight stays within `cap`,
+/// `cap + 1` beyond. Sets charge their cached element weight in one step,
+/// so only tuples and lists are walked, and never past the cap.
+pub fn weight_capped(v: &Value, cap: usize) -> usize {
+    fn take(n: usize, budget: &mut usize) -> bool {
+        if n <= *budget {
+            *budget -= n;
+            true
+        } else {
+            *budget = 0;
+            false
         }
-        *budget -= 1;
+    }
+    fn go(v: &Value, budget: &mut usize) -> bool {
         match v {
-            Value::Bool(_) | Value::Atom(_) | Value::Nat(_) => true,
-            Value::Tuple(items) => items.iter().all(|i| go(i, budget)),
-            Value::List(items) => items.iter().all(|i| go(i, budget)),
-            Value::Set(items) => match items.columnar_weight_sum() {
-                // Columnar: element weights are known without a walk (atoms
-                // weigh 1, arity-k rows 1 + k) — charge them in one step.
-                Some(n) => {
-                    if n <= *budget {
-                        *budget -= n;
-                        true
-                    } else {
-                        *budget = 0;
-                        false
-                    }
-                }
-                None => items
-                    .value_slice()
-                    .expect("non-columnar set")
-                    .iter()
-                    .all(|i| go(i, budget)),
-            },
+            Value::Bool(_) | Value::Atom(_) => take(1, budget),
+            Value::Nat(n) => take(nat_weight(n), budget),
+            Value::Tuple(items) => take(1, budget) && items.iter().all(|i| go(i, budget)),
+            Value::List(items) => take(1, budget) && items.iter().all(|i| go(i, budget)),
+            Value::Set(items) => take(1 + items.weight_sum(), budget),
         }
     }
     let mut budget = cap;

@@ -551,23 +551,19 @@ fn merge(
             // globally-novel elements grow the running accumulator weight
             // under the same saturating cap the sequential loop applies
             // per element (saturation depends only on the running total).
-            let base_set = match base_v {
-                Value::Set(s) => s,
+            let mut merged: SetRepr = match base_v {
+                Value::Set(s) => (**s).clone(),
                 other => unreachable!("set-building fold sharded over non-set base {other}"),
             };
-            let mut merged: Option<SetRepr> = None;
             let mut acc_w = w0;
             for data in &datas {
                 let shard_set = match data {
                     ShardData::Set(s) => s,
                     ShardData::Flip(_) => unreachable!("set fold produced a flip payload"),
                 };
-                let so_far = merged.as_ref().unwrap_or(base_set);
-                acc_w = cap_add(acc_w, novel_weight(so_far, shard_set));
-                merged = Some(so_far.merge_union(shard_set));
+                acc_w = cap_add(acc_w, merged.merge_union(shard_set));
             }
             core.note_accumulator_weight(capped(acc_w));
-            let merged = merged.expect("at least two shards were run");
             Ok(Value::Set(Arc::new(merged)))
         }
     }
@@ -583,21 +579,6 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> &str {
     } else {
         "non-string panic payload"
     }
-}
-
-/// Total weight of the elements of `incoming` that are **not** members of
-/// `acc` — the weights the sequential loop's novel inserts would have
-/// charged to the running accumulator weight. Delegates to the tier-aware
-/// [`SetRepr::for_each_novelty`] sweep (two-pointer on generic storage,
-/// word-parallel when both sides sit in the columnar tiers).
-fn novel_weight(acc: &SetRepr, incoming: &SetRepr) -> usize {
-    let mut sum = 0usize;
-    acc.for_each_novelty(incoming, |w, novel| {
-        if novel {
-            sum = sum.saturating_add(w);
-        }
-    });
-    sum
 }
 
 #[cfg(test)]
@@ -624,6 +605,9 @@ mod tests {
 
     #[test]
     fn novel_weight_counts_only_new_elements() {
+        // The shard merge grows the accumulator weight by what
+        // `merge_union` reports: the weight of the globally novel elements.
+        let novel_weight = |acc: &SetRepr, incoming: &SetRepr| acc.clone().merge_union(incoming);
         let acc: SetRepr = [Value::atom(1), Value::atom(3)].into_iter().collect();
         let incoming: SetRepr = [
             Value::atom(1),

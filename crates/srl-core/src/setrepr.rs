@@ -70,7 +70,11 @@
 //! sorted representations, with a **galloping** (exponentially probing) fast
 //! path when one operand is much smaller than the other, id-space merges
 //! when both operands are columnar, and word-parallel bit ops when both are
-//! dense.
+//! dense. `merge_union` works **in place**: elements below the incoming
+//! set's minimum stay put, so an incoming set that sorts after the
+//! receiver is a plain append, and the rest of the receiver is moved, never
+//! cloned. A fold that unions into a uniquely held accumulator therefore
+//! pays for its delta, not for its accumulator.
 //!
 //! ## Invariants
 //!
@@ -83,6 +87,15 @@
 //! iteration and length all go through the live window. [`Clone`] compacts
 //! and re-tiers — it copies only the live elements, back into the smallest
 //! fitting tier.
+//!
+//! Every tier answers [`SetRepr::weight_sum`] — the sum of its elements'
+//! [`Value::weight`]s — in O(1), so neither the evaluator's size budget nor
+//! a fold's per-iteration accumulator weight walks a set. The columnar
+//! tiers derive it (atoms weigh 1, arity-k rows `1 + k`), the inline tier
+//! sums its ≤ [`INLINE_CAP`] elements, and the spilled tier keeps it as a
+//! field that every mutation updates: `insert` adds the element's weight,
+//! `pop_first` subtracts it, `merge_union` adds the novel elements', and
+//! demotion, clone and the merge constructors carry or recompute it.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -162,8 +175,13 @@ pub(crate) enum ColumnarKind {
 enum Store {
     /// `slots[..len]` live, sorted, duplicate-free; the rest is [`PAD`].
     Small { len: u8, slots: [Value; INLINE_CAP] },
-    /// `items[start..]` live (`rest` advances `start` instead of shifting).
-    Spilled { items: Vec<Value>, start: usize },
+    /// `items[start..]` live (`rest` advances `start` instead of shifting);
+    /// `weight` is the sum of the live elements' [`Value::weight`]s.
+    Spilled {
+        items: Vec<Value>,
+        start: usize,
+        weight: usize,
+    },
     /// Columnar: `ids[start..]` live, sorted, duplicate-free — every element
     /// is the unnamed atom of that index. Same drain window as `Spilled`.
     Atoms { ids: Vec<u32>, start: usize },
@@ -310,45 +328,54 @@ fn extend_rows(out: &mut [Vec<u32>], src: &[Vec<u32>], range: Range<usize>) {
     }
 }
 
-/// Union of two same-arity row families (live windows `sa..`/`sb..`) as a
-/// galloping lexicographic merge over row indices — column slices move,
-/// no `Value` is materialised. Equal rows keep `a`'s copy (both are plain
-/// ids, so first-wins is invisible here, matching the scalar id merges).
-fn union_rows(arity: usize, a: &[Vec<u32>], sa: usize, b: &[Vec<u32>], sb: usize) -> SetRepr {
-    let (ea, eb) = (a[0].len(), b[0].len());
-    let gallop = skewed(ea - sa, eb - sb);
-    let mut cols = vec![Vec::with_capacity((ea - sa) + (eb - sb)); arity];
-    let (mut i, mut j) = (sa, sb);
+/// Merges the same-arity rows `sb..` of `b` into the live rows `start..`
+/// of `cols` in place — the row form of [`merge_into`]: rows below `b`'s
+/// first row stay put, the rest is split off and merged back with
+/// galloping runs. Column slices move; no `Value` is materialised. Equal
+/// rows keep the receiver's copy (both are plain ids, so first-wins is
+/// invisible here). Returns the number of novel rows.
+fn merge_rows_into(cols: &mut [Vec<u32>], start: usize, b: &[Vec<u32>], sb: usize) -> usize {
+    let eb = b[0].len();
+    if sb == eb {
+        return 0;
+    }
+    let before = cols[0].len();
+    let first: Vec<u32> = b.iter().map(|c| c[sb]).collect();
+    let at = start + row_search(cols, start, &first).unwrap_or_else(|p| p);
+    let tail: Vec<Vec<u32>> = cols.iter_mut().map(|c| c.split_off(at)).collect();
+    let ea = tail[0].len();
+    let gallop = skewed(ea, eb - sb);
+    let (mut i, mut j) = (0, sb);
     while i < ea && j < eb {
-        match cmp_rows(a, i, b, j) {
+        match cmp_rows(&tail, i, b, j) {
             Ordering::Less => {
                 let run = if gallop {
-                    gallop_rows_lt(a, i, ea, b, j)
+                    gallop_rows_lt(&tail, i, ea, b, j)
                 } else {
                     1
                 };
-                extend_rows(&mut cols, a, i..i + run);
+                extend_rows(cols, &tail, i..i + run);
                 i += run;
             }
             Ordering::Greater => {
                 let run = if gallop {
-                    gallop_rows_lt(b, j, eb, a, i)
+                    gallop_rows_lt(b, j, eb, &tail, i)
                 } else {
                     1
                 };
-                extend_rows(&mut cols, b, j..j + run);
+                extend_rows(cols, b, j..j + run);
                 j += run;
             }
             Ordering::Equal => {
-                extend_rows(&mut cols, a, i..i + 1);
+                extend_rows(cols, &tail, i..i + 1);
                 i += 1;
                 j += 1;
             }
         }
     }
-    extend_rows(&mut cols, a, i..ea);
-    extend_rows(&mut cols, b, j..eb);
-    SetRepr::from_sorted_cols(arity, cols)
+    extend_rows(cols, &tail, i..ea);
+    extend_rows(cols, b, j..eb);
+    cols[0].len() - before
 }
 
 /// Difference `a \ b` of two same-arity row families, with the same
@@ -387,8 +414,16 @@ fn diff_rows(arity: usize, a: &[Vec<u32>], sa: usize, b: &[Vec<u32>], sb: usize)
     SetRepr::from_sorted_cols(arity, cols)
 }
 
-/// Generic-tier store for an already-sorted, deduplicated vector.
-fn store_from_sorted_values(items: Vec<Value>) -> Store {
+/// Sum of the elements' weights — the walk the spilled tier's cached
+/// weight stands in for.
+fn weight_of(items: &[Value]) -> usize {
+    items.iter().map(Value::weight).sum()
+}
+
+/// Generic-tier store for an already-sorted, deduplicated vector. `weight`
+/// is the elements' weight sum when the caller knows it; otherwise a
+/// spilled store walks the elements once.
+fn store_from_sorted_values(items: Vec<Value>, weight: Option<usize>) -> Store {
     if items.len() <= INLINE_CAP {
         let mut slots = [PAD; INLINE_CAP];
         let len = items.len() as u8;
@@ -397,7 +432,12 @@ fn store_from_sorted_values(items: Vec<Value>) -> Store {
         }
         Store::Small { len, slots }
     } else {
-        Store::Spilled { items, start: 0 }
+        let weight = weight.unwrap_or_else(|| weight_of(&items));
+        Store::Spilled {
+            items,
+            start: 0,
+            weight,
+        }
     }
 }
 
@@ -492,15 +532,6 @@ enum ElemRef<'a> {
 }
 
 impl ElemRef<'_> {
-    fn weight(&self) -> usize {
-        match self {
-            ElemRef::Id(_) => 1,
-            // An arity-k atom tuple weighs 1 + k (each component weighs 1).
-            ElemRef::Row { cols, .. } => 1 + cols.len(),
-            ElemRef::Val(v) => v.weight(),
-        }
-    }
-
     fn to_value(&self) -> Value {
         match self {
             ElemRef::Id(i) => Value::atom(*i as u64),
@@ -675,34 +706,64 @@ fn gallop_lt<T: Ord>(s: &[T], bound: &T) -> usize {
     lo + s[lo..hi].partition_point(|x| x < bound)
 }
 
-/// Sorted-dedup union of two sorted-dedup slices; on equal elements `a`'s
-/// copy wins. With `gallop`, runs from the side that is behind are located
-/// by exponential probe and copied wholesale.
-fn merge_union_sorted<T: Ord + Clone>(a: &[T], b: &[T], gallop: bool) -> Vec<T> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
+/// Merges the sorted-dedup `incoming` into the sorted-dedup live window
+/// `items[start..]` in place; on equal elements `items`' copy wins. The
+/// elements below `incoming`'s minimum stay where they are — so an
+/// `incoming` that sorts after the window is a plain append — and the rest
+/// is split off and merged back by moving, never cloning. With skewed
+/// sizes, runs from the side that is behind are located by exponential
+/// probe. Calls `novel` on each element of `incoming` that was absent.
+fn merge_into<T: Ord + Clone>(
+    items: &mut Vec<T>,
+    start: usize,
+    incoming: &[T],
+    mut novel: impl FnMut(&T),
+) {
+    let Some(first) = incoming.first() else {
+        return;
+    };
+    let at = start + items[start..].partition_point(|x| x < first);
+    let tail = items.split_off(at);
+    items.reserve(tail.len() + incoming.len());
+    let gallop = skewed(tail.len(), incoming.len());
+    let mut rest = tail.into_iter();
+    let mut j = 0;
+    while j < incoming.len() {
+        let Some(head) = rest.as_slice().first() else {
+            break;
+        };
+        match head.cmp(&incoming[j]) {
             Ordering::Less => {
-                let run = if gallop { gallop_lt(&a[i..], &b[j]) } else { 1 };
-                out.extend_from_slice(&a[i..i + run]);
-                i += run;
+                let run = if gallop {
+                    gallop_lt(rest.as_slice(), &incoming[j])
+                } else {
+                    1
+                };
+                items.extend(rest.by_ref().take(run));
             }
             Ordering::Greater => {
-                let run = if gallop { gallop_lt(&b[j..], &a[i]) } else { 1 };
-                out.extend_from_slice(&b[j..j + run]);
+                let run = if gallop {
+                    gallop_lt(&incoming[j..], head)
+                } else {
+                    1
+                };
+                for v in &incoming[j..j + run] {
+                    novel(v);
+                    items.push(v.clone());
+                }
                 j += run;
             }
             Ordering::Equal => {
-                out.push(a[i].clone());
-                i += 1;
+                items.extend(rest.next());
                 j += 1;
             }
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+    items.extend(rest);
+    for v in &incoming[j..] {
+        novel(v);
+        items.push(v.clone());
+    }
 }
 
 /// Sorted `a \ b` over sorted-dedup slices, with the same galloping runs.
@@ -730,11 +791,13 @@ fn merge_difference_sorted<T: Ord + Clone>(a: &[T], b: &[T], gallop: bool) -> Ve
     out
 }
 
-/// Union of two columnar views in id space.
+/// Union of two columnar views in id space, into a fresh set.
 fn union_cols(a: &ColView<'_>, b: &ColView<'_>) -> SetRepr {
     match (a.id_slice(), b.id_slice()) {
         (Some(x), Some(y)) => {
-            SetRepr::from_sorted_ids(merge_union_sorted(x, y, skewed(x.len(), y.len())))
+            let mut ids = x.to_vec();
+            merge_into(&mut ids, 0, y, |_| {});
+            SetRepr::from_sorted_ids(ids)
         }
         (None, None) => {
             let (wa, wb) = (a.bits().unwrap(), b.bits().unwrap());
@@ -801,7 +864,8 @@ fn diff_cols(a: &ColView<'_>, b: &ColView<'_>) -> SetRepr {
     }
 }
 
-/// Cursor-merge union across mixed tiers, in the total value order.
+/// Cursor-merge union across mixed tiers, in the total value order; ties
+/// keep `a`'s copy.
 fn merge_union_elems(a: &SetRepr, b: &SetRepr) -> Vec<Value> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let mut x = a.elems().peekable();
@@ -903,8 +967,9 @@ impl SetRepr {
     /// callers are the merge ops, `Clone` and `FromIterator`, which
     /// establish the invariant themselves). This is the adaptive tier
     /// selection point: all-plain-atom contents go columnar, same-arity
-    /// all-atom-tuple contents go struct-of-arrays.
-    fn from_sorted_vec(items: Vec<Value>) -> Self {
+    /// all-atom-tuple contents go struct-of-arrays. `weight` is the
+    /// elements' weight sum when the caller already knows it.
+    fn from_sorted_vec(items: Vec<Value>, weight: Option<usize>) -> Self {
         if items.len() > INLINE_CAP && atom_tier_enabled() {
             if let Some(ids) = sorted_ids_of(&items) {
                 return SetRepr::from_sorted_ids(ids);
@@ -920,7 +985,7 @@ impl SetRepr {
             }
         }
         SetRepr {
-            store: store_from_sorted_values(items),
+            store: store_from_sorted_values(items, weight),
         }
     }
 
@@ -929,9 +994,11 @@ impl SetRepr {
     /// (everything else) — or materialising values when the tier is off.
     fn from_sorted_ids(ids: Vec<u32>) -> Self {
         if ids.len() <= INLINE_CAP || !atom_tier_enabled() {
+            let weight = ids.len();
             return SetRepr {
                 store: store_from_sorted_values(
                     ids.into_iter().map(|i| Value::atom(i as u64)).collect(),
+                    Some(weight),
                 ),
             };
         }
@@ -1003,7 +1070,7 @@ impl SetRepr {
                 .map(|i| Value::tuple(cols.iter().map(|c| Value::atom(c[i] as u64))))
                 .collect();
             return SetRepr {
-                store: store_from_sorted_values(items),
+                store: store_from_sorted_values(items, Some(n * (1 + arity))),
             };
         }
         SetRepr {
@@ -1017,13 +1084,12 @@ impl SetRepr {
 
     /// The live elements by reference, when this is a value-backed tier.
     /// Columnar tiers return `None` — callers inside the crate use this as
-    /// the zero-copy fast path and fall back to [`SetRepr::iter`] (columnar
-    /// element weights are covered by [`SetRepr::columnar_weight_sum`]).
+    /// the zero-copy fast path and fall back to [`SetRepr::iter`].
     #[inline]
     pub(crate) fn value_slice(&self) -> Option<&[Value]> {
         match &self.store {
             Store::Small { len, slots } => Some(&slots[..*len as usize]),
-            Store::Spilled { items, start } => Some(&items[*start..]),
+            Store::Spilled { items, start, .. } => Some(&items[*start..]),
             _ => None,
         }
     }
@@ -1036,15 +1102,24 @@ impl SetRepr {
         }
     }
 
-    /// Total weight of the live elements when a columnar tier knows it
-    /// without walking: atoms weigh 1 each, arity-k rows weigh `1 + k`
-    /// each. `None` for value-backed tiers (callers sum the slice).
+    /// Sum of the live elements' [`Value::weight`]s, without walking the
+    /// set: atoms weigh 1 each, arity-k rows `1 + k` each, the spilled
+    /// tier reads its cached sum and the inline tier adds up its ≤
+    /// [`INLINE_CAP`] elements.
     #[inline]
-    pub(crate) fn columnar_weight_sum(&self) -> Option<usize> {
+    pub fn weight_sum(&self) -> usize {
         match &self.store {
-            Store::Atoms { .. } | Store::Bits { .. } => Some(self.len()),
-            Store::Rows { arity, .. } => Some(self.len() * (1 + *arity)),
-            _ => None,
+            Store::Small { len, slots } => weight_of(&slots[..*len as usize]),
+            Store::Spilled {
+                items,
+                start,
+                weight,
+            } => {
+                debug_assert_eq!(*weight, weight_of(&items[*start..]), "stale set weight");
+                *weight
+            }
+            Store::Atoms { .. } | Store::Bits { .. } => self.len(),
+            Store::Rows { arity, .. } => self.len() * (1 + *arity),
         }
     }
 
@@ -1129,7 +1204,7 @@ impl SetRepr {
     fn elems(&self) -> ElemIter<'_> {
         match &self.store {
             Store::Small { len, slots } => ElemIter::Vals(slots[..*len as usize].iter()),
-            Store::Spilled { items, start } => ElemIter::Vals(items[*start..].iter()),
+            Store::Spilled { items, start, .. } => ElemIter::Vals(items[*start..].iter()),
             Store::Atoms { ids, start } => ElemIter::Ids(ids[*start..].iter()),
             Store::Bits { words, .. } => ElemIter::Bits(BitCursor::new(words)),
             Store::Rows { cols, start, .. } => ElemIter::Rows {
@@ -1169,7 +1244,7 @@ impl SetRepr {
     pub fn len(&self) -> usize {
         match &self.store {
             Store::Small { len, .. } => *len as usize,
-            Store::Spilled { items, start } => items.len() - start,
+            Store::Spilled { items, start, .. } => items.len() - start,
             Store::Atoms { ids, start } => ids.len() - start,
             Store::Bits { len, .. } => *len as usize,
             Store::Rows { cols, start, .. } => cols[0].len() - start,
@@ -1200,7 +1275,7 @@ impl SetRepr {
         let remaining = range.end - range.start;
         let inner = match &self.store {
             Store::Small { len, slots } => ElemIter::Vals(slots[..*len as usize][range].iter()),
-            Store::Spilled { items, start } => ElemIter::Vals(items[*start..][range].iter()),
+            Store::Spilled { items, start, .. } => ElemIter::Vals(items[*start..][range].iter()),
             Store::Atoms { ids, start } => ElemIter::Ids(ids[*start..][range].iter()),
             Store::Bits { words, .. } => ElemIter::Bits(BitCursor::skipped(words, range.start)),
             Store::Rows { cols, start, .. } => ElemIter::Rows {
@@ -1219,7 +1294,7 @@ impl SetRepr {
     pub fn first(&self) -> Option<Value> {
         match &self.store {
             Store::Small { len, slots } => slots[..*len as usize].first().cloned(),
-            Store::Spilled { items, start } => items.get(*start).cloned(),
+            Store::Spilled { items, start, .. } => items.get(*start).cloned(),
             Store::Atoms { ids, start } => ids.get(*start).map(|&i| Value::atom(i as u64)),
             Store::Bits { len, min, .. } => (*len > 0).then(|| Value::atom(*min as u64)),
             Store::Rows { cols, start, .. } => (*start < cols[0].len())
@@ -1233,7 +1308,7 @@ impl SetRepr {
     pub fn contains(&self, value: &Value) -> bool {
         match &self.store {
             Store::Small { len, slots } => slots[..*len as usize].binary_search(value).is_ok(),
-            Store::Spilled { items, start } => items[*start..].binary_search(value).is_ok(),
+            Store::Spilled { items, start, .. } => items[*start..].binary_search(value).is_ok(),
             Store::Atoms { ids, start } => match atom_index_of(value) {
                 Some(ix) => {
                     u32::try_from(ix).is_ok_and(|id| ids[*start..].binary_search(&id).is_ok())
@@ -1261,6 +1336,14 @@ impl SetRepr {
     /// element qualifies, and spills to the vector otherwise; a columnar
     /// set receiving a value it cannot represent widens first.
     pub fn insert(&mut self, value: Value) -> bool {
+        let weight = value.weight();
+        self.insert_weighted(value, weight)
+    }
+
+    /// [`SetRepr::insert`] for a caller that already knows
+    /// `value.weight()` (the evaluator charges it before inserting), so the
+    /// spilled tier's weight sum grows without a second walk.
+    pub(crate) fn insert_weighted(&mut self, value: Value, weight: usize) -> bool {
         match &mut self.store {
             Store::Small { len, slots } => {
                 let n = *len as usize;
@@ -1293,10 +1376,14 @@ impl SetRepr {
                 let mut items = Vec::with_capacity(2 * INLINE_CAP);
                 items.extend(slots.iter_mut().map(|s| std::mem::replace(s, PAD)));
                 items.insert(pos, value);
-                self.store = SetRepr::from_sorted_vec(items).store;
+                self.store = SetRepr::from_sorted_vec(items, None).store;
                 return true;
             }
-            Store::Spilled { items, start } => {
+            Store::Spilled {
+                items,
+                start,
+                weight: sum,
+            } => {
                 // Shifts only the tail after the insertion point; the common
                 // ascending-rebuild case (pos == len) is a plain push.
                 let pos = match items[*start..].binary_search(&value) {
@@ -1304,6 +1391,7 @@ impl SetRepr {
                     Err(pos) => pos,
                 };
                 items.insert(*start + pos, value);
+                *sum += weight;
                 return true;
             }
             Store::Atoms { ids, start } => {
@@ -1385,7 +1473,7 @@ impl SetRepr {
         // widens to the generic tier otherwise, so recursion terminates
         // after one step.
         self.demote_for(&value);
-        self.insert(value)
+        self.insert_weighted(value, weight)
     }
 
     /// Re-tiers so that `incoming` can be inserted: a plain atom keeps the
@@ -1404,8 +1492,9 @@ impl SetRepr {
                 return;
             }
         }
+        let weight = self.weight_sum();
         let items: Vec<Value> = self.iter().collect();
-        self.store = store_from_sorted_values(items);
+        self.store = store_from_sorted_values(items, Some(weight));
     }
 
     /// Removes and returns the minimal element. Inline sets shift (at most
@@ -1427,11 +1516,16 @@ impl SetRepr {
                 *len -= 1;
                 Some(value)
             }
-            Store::Spilled { items, start } => {
+            Store::Spilled {
+                items,
+                start,
+                weight,
+            } => {
                 if *start == items.len() {
                     return None;
                 }
                 let value = std::mem::replace(&mut items[*start], PAD);
+                *weight -= value.weight();
                 *start += 1;
                 if *start * 2 > items.len() {
                     // At least as many pops since the last compaction as
@@ -1482,38 +1576,103 @@ impl SetRepr {
         }
     }
 
-    /// `self ∪ other` as a bulk merge over the two sorted representations.
-    /// On equal elements **`self`'s copy is kept** — the same first-wins
-    /// rule as folding `other`'s elements into `self` with
-    /// [`SetRepr::insert`], which this is the bulk form of (the VM's fused
-    /// `union` fold and native relation-building callers use it instead of
-    /// per-element inserts through the evaluator). Columnar operands merge
-    /// in id space (word-parallel when both are dense); skewed operand
-    /// sizes engage the galloping probe.
-    pub fn merge_union(&self, other: &SetRepr) -> SetRepr {
+    /// `self ∪= other`, in place. Returns the weight the union added: the
+    /// summed [`Value::weight`] of the elements of `other` that were not in
+    /// `self` — what folding `other` into `self` with [`SetRepr::insert`]
+    /// grows the accumulator by. This is the bulk form of that fold (the
+    /// VM's fused `union` and the parallel shard merge use it), with the
+    /// same first-wins rule: on equal elements **`self`'s copy is kept**.
+    ///
+    /// Same-tier operands merge without rebuilding `self`: the generic,
+    /// sorted-id and row tiers keep their prefix below `other`'s minimum
+    /// (so an `other` that sorts after `self` is an append) and move, never
+    /// clone, the rest; skewed sizes gallop. Inline, bitset and mixed-tier
+    /// operands take one pass into a fresh store (word-parallel for
+    /// bitsets). Either way the result sits in the tier a fresh build of
+    /// its contents picks. A caller holding a shared set copies it first
+    /// (`Arc::make_mut`) and merges into the copy.
+    pub fn merge_union(&mut self, other: &SetRepr) -> usize {
         if other.is_empty() {
-            return self.clone();
+            return 0;
         }
         if self.is_empty() {
-            return other.clone();
+            *self = other.clone();
+            return self.weight_sum();
         }
-        if self.is_columnar() || other.is_columnar() {
-            if let (Some((ka, ca, sa)), Some((kb, cb, sb))) = (self.rows_view(), other.rows_view())
-            {
-                if ka == kb {
-                    return union_rows(ka, ca, sa, cb, sb);
-                }
-            }
-            if let (Some(a), Some(b)) = (self.col_view(), other.col_view()) {
-                return union_cols(&a, &b);
-            }
-            // Mixed tiers (atoms ∪ rows, rows ∪ generic, arity mismatch):
-            // one linear cursor pass demotes and merges at once — no
-            // per-element re-insertion, no quadratic rebuild.
-            return SetRepr::from_sorted_vec(merge_union_elems(self, other));
+        if let Some(added) = self.merge_same_tier(other) {
+            self.settle();
+            return added;
         }
-        let (a, b) = (self.value_slice().unwrap(), other.value_slice().unwrap());
-        SetRepr::from_sorted_vec(merge_union_sorted(a, b, skewed(a.len(), b.len())))
+        // Inline or mixed tiers (atoms ∪ rows, rows ∪ generic, arity
+        // mismatch): one linear cursor pass demotes and merges at once —
+        // in id space when both sides are plain atoms.
+        let before = self.weight_sum();
+        let merged = match (self.col_view(), other.col_view()) {
+            (Some(a), Some(b)) => union_cols(&a, &b),
+            _ => SetRepr::from_sorted_vec(merge_union_elems(self, other), None),
+        };
+        *self = merged;
+        self.weight_sum() - before
+    }
+
+    /// The in-place arms of [`SetRepr::merge_union`]: `Some(added weight)`
+    /// when `other` can merge straight into `self`'s tier, `None` when the
+    /// operands need the cursor merge.
+    fn merge_same_tier(&mut self, other: &SetRepr) -> Option<usize> {
+        match &mut self.store {
+            Store::Spilled {
+                items,
+                start,
+                weight,
+            } => {
+                let b = other.value_slice()?;
+                let mut added = 0;
+                merge_into(items, *start, b, |v| added += v.weight());
+                *weight += added;
+                Some(added)
+            }
+            Store::Atoms { ids, start } => {
+                let view = other.col_view()?;
+                let mut added = 0;
+                merge_into(ids, *start, view.id_slice()?, |_| added += 1);
+                Some(added)
+            }
+            Store::Rows { arity, cols, start } => {
+                let added = match other.rows_view() {
+                    Some((k, b, sb)) if k == *arity => merge_rows_into(cols, *start, b, sb),
+                    Some(_) => return None,
+                    // An inline set of plain same-arity tuples lifts to a
+                    // small column family.
+                    None => match sorted_cols_of(other.value_slice()?) {
+                        Some((k, b)) if k == *arity => merge_rows_into(cols, *start, &b, 0),
+                        _ => return None,
+                    },
+                };
+                Some(added * (1 + *arity))
+            }
+            // A bitset holds one word per 64 ids: `union_cols` ORs them
+            // into a fresh vector and re-tiers the result in one pass.
+            Store::Small { .. } | Store::Bits { .. } => None,
+        }
+    }
+
+    /// Re-tiers a columnar store that an in-place merge carried across a
+    /// tier boundary (inline cap, bitset density) or that outlived the tier
+    /// switch, so the result matches what a fresh build of the same
+    /// contents picks — `Clone` is that fresh build.
+    fn settle(&mut self) {
+        let n = self.len();
+        let rebuild = match &self.store {
+            Store::Small { .. } | Store::Spilled { .. } => false,
+            _ if n <= INLINE_CAP || !atom_tier_enabled() => true,
+            Store::Atoms { ids, .. } => {
+                n >= BITS_MIN_LEN && (*ids.last().unwrap() as usize) < BITS_MAX_SPREAD * n
+            }
+            Store::Bits { .. } | Store::Rows { .. } => false,
+        };
+        if rebuild {
+            *self = self.clone();
+        }
     }
 
     /// `self \ other` as a bulk sweep over the two sorted representations —
@@ -1534,50 +1693,13 @@ impl SetRepr {
             if let (Some(a), Some(b)) = (self.col_view(), other.col_view()) {
                 return diff_cols(&a, &b);
             }
-            return SetRepr::from_sorted_vec(merge_difference_elems(self, other));
+            return SetRepr::from_sorted_vec(merge_difference_elems(self, other), None);
         }
         let (a, b) = (self.value_slice().unwrap(), other.value_slice().unwrap());
-        SetRepr::from_sorted_vec(merge_difference_sorted(a, b, skewed(a.len(), b.len())))
-    }
-
-    /// Calls `f(weight, is_novel)` for every element of `incoming` in
-    /// ascending order, where `is_novel` says the element is **not** in
-    /// `self`. This is the stats skeleton of the fused union fold — the VM
-    /// and the parallel pool charge per-element costs through it without
-    /// materialising values. O(1)-word membership when `self` is dense and
-    /// `incoming` columnar; a linear cursor merge otherwise.
-    pub(crate) fn for_each_novelty(&self, incoming: &SetRepr, mut f: impl FnMut(usize, bool)) {
-        if let Store::Bits { words, .. } = &self.store {
-            if let Some(view) = incoming.col_view() {
-                if let Some(ids) = view.id_slice() {
-                    for &id in ids {
-                        f(1, !bit_test(words, id));
-                    }
-                } else {
-                    let mut c = BitCursor::new(view.bits().unwrap());
-                    while let Some(id) = c.next() {
-                        f(1, !bit_test(words, id));
-                    }
-                }
-                return;
-            }
-        }
-        let mut acc = self.elems().peekable();
-        for e in incoming.elems() {
-            loop {
-                match acc.peek() {
-                    Some(a) if cmp_elem(a, &e) == Ordering::Less => {
-                        acc.next();
-                    }
-                    _ => break,
-                }
-            }
-            let novel = match acc.peek() {
-                Some(a) => cmp_elem(a, &e) != Ordering::Equal,
-                None => true,
-            };
-            f(e.weight(), novel);
-        }
+        SetRepr::from_sorted_vec(
+            merge_difference_sorted(a, b, skewed(a.len(), b.len())),
+            None,
+        )
     }
 
     /// Number of backing slots currently held (live + dead). Exposed for
@@ -1619,7 +1741,11 @@ impl Clone for SetRepr {
                     slots: slots.clone(),
                 },
             },
-            Store::Spilled { items, start } => SetRepr::from_sorted_vec(items[*start..].to_vec()),
+            Store::Spilled {
+                items,
+                start,
+                weight,
+            } => SetRepr::from_sorted_vec(items[*start..].to_vec(), Some(*weight)),
             Store::Atoms { ids, start } => SetRepr::from_sorted_ids(ids[*start..].to_vec()),
             Store::Bits { words, .. } => SetRepr::from_bits(words.clone()),
             Store::Rows { arity, cols, start } => SetRepr::from_sorted_cols(
@@ -1639,7 +1765,7 @@ impl FromIterator<Value> for SetRepr {
         let mut items: Vec<Value> = iter.into_iter().collect();
         items.sort();
         items.dedup();
-        SetRepr::from_sorted_vec(items)
+        SetRepr::from_sorted_vec(items, None)
     }
 }
 
@@ -1673,7 +1799,9 @@ impl IntoIterator for SetRepr {
                 out.truncate(len as usize);
                 out.into_iter()
             }
-            Store::Spilled { mut items, start } => {
+            Store::Spilled {
+                mut items, start, ..
+            } => {
                 items.drain(..start);
                 items.into_iter()
             }
@@ -1775,6 +1903,13 @@ mod tests {
 
     fn atoms(ixs: impl IntoIterator<Item = u64>) -> SetRepr {
         ixs.into_iter().map(Value::atom).collect()
+    }
+
+    /// `a ∪ b` into a fresh set — the shared-base path of `merge_union`.
+    fn union(a: &SetRepr, b: &SetRepr) -> SetRepr {
+        let mut u = a.clone();
+        u.merge_union(b);
+        u
     }
 
     /// RAII guard: disables the columnar tier on this thread, restoring the
@@ -1956,7 +2091,7 @@ mod tests {
     fn merge_union_is_first_wins_and_sorted() {
         let a = atoms([1, 3, 5, 7, 9, 11]);
         let b = atoms([2, 3, 4, 11, 12]);
-        let u = a.merge_union(&b);
+        let u = union(&a, &b);
         let got: Vec<_> = u.iter().collect();
         assert_eq!(
             got,
@@ -1965,17 +2100,17 @@ mod tests {
         // Ties keep self's copy — the same rule as insert-into-self.
         let named: SetRepr = [Value::named_atom(2, "mine")].into_iter().collect();
         let other: SetRepr = [Value::atom(2)].into_iter().collect();
-        let u = named.merge_union(&other);
+        let u = union(&named, &other);
         assert_eq!(format!("{:?}", u.first().unwrap()), "mine#2");
         // Matches the element-by-element fold exactly.
         let mut folded = a.clone();
         for v in b.iter() {
             folded.insert(v);
         }
-        assert_eq!(a.merge_union(&b), folded);
+        assert_eq!(union(&a, &b), folded);
         // Identities.
-        assert_eq!(a.merge_union(&SetRepr::new()), a);
-        assert_eq!(SetRepr::new().merge_union(&b), b);
+        assert_eq!(union(&a, &SetRepr::new()), a);
+        assert_eq!(union(&SetRepr::new(), &b), b);
     }
 
     #[test]
@@ -1996,9 +2131,9 @@ mod tests {
     fn merge_results_fit_inline_when_small() {
         let a = atoms([1, 2]);
         let b = atoms([2, 3]);
-        assert!(a.merge_union(&b).is_inline());
+        assert!(union(&a, &b).is_inline());
         let big = atoms(0..10);
-        assert!(!big.merge_union(&a).is_inline());
+        assert!(!union(&big, &a).is_inline());
         assert!(big.merge_sorted_difference(&atoms(0..7)).is_inline());
     }
 
@@ -2014,7 +2149,7 @@ mod tests {
         let s = atoms(0..10);
         assert_eq!(s.tier_label(), "atoms");
         assert!(s.is_columnar());
-        assert_eq!(s.columnar_weight_sum(), Some(10));
+        assert_eq!(s.weight_sum(), 10);
         // Small all-atom sets stay inline; the tier engages past the cap.
         assert_eq!(atoms(0..3).tier_label(), "inline");
         // Spill-by-insert promotes too.
@@ -2147,9 +2282,9 @@ mod tests {
                 let gb: SetRepr = mk(&xb).into_iter().collect();
                 (ga, gb)
             };
-            let (u_c, u_g) = (ca.merge_union(&cb), {
+            let (u_c, u_g) = (union(&ca, &cb), {
                 let _guard = TierGuard::off();
-                ga.merge_union(&gb)
+                union(&ga, &gb)
             });
             assert_eq!(u_c, u_g, "union {xa:?} ∪ {xb:?}");
             assert_eq!(
@@ -2173,7 +2308,7 @@ mod tests {
         // Columnar ∪ generic (tuples) exercises the cursor merge.
         let col = atoms(0..10);
         let gen: SetRepr = (0..6).map(|i| Value::tuple([Value::atom(i)])).collect();
-        let u = col.merge_union(&gen);
+        let u = union(&col, &gen);
         assert_eq!(u.len(), 16);
         assert_eq!(u.tier_label(), "spilled", "tuples force the generic tier");
         let mut folded = col.clone();
@@ -2184,7 +2319,7 @@ mod tests {
         // Named atoms in the generic operand: first-wins keeps columnar
         // self's unnamed copies.
         let named: SetRepr = (5..15).map(|i| Value::named_atom(i, "n")).collect();
-        let u = col.merge_union(&named);
+        let u = union(&col, &named);
         assert_eq!(u.len(), 15);
         assert_eq!(format!("{}", u.first().unwrap()), "d0");
         let five = u.iter().nth(5).unwrap();
@@ -2212,7 +2347,7 @@ mod tests {
             .into_iter()
             .map(|i| Value::tuple([Value::named_atom(i, "v"), Value::atom(i)]))
             .collect();
-        let u = big.merge_union(&small);
+        let u = union(&big, &small);
         assert_eq!(u.len(), 300);
         let mut folded = big.clone();
         for v in small.iter() {
@@ -2224,17 +2359,18 @@ mod tests {
         let expected: SetRepr = big.iter().filter(|v| !small.contains(v)).collect();
         assert_eq!(d, expected);
         // And the reverse skew.
-        let u2 = small.merge_union(&big);
+        let u2 = union(&small, &big);
         assert_eq!(u2, u);
         assert!(small.merge_sorted_difference(&big).is_empty());
     }
 
     #[test]
-    fn for_each_novelty_matches_reference_across_tiers() {
-        let reference = |acc: &SetRepr, inc: &SetRepr| -> Vec<(usize, bool)> {
+    fn merge_union_novel_weight_matches_reference_across_tiers() {
+        let reference = |acc: &SetRepr, inc: &SetRepr| -> usize {
             inc.iter()
-                .map(|v| (v.weight(), !acc.contains(&v)))
-                .collect()
+                .filter(|v| !acc.contains(v))
+                .map(|v| v.weight())
+                .sum()
         };
         let combos: Vec<(SetRepr, SetRepr)> = vec![
             (atoms(0..100), atoms(50..150)),          // bits × bits
@@ -2271,15 +2407,20 @@ mod tests {
             (atoms(0..5), SetRepr::new()),
         ];
         for (acc, inc) in combos {
-            let mut got = Vec::new();
-            acc.for_each_novelty(&inc, |w, novel| got.push((w, novel)));
-            assert_eq!(
-                got,
-                reference(&acc, &inc),
+            let mut merged = acc.clone();
+            let added = merged.merge_union(&inc);
+            let context = format!(
                 "acc tier {} inc tier {}",
                 acc.tier_label(),
                 inc.tier_label()
             );
+            assert_eq!(added, reference(&acc, &inc), "{context}");
+            assert_eq!(merged.weight_sum(), acc.weight_sum() + added, "{context}");
+            let mut folded = acc.clone();
+            for v in inc.iter() {
+                folded.insert(v);
+            }
+            assert_eq!(merged, folded, "{context}");
         }
     }
 
@@ -2395,7 +2536,7 @@ mod tests {
         assert_eq!(s.tier_label(), "rows");
         assert!(s.is_columnar());
         // An arity-k row weighs 1 + k, like the tuple it stands for.
-        assert_eq!(s.columnar_weight_sum(), Some(30));
+        assert_eq!(s.weight_sum(), 30);
         assert_eq!(s.len(), 10);
         assert_eq!(
             s.first(),
@@ -2472,11 +2613,11 @@ mod tests {
                 let gb: SetRepr = rb.iter().collect();
                 (ga, gb)
             };
-            let u = ra.merge_union(&rb);
+            let u = union(&ra, &rb);
             let d = ra.merge_sorted_difference(&rb);
             let (ug, dg) = {
                 let _guard = TierGuard::off();
-                (ga.merge_union(&gb), ga.merge_sorted_difference(&gb))
+                (union(&ga, &gb), ga.merge_sorted_difference(&gb))
             };
             assert_eq!(u, ug, "union {xa:?} ∪ {xb:?}");
             assert_eq!(u.iter().collect::<Vec<_>>(), ug.iter().collect::<Vec<_>>());
@@ -2488,7 +2629,7 @@ mod tests {
             (0..8).map(|i| Value::tuple([Value::atom(i)])).collect(),
             pairs(0..8),
         );
-        let u = unary.merge_union(&binary);
+        let u = union(&unary, &binary);
         assert_eq!(u.len(), 16);
         assert_eq!(u.tier_label(), "spilled");
         let mut folded = unary.clone();
@@ -2505,7 +2646,7 @@ mod tests {
         // re-insert, no quadratic rebuild).
         let a = atoms(0..50);
         let r = pairs(0..50);
-        let u = a.merge_union(&r);
+        let u = union(&a, &r);
         assert_eq!(u.len(), 100);
         assert_eq!(u.tier_label(), "spilled");
         // Atoms sort before tuples, so the id store's elements lead.
@@ -2515,7 +2656,7 @@ mod tests {
             Some(Value::tuple([Value::atom(0), Value::atom(0)]))
         );
         // Symmetric direction agrees.
-        assert_eq!(r.merge_union(&a), u);
+        assert_eq!(union(&r, &a), u);
         // Difference removes nothing: no atom equals any pair.
         assert_eq!(a.merge_sorted_difference(&r), a);
         assert_eq!(r.merge_sorted_difference(&a), r);
@@ -2526,15 +2667,15 @@ mod tests {
             .chain((0..3).map(|i| Value::tuple([Value::named_atom(i / 7, "n"), Value::atom(i)])))
             .collect();
         assert_eq!(named.tier_label(), "spilled");
-        let u = a.merge_union(&named);
+        let u = union(&a, &named);
         assert_eq!(format!("{}", u.first().unwrap()), "d0", "self's atom won");
-        let u = r.merge_union(&named);
+        let u = union(&r, &named);
         // The named bare atoms sort ahead of every tuple; the first tuple
         // is self's plain copy of the duplicated (0, 0).
         let first_tuple = u.iter().nth(3).unwrap();
         assert_eq!(format!("{first_tuple}"), "[d0, d0]", "self's row won");
         // The reverse direction keeps the named copies: *other* now loses.
-        let u = named.merge_union(&r);
+        let u = union(&named, &r);
         assert_eq!(format!("{}", u.iter().nth(3).unwrap()), "[n#0, d0]");
     }
 

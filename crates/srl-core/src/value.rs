@@ -259,23 +259,16 @@ impl Value {
 
     /// Total number of scalar leaves in the value; used by the evaluator's
     /// size budget so that exponential fragments (set-height 2, LRL) fail
-    /// gracefully instead of exhausting memory.
+    /// gracefully instead of exhausting memory. A set answers its element
+    /// weights in O(1) (see [`SetRepr::weight_sum`]), so only tuples and
+    /// lists are walked.
     pub fn weight(&self) -> usize {
         match self {
             Value::Bool(_) | Value::Atom(_) => 1,
-            Value::Nat(n) => 1 + n.bit_len() / 64,
+            Value::Nat(n) => nat_weight(n),
             Value::Tuple(items) => 1 + items.iter().map(Value::weight).sum::<usize>(),
             Value::List(items) => 1 + items.iter().map(Value::weight).sum::<usize>(),
-            Value::Set(items) => {
-                1 + match items.value_slice() {
-                    Some(vs) => vs.iter().map(Value::weight).sum::<usize>(),
-                    // Columnar tiers know their element weights without a
-                    // walk: atoms weigh 1, arity-k rows weigh 1 + k.
-                    None => items
-                        .columnar_weight_sum()
-                        .expect("non-slice tiers are columnar"),
-                }
-            }
+            Value::Set(items) => 1 + items.weight_sum(),
         }
     }
 
@@ -414,6 +407,12 @@ impl fmt::Display for Value {
     }
 }
 
+/// The weight of a natural: one leaf, plus one for every 64 bits of its
+/// binary length.
+pub(crate) fn nat_weight(n: &BigNat) -> usize {
+    1 + n.bit_len() / 64
+}
+
 /// Builds the domain `D = {d_0, …, d_{n-1}}` as a set of atoms, the standard
 /// input universe of Section 3.
 pub fn domain_set(n: u64) -> Value {
@@ -504,6 +503,19 @@ mod tests {
         assert_eq!(Value::tuple([Value::atom(0), Value::atom(1)]).weight(), 3);
         assert_eq!(Value::set([Value::atom(0), Value::atom(1)]).weight(), 3);
         assert_eq!(Value::empty_set().weight(), 1);
+        // A natural weighs one more per 64 bits of binary length.
+        assert_eq!(Value::nat(u64::MAX >> 1).weight(), 1);
+        assert_eq!(Value::Nat(BigNat::pow2(64)).weight(), 2);
+        assert_eq!(Value::Nat(BigNat::pow2(130)).weight(), 3);
+    }
+
+    #[test]
+    fn value_and_set_layouts_stay_put() {
+        // Every set and every register pays these sizes; the spilled
+        // tier's cached weight sum must fit beside the inline slots, not
+        // grow them.
+        assert_eq!(std::mem::size_of::<Value>(), 32);
+        assert_eq!(std::mem::size_of::<SetRepr>(), 136);
     }
 
     #[test]

@@ -19,6 +19,16 @@
 //! insert loop on a uniquely-held accumulator (the other fused kinds).
 //! Batching is sound because every limit counter is monotone: a batch total
 //! crosses the budget if and only if some step inside the batch crossed it.
+//!
+//! The `Union` merge is in place too: codegen moves a last-use base into
+//! the reduce (see `bytecode`'s last-use moves), so the accumulator arrives
+//! uniquely owned and a union costs its incoming set, not its accumulator —
+//! accumulator elements below the incoming minimum are not touched, the
+//! rest are moved rather than cloned, and the added weight comes back from
+//! the merge itself. A shared base is copied first (`Arc::make_mut`).
+//! Accumulator weights are O(1) reads of the set's cached weight sum, so
+//! the per-iteration [`weight_capped`] of a `Generic` fold does not walk
+//! its accumulator either.
 
 use std::sync::Arc;
 
@@ -773,31 +783,25 @@ fn run_reduce(
             } else {
                 let w0 = weight_capped(&base_v, ACCUMULATOR_WEIGHT_CAP);
                 match base_v {
-                    Value::Set(b) => {
+                    Value::Set(mut b) => {
                         // Per element: identity app is 1 step at d+2, the
                         // insert body 3 steps (insert at d+2, two slot reads
                         // at d+3); each insert charges the element's weight.
                         core.stats.reduce_iterations += n as u64;
                         core.bump_batch(4 * n as u64, d + 3)?;
                         core.stats.inserts += n as u64;
-                        // Per-element weight and novelty charges without
-                        // materialising values: columnar operands walk id
-                        // space (O(1)-word novelty when the accumulator is
-                        // dense), generic ones the same cursor merge as the
-                        // old two-pointer scan.
-                        let mut charged = 0usize;
-                        let mut acc_w = w0;
-                        b.for_each_novelty(&items, |w, novel| {
-                            charged = charged.saturating_add(w);
-                            if novel {
-                                acc_w = cap_add(acc_w, w);
-                            }
-                        });
-                        core.charge_allocation(charged)?;
-                        core.note_accumulator_weight(capped(acc_w));
-                        // One bulk sorted merge; ties keep the accumulator's
-                        // copy, exactly like the insert fold.
-                        Value::Set(Arc::new(b.merge_union(&items)))
+                        core.charge_allocation(items.weight_sum())?;
+                        // One bulk merge into the accumulator — in place
+                        // when codegen moved it here uniquely owned, into a
+                        // copy otherwise. Ties keep the accumulator's copy,
+                        // exactly like the insert fold, and the weight it
+                        // reports is what the novel inserts would have
+                        // grown the accumulator by (saturation depends only
+                        // on the running total, so one batched add caps
+                        // like the per-element ones).
+                        let added = Arc::make_mut(&mut b).merge_union(&items);
+                        core.note_accumulator_weight(cap_add(w0, added));
+                        Value::Set(b)
                     }
                     other => {
                         // First iteration, replayed: the identity app, then

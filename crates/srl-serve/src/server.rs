@@ -300,21 +300,26 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx, shutdown: &AtomicBool) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // Raw bytes, decoded once per complete line: a read timeout can land
+    // inside a multi-byte character, and the bytes read before it must
+    // survive to the next read (`read_line` into a `String` would drop
+    // them and fail the connection on the remainder).
+    let mut line: Vec<u8> = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // EOF
+        match reader.read_until(b'\n', &mut line) {
+            // EOF, or EOF in the middle of an unterminated request line
+            // (a timeout returns an error, never a short `Ok`).
+            Ok(_) if !line.ends_with(b"\n") => return,
             Ok(_) => {
-                if !line.ends_with('\n') {
-                    // Timed out mid-line with a partial read; keep the
-                    // prefix and wait for the rest.
-                    continue;
-                }
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
+                let body = match std::str::from_utf8(&line).map(str::trim) {
+                    Ok("") => None,
+                    Ok(text) => Some(handle_line(ctx, text)),
+                    Err(_) => Some(proto_error("request line is not valid UTF-8", &[])),
+                };
+                line.clear();
+                if let Some(mut body) = body {
                     // One write per response: body and newline in a single
                     // segment (two small writes would re-trigger Nagle).
-                    let mut body = handle_line(ctx, trimmed);
                     body.push('\n');
                     let ok = writer
                         .write_all(body.as_bytes())
@@ -323,8 +328,9 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx, shutdown: &AtomicBool) {
                         return;
                     }
                 }
-                line.clear();
             }
+            // Timed out, possibly mid-line: the bytes read so far stay in
+            // `line` and the next read continues it.
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if shutdown.load(Ordering::Acquire) {
                     return;

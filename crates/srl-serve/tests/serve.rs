@@ -469,6 +469,47 @@ fn check_analyze_and_protocol_errors_round_trip() {
 }
 
 #[test]
+fn a_read_timeout_inside_a_multibyte_character_keeps_the_request() {
+    let _g = serialized();
+    let handle = spawn(ServeConfig::default());
+    let mut client = Client::connect(&handle);
+
+    // The tenant name carries an `é` (0xC3 0xA9); the line is sent in two
+    // writes split between those two bytes, with a pause longer than the
+    // server's 100 ms read timeout in between.
+    let line = singleton_run("d4").replace("\"kind\"", "\"tenant\": \"café\", \"kind\"") + "\n";
+    let bytes = line.as_bytes();
+    let split = line.find('é').expect("the line has an é") + 1;
+    client
+        .writer
+        .write_all(&bytes[..split])
+        .expect("first half");
+    client.writer.flush().expect("flush");
+    std::thread::sleep(Duration::from_millis(250));
+    client
+        .writer
+        .write_all(&bytes[split..])
+        .expect("second half");
+    client.writer.flush().expect("flush");
+    let response = client.receive();
+    assert_eq!(response.get("result").and_then(Json::as_str), Some("{d4}"));
+
+    // Bytes that are not UTF-8 at all get a structured protocol error, and
+    // the connection keeps serving.
+    client
+        .writer
+        .write_all(b"{\"v\": 1, \xff}\n")
+        .expect("send");
+    let response = client.receive();
+    assert_eq!(error_kind(&response), Some("proto"));
+    assert_eq!(error_exit(&response), Some(2));
+    let alive = client.request(&singleton_run("d1"));
+    assert_eq!(alive.get("result").and_then(Json::as_str), Some("{d1}"));
+
+    handle.shutdown();
+}
+
+#[test]
 fn tenant_config_document_applies_per_tenant_limits() {
     let _g = serialized();
     let config = ServeConfig::default()

@@ -389,6 +389,33 @@ mod tests {
     }
 
     #[test]
+    fn cartesian_union_base_is_moved_into_the_merge() {
+        // E5's joins build cartesian(E, E): each slice is unioned into the
+        // accumulator, which must arrive at the fused union uniquely owned
+        // (a `take`, not a `copy`) for the merge to run in place.
+        let p = Program::srl();
+        let c = p.compile();
+        let product = srl_stdlib::derived::cartesian(var("E"), var("E"));
+        let lowered = c.lower_expr(&product, &["E"]);
+        let text = disasm_lowered(&c, &lowered);
+        let lines: Vec<&str> = text.lines().collect();
+        let at = lines
+            .iter()
+            .position(|l| l.contains("reduce[union"))
+            .unwrap_or_else(|| panic!("no fused union:\n{text}"));
+        let base = lines[at]
+            .split_whitespace()
+            .find_map(|w| w.strip_prefix("base="))
+            .expect("reduce lines name their base register");
+        let load = lines[..at]
+            .iter()
+            .rev()
+            .find(|l| l.trim_start().contains(&format!("{base} <- ")))
+            .unwrap_or_else(|| panic!("no load of {base}:\n{text}"));
+        assert!(load.contains("take r"), "{load}\n{text}");
+    }
+
+    #[test]
     fn branches_show_targets_and_takes_show_moves() {
         let p = Program::srl();
         let c = p.compile();

@@ -630,3 +630,157 @@ fn random_id_set_algebra_is_tier_invariant() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Property test: the cached set weight under every mutation and tier move.
+// ---------------------------------------------------------------------------
+
+/// The weight `Value::weight` stands for, by a full walk that never reads a
+/// set's cached sum.
+fn walked_weight(v: &Value) -> usize {
+    match v {
+        Value::Bool(_) | Value::Atom(_) => 1,
+        Value::Nat(n) => 1 + n.bit_len() / 64,
+        Value::Tuple(items) => 1 + items.iter().map(walked_weight).sum::<usize>(),
+        Value::List(items) => 1 + items.iter().map(walked_weight).sum::<usize>(),
+        Value::Set(items) => 1 + items.iter().map(|e| walked_weight(&e)).sum::<usize>(),
+    }
+}
+
+/// Which element shapes an episode draws, so every storage tier fills up.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    DenseAtoms,
+    SparseAtoms,
+    Pairs,
+    Mixed,
+}
+
+impl Gen {
+    /// One element of the given shape; `Mixed` draws the foreign ones
+    /// (named atoms, naturals past 64 bits, nested sets, odd tuples) that
+    /// demote a columnar set.
+    fn element(&mut self, shape: Shape) -> Value {
+        match shape {
+            Shape::DenseAtoms => Value::atom(self.below(100)),
+            Shape::SparseAtoms => Value::atom(self.below(100_000)),
+            Shape::Pairs => {
+                Value::tuple([Value::atom(self.below(12)), Value::atom(self.below(12))])
+            }
+            Shape::Mixed => match self.below(5) {
+                0 => Value::named_atom(self.below(100), "n"),
+                1 => Value::Nat(srl_core::BigNat::pow2(self.below(140) as usize)),
+                2 => atom_set((0..self.below(6)).map(|_| self.below(20))),
+                3 => Value::tuple([Value::named_atom(self.below(12), "t"), Value::atom(1)]),
+                _ => Value::tuple([Value::atom(self.below(12))]),
+            },
+        }
+    }
+
+    /// The episode's shape, or — one time in `odds` — a foreign one.
+    fn shape_or_foreign(&mut self, shape: Shape, odds: u64) -> Shape {
+        if self.below(odds) == 0 {
+            Shape::Mixed
+        } else {
+            shape
+        }
+    }
+
+    fn set_of(&mut self, shape: Shape, max_len: u64) -> srl_core::SetRepr {
+        let shape = self.shape_or_foreign(shape, 6);
+        (0..self.below(max_len))
+            .map(|_| self.element(shape))
+            .collect()
+    }
+}
+
+#[test]
+fn cached_set_weights_survive_every_mutation_and_tier_move() {
+    use srl_core::eval::weight_capped;
+    use srl_core::SetRepr;
+    use std::collections::{BTreeSet, HashSet};
+
+    let _guard = TierGuard::set(true);
+    let mut g = Gen::new(29);
+    let mut tiers_seen = HashSet::new();
+    for episode in 0..60 {
+        let shape = [
+            Shape::DenseAtoms,
+            Shape::SparseAtoms,
+            Shape::Pairs,
+            Shape::Mixed,
+        ][g.below(4) as usize];
+        let mut s = match g.below(3) {
+            0 => SetRepr::new(),
+            1 => SetRepr::new_atoms(),
+            _ => SetRepr::new_rows(2),
+        };
+        // The reference: `BTreeSet::insert` keeps the stored copy of an
+        // equal element, the first-wins rule every set operation follows.
+        let mut model: BTreeSet<Value> = BTreeSet::new();
+        for step in 0..40 {
+            let at = format!("episode {episode} ({shape:?}) step {step}");
+            match g.below(6) {
+                0 | 1 => {
+                    let v = {
+                        let shape = g.shape_or_foreign(shape, 8);
+                        g.element(shape)
+                    };
+                    assert_eq!(s.insert(v.clone()), model.insert(v), "{at}: insert");
+                }
+                2 => assert_eq!(s.pop_first(), model.pop_first(), "{at}: pop_first"),
+                3 | 4 => {
+                    // Union through a shared handle (copy-on-write), then
+                    // the same union in place on the uniquely held base.
+                    let other = g.set_of(shape, 90);
+                    let novel: usize = other
+                        .iter()
+                        .filter(|v| !model.contains(v))
+                        .map(|v| walked_weight(&v))
+                        .sum();
+                    let before = format!("{:?}", s);
+                    let base = Arc::new(s);
+                    let mut shared = Arc::clone(&base);
+                    let added_shared = Arc::make_mut(&mut shared).merge_union(&other);
+                    assert_eq!(format!("{base:?}"), before, "{at}: shared base changed");
+                    let mut unique = Arc::try_unwrap(base).expect("the copy made it unique");
+                    let added = unique.merge_union(&other);
+                    assert_eq!((added, added_shared), (novel, novel), "{at}: novel weight");
+                    assert_eq!(
+                        format!("{unique:?}"),
+                        format!("{shared:?}"),
+                        "{at}: in-place and copying unions differ"
+                    );
+                    s = unique;
+                    for v in other.iter() {
+                        model.insert(v);
+                    }
+                }
+                _ => {
+                    // Promote or demote: a clone re-tiers under the current
+                    // toggle, so flipping it moves the set between tiers.
+                    let on = g.below(2) == 0;
+                    let _flip = TierGuard::set(on);
+                    s = s.clone();
+                }
+            }
+            tiers_seen.insert(s.tier_label());
+            let walked = model.iter().map(walked_weight).sum::<usize>();
+            assert_eq!(s.weight_sum(), walked, "{at}: cached weight");
+            let set = Value::Set(Arc::new(s.clone()));
+            assert_eq!(set.weight(), 1 + walked, "{at}: Value::weight");
+            let cap = g.below(walked as u64 + 4) as usize;
+            assert_eq!(
+                weight_capped(&set, cap),
+                (1 + walked).min(cap + 1),
+                "{at}: weight_capped at cap {cap}"
+            );
+            // Same elements, and the same printed copies of equal ones.
+            let expect = format!("{:?}", model.iter().cloned().collect::<SetRepr>());
+            assert_eq!(format!("{s:?}"), expect, "{at}: contents");
+        }
+    }
+    for tier in ["inline", "spilled", "atoms", "bits", "rows"] {
+        assert!(tiers_seen.contains(tier), "never reached the {tier} tier");
+    }
+}

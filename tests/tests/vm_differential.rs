@@ -310,11 +310,15 @@ fn derived_operators_agree_on_random_sets() {
                 env.get("B").unwrap().as_set().unwrap(),
             );
             match label {
-                "union" => assert_eq!(
-                    v,
-                    Value::Set(Arc::new(b.merge_union(a))),
-                    "merge_union drifted from the evaluated union (case {case})"
-                ),
+                "union" => {
+                    let mut merged = b.clone();
+                    merged.merge_union(a);
+                    assert_eq!(
+                        v,
+                        Value::Set(Arc::new(merged)),
+                        "merge_union drifted from the evaluated union (case {case})"
+                    )
+                }
                 "difference" => assert_eq!(
                     v,
                     Value::Set(Arc::new(a.merge_sorted_difference(b))),
@@ -394,6 +398,112 @@ fn folds_reading_enclosing_state_agree() {
     let env = Env::new().bind("S", atom_set([1, 2, 3]));
     let v = assert_expr_identical(&program, &fold, &env, "outer-state fold");
     assert_eq!(v, atom_set([1, 2, 3]));
+}
+
+#[test]
+fn reduce_base_moves_only_when_nothing_else_reads_it() {
+    // The cartesian product's shape: an inner union folds each slice into
+    // the outer accumulator, whose slot the VM moves into the union.
+    let program = Program::srl();
+    let env = Env::new().bind(
+        "SS",
+        Value::set([atom_set([1, 2]), atom_set([2, 3]), atom_set([5])]),
+    );
+    let moved = set_reduce(
+        var("SS"),
+        Lambda::identity(),
+        lam(
+            "slice",
+            "acc",
+            set_reduce(
+                var("slice"),
+                Lambda::identity(),
+                lam("e", "a", insert(var("e"), var("a"))),
+                var("acc"),
+                empty_set(),
+            ),
+        ),
+        empty_set(),
+        empty_set(),
+    );
+    let v = assert_expr_identical(&program, &moved, &env, "moved union base");
+    assert_eq!(v, atom_set([1, 2, 3, 5]));
+    // `extra` reads the base slot after the base is evaluated: no move.
+    let extra_reads = set_reduce(
+        var("SS"),
+        Lambda::identity(),
+        lam(
+            "slice",
+            "acc",
+            set_reduce(
+                var("slice"),
+                Lambda::identity(),
+                lam("e", "a", insert(var("e"), var("a"))),
+                var("acc"),
+                var("acc"),
+            ),
+        ),
+        empty_set(),
+        empty_set(),
+    );
+    let v = assert_expr_identical(&program, &extra_reads, &env, "extra reads the base");
+    assert_eq!(v, atom_set([1, 2, 3, 5]));
+    // The app lambda reads the base slot on every element: no move.
+    let app_reads = set_reduce(
+        var("SS"),
+        Lambda::identity(),
+        lam(
+            "slice",
+            "acc",
+            set_reduce(
+                var("slice"),
+                lam("e", "x", tuple([var("e"), var("acc")])),
+                lam("p", "a", insert(sel(var("p"), 1), var("a"))),
+                var("acc"),
+                empty_set(),
+            ),
+        ),
+        empty_set(),
+        empty_set(),
+    );
+    let v = assert_expr_identical(&program, &app_reads, &env, "app reads the base");
+    assert_eq!(v, atom_set([1, 2, 3, 5]));
+}
+
+#[test]
+fn big_naturals_weigh_the_same_on_every_backend() {
+    // A natural of b bits weighs 1 + b/64 in `Value::weight`; the
+    // tree-walk's per-iteration accumulator weight once charged it 1 while
+    // the VM's union fold charged the full weight.
+    let program = Program::new(Dialect::full()).define(
+        "big",
+        ["S"],
+        set_reduce(
+            var("S"),
+            lam("x", "e", var("x")),
+            lam("y", "acc", insert(var("y"), var("acc"))),
+            empty_set(),
+            empty_set(),
+        ),
+    );
+    let input = Value::set([64, 65, 66].map(|k| Value::Nat(srl_core::BigNat::pow2(k))));
+    let args = [input.clone()];
+    let compiled = Arc::new(program.compile());
+    let run = |backend: ExecBackend| {
+        let mut ev =
+            Evaluator::with_compiled(&program, Arc::clone(&compiled), EvalLimits::default())
+                .expect("compiled from this program")
+                .with_backend(backend);
+        let v = ev.call("big", &args).expect("big(S) evaluates");
+        (v, *ev.stats())
+    };
+    let tree = run(ExecBackend::TreeWalk);
+    assert_eq!(tree.0, input);
+    // The empty base weighs 1; each 65–67-bit natural weighs 2.
+    assert_eq!(tree.1.max_accumulator_weight, 7);
+    for backend in [ExecBackend::vm(), ExecBackend::vm_with_threads(2)] {
+        assert_eq!(run(backend), tree, "{backend:?} differs from the tree-walk");
+    }
 }
 
 #[test]
