@@ -4,9 +4,10 @@
 //! proves order-independence on the *surface syntax*, this one reads the
 //! verdicts the compiler already committed to — every lowered reduce
 //! instruction carries its [`FoldClass`] (what gates sharding), its
-//! [`FoldOrigin`] (where the verdict came from: a fused shape, the
-//! interprocedural spine summary of [`srl_core::analysis`], a named
-//! obstacle, or list semantics), and its static unit cost. This module
+//! [`FoldOrigin`] (where the verdict came from: a fused shape, a local
+//! insert spine or the interprocedural spine summary of
+//! [`srl_core::analysis`], a named obstacle, or list semantics), and its
+//! static unit cost. This module
 //! walks a chunk, attributes each reduce to its enclosing definition, and
 //! renders the origin as a human-readable reason with definition names
 //! resolved — the data behind `srl analyze` and the REPL's `:classify`.
@@ -38,8 +39,7 @@ pub struct FoldRow {
     /// `true` for a `list-reduce`.
     pub is_list: bool,
     /// Fold strategy label (see `ReduceKind::label`): `generic`, `member`,
-    /// `union`, `product`, `insert-app`, `filter`, `bool-acc`, `scan`,
-    /// `monotone`.
+    /// `union`, `product`, `insert-app`, `filter`, `bool-acc`, `scan`.
     pub kind: &'static str,
     /// The compile-time algebraic class — [`FoldClass::ProperHom`] folds
     /// may be sharded across the worker pool.
@@ -171,7 +171,8 @@ fn render_reason(program: &CompiledProgram, r: &ReduceInsn) -> String {
         FoldOrigin::List => {
             "list semantics: duplicates and stored order are observable".to_string()
         }
-        FoldOrigin::SummarySpine { via } => format!(
+        FoldOrigin::Spine { via: None } => "local accumulator insert spine (y ∪ g(x))".to_string(),
+        FoldOrigin::Spine { via: Some(via) } => format!(
             "call-threaded accumulator spine through `{}` (interprocedural summary)",
             def_name(program, *via)
         ),
@@ -193,7 +194,6 @@ fn render_reason(program: &CompiledProgram, r: &ReduceInsn) -> String {
             "filter" => "fused shape: conditional-insert filter".to_string(),
             "bool-acc" => "fused shape: boolean quantifier fold".to_string(),
             "scan" => "fused shape: keep-last-match scan observes traversal order".to_string(),
-            "monotone" => "fused shape: local monotone insert spine (y ∪ g(x))".to_string(),
             other => format!("fused shape: {other}"),
         },
     }

@@ -16,8 +16,8 @@
 //! * [`interproc`] — the report layer for the compiler's interprocedural
 //!   fold classification (`srl_core::analysis`): per-definition spine
 //!   summaries and one verdict row per reduce instruction, with the reason
-//!   (fused shape, call-threaded spine, or named obstacle) rendered for
-//!   `srl analyze` and the REPL.
+//!   (fused shape, local or call-threaded spine, or named obstacle)
+//!   rendered for `srl analyze` and the REPL.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

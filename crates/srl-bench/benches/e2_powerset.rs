@@ -42,11 +42,11 @@ fn bench(c: &mut Criterion) {
                     .unwrap()
             })
         });
-        // Par axis: the VM with a 4-worker pool. The powerset's folds are
-        // call-threaded (Generic, ordered), so this variant currently pins
-        // the *absence* of sharding overhead rather than a speedup — the
-        // interprocedural monotone-spine analysis is the ROADMAP follow-up
-        // that would let these folds split.
+        // Par axis: the VM with a 4-worker pool. sift's inner fold threads
+        // its accumulator through finsert's spine parameter, so the
+        // interprocedural summary proves it a proper hom and it shards once
+        // the input clears `PAR_WORK_THRESHOLD`; the outer fold stays
+        // ordered (it passes its accumulator into sift's folded set).
         let mut par =
             Evaluator::with_compiled(&program, Arc::clone(&compiled), EvalLimits::benchmark())
                 .expect("compiled from this program")

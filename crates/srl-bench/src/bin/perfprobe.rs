@@ -36,6 +36,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use srl_core::api::Json;
 use srl_core::eval::Evaluator;
 use srl_core::limits::EvalLimits;
 use srl_core::lower::LoweredExpr;
@@ -549,64 +550,43 @@ fn print_json(probes: &[Probe]) {
     println!("{out}");
 }
 
-/// Extracts `"key": <number>` from the object snippet for one recorded probe.
-fn json_number(snippet: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = snippet.find(&needle)? + needle.len();
-    let rest = snippet[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The first object, in document order, whose `"probe"` field is `name`.
+fn recorded_probe<'a>(json: &'a Json, name: &str) -> Option<&'a Json> {
+    match json {
+        Json::Obj(fields) => {
+            if json.get("probe").and_then(Json::as_str) == Some(name) {
+                return Some(json);
+            }
+            fields.iter().find_map(|(_, v)| recorded_probe(v, name))
+        }
+        Json::Arr(items) => items.iter().find_map(|v| recorded_probe(v, name)),
+        _ => None,
+    }
 }
 
 /// The soft regression gate: compares the measured speedup ratios against
 /// the probes recorded in a committed `BENCH_*.json` trajectory point.
 /// Returns the number of regressions beyond the threshold.
-fn check_against(probes: &[Probe], recorded: &str, threshold_pct: f64) -> usize {
+fn check_against(probes: &[Probe], recorded: &Json, threshold_pct: f64) -> usize {
     let floor = 1.0 - threshold_pct / 100.0;
     let mut regressions = 0;
     for p in probes {
-        // The snippet for this probe: from its name to the next probe entry
-        // (or end of file) — enough context for the numeric fields.
-        let Some(at) = recorded.find(&format!("\"probe\": \"{}\"", p.name)) else {
+        let Some(entry) = recorded_probe(recorded, &p.name) else {
             println!(
                 "  [gate] {}: not tracked in the recorded trajectory, skipped",
                 p.name
             );
             continue;
         };
-        let rest = &recorded[at..];
-        let end = rest[1..]
-            .find("\"probe\"")
-            .map(|i| i + 1)
-            .unwrap_or(rest.len());
-        let snippet = &rest[..end];
-        for (axis, recorded_value, measured) in [
-            (
-                "vm speedup",
-                json_number(snippet, "vm_speedup"),
-                p.vm_speedup(),
-            ),
-            (
-                "par speedup",
-                json_number(snippet, "par_speedup"),
-                p.par_speedup(),
-            ),
-            (
-                "tier speedup",
-                json_number(snippet, "tier_speedup"),
-                p.tier_speedup(),
-            ),
+        for (axis, key, measured) in [
+            ("vm speedup", "vm_speedup", p.vm_speedup()),
+            ("par speedup", "par_speedup", p.par_speedup()),
+            ("tier speedup", "tier_speedup", p.tier_speedup()),
             // Older trajectory points (BENCH_3) record the backend-axis
             // ratio under "speedup".
-            (
-                "vm speedup",
-                json_number(snippet, "speedup"),
-                p.vm_speedup(),
-            ),
+            ("vm speedup", "speedup", p.vm_speedup()),
         ] {
-            let Some(recorded_value) = recorded_value else {
+            let Some(recorded_value) = entry.get(key).and_then(Json::as_f64) else {
                 continue;
             };
             let required = recorded_value * floor;
@@ -656,6 +636,13 @@ fn main() {
             Ok(text) => text,
             Err(e) => {
                 eprintln!("cannot read recorded trajectory `{path}`: {e}");
+                std::process::exit(2);
+            }
+        };
+        let recorded = match Json::parse(&recorded) {
+            Ok(json) => json,
+            Err(e) => {
+                eprintln!("cannot parse recorded trajectory `{path}`: {e}");
                 std::process::exit(2);
             }
         };

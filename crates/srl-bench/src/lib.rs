@@ -20,6 +20,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use srl_core::api::escape;
 use srl_core::ast::Expr;
 use srl_core::error::EvalError;
 use srl_core::eval::Evaluator;
@@ -351,24 +352,10 @@ impl Row {
     }
 }
 
-/// Renders rows as a pretty-printed JSON array (hand-rolled: the build runs
-/// offline, without serde; the schema is the `Row` struct field-for-field).
+/// Renders rows as a pretty-printed JSON array (the schema is the `Row`
+/// struct field-for-field; strings go through the wire codec's
+/// [`escape`]).
 pub fn to_json(rows: &[Row]) -> String {
-    fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
     let mut out = String::from("[");
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {

@@ -87,8 +87,8 @@ USAGE:
 `analyze` compiles the program and reports, for every set/list fold, the
 strategy the VM will use (member, union, filter, generic, ...), whether
 its combiner was proved a proper homomorphism (order-independent, so
-`run --threads N` may shard it), and why — including interprocedural
-proofs that thread the accumulator through a callee's spine parameter.
+`run --threads N` may shard it), and why — including insert-spine proofs,
+local to the combiner or threaded through a callee's spine parameter.
 
 `run` calls the definition named by --call (default: a zero-parameter
 `main`), passing each --arg parsed as a value literal: d3, 42, true,

@@ -1,13 +1,15 @@
-//! Interprocedural monotone-spine analysis over the lowered IR.
+//! Interprocedural insert-spine analysis over the lowered IR.
 //!
-//! The VM's fold fusion (`bytecode::fuse_set_fold`) proves order-independence
-//! *locally*: it recognises combiner bodies whose accumulator parameter is
-//! only ever threaded through `insert` into the result. That proof stops at
-//! the lambda boundary, so a call-threaded combiner like the powerset's
-//! `λ(x, T). sift(x, T)` — where `sift` ultimately folds `finsert`, a pure
-//! insert spine — classified `Ordered` and never sharded.
+//! A fold combiner whose accumulator parameter is only ever threaded
+//! through `insert` into the result is a proper hom. [`spine_verdict`]
+//! proves that for a combiner body: *locally*, when the inserts sit in the
+//! lambda itself (the TM simulator's `write_cell`), and across calls, when
+//! the accumulator is passed into a callee's spine parameter (the
+//! powerset's `λ(x, T). sift(x, T)`, where `sift` ultimately folds
+//! `finsert`, a pure insert spine).
 //!
-//! This module computes per-definition **spine summaries** bottom-up across
+//! For the call-threaded case this module computes per-definition **spine
+//! summaries** bottom-up across
 //! the call graph: for each definition, the first parameter (if any) that is
 //! used only in *monotone spine position* — threaded through `insert` (or
 //! through a callee's own spine parameter) into the result, never inspected
@@ -114,13 +116,16 @@ impl Builder<'_> {
     }
 }
 
-/// Decides whether slot `y` is used only in monotone spine position in the
-/// expression tree rooted at `id` (an arena index into `nodes`).
+/// Decides whether slot `y` is used only in insert-spine position in the
+/// expression tree rooted at `id` (an arena index into `nodes`). Codegen
+/// records the verdict as the fold's
+/// [`FoldOrigin`](crate::bytecode::FoldOrigin): `Ok(via)` becomes
+/// `FoldOrigin::Spine { via }`, which makes the `Generic` fold a proper
+/// hom, and `Err(block)` becomes `FoldOrigin::Unproven(block)`.
 ///
 /// - `Ok(None)` — a purely local spine: `y` is threaded through `insert`
 ///   chains, `if` branches (condition not reading `y`), and `let` bodies
-///   straight into the result. This is exactly the intraprocedural proof
-///   codegen already trusted for `ReduceKind::Monotone`.
+///   straight into the result.
 /// - `Ok(Some(via))` — a call-threaded spine: the same shape, except the
 ///   thread passes through the spine parameter of definition `via`
 ///   (the outermost such call), whose own summary carries the proof.

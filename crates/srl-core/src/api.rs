@@ -632,7 +632,7 @@ impl Request {
             return Err("a request is a JSON object".to_string());
         };
         match json.get("v").and_then(Json::as_u64) {
-            Some(v) if v as u32 == PROTOCOL_VERSION => {}
+            Some(v) if v == u64::from(PROTOCOL_VERSION) => {}
             Some(v) => return Err(format!("unsupported protocol version {v} (this is v1)")),
             None => return Err("missing protocol version (\"v\": 1)".to_string()),
         }
@@ -989,6 +989,9 @@ mod tests {
         let err = Request::parse("{\"kind\": \"run\"}").unwrap_err();
         assert!(err.contains("version"), "{err}");
         let err = Request::parse("{\"v\": 2, \"kind\": \"run\"}").unwrap_err();
+        assert!(err.contains("unsupported"), "{err}");
+        // 2^32 + 1 must not truncate to v1.
+        let err = Request::parse("{\"v\": 4294967297, \"kind\": \"stats\"}").unwrap_err();
         assert!(err.contains("unsupported"), "{err}");
         let err = Request::parse("{\"v\": 1, \"kind\": \"destroy\"}").unwrap_err();
         assert!(err.contains("destroy"), "{err}");

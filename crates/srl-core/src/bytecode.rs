@@ -67,14 +67,15 @@
 //!   map slices unioned into the accumulator, three nested folds in all —
 //!   becomes one nested loop that pushes the pairs in order and builds the
 //!   set once),
-//!   [`ReduceKind::InsertApp`]/[`ReduceKind::Filter`]/[`ReduceKind::Scan`]/
-//!   [`ReduceKind::BoolAcc`] (`map`/`select`/`difference`-style folds with
-//!   the accumulator lambda emulated arithmetically), and
-//!   [`ReduceKind::Monotone`] (insert-only accumulator bodies, tracked by a
-//!   running weight instead of the per-iteration `weight_capped` walk). Each
-//!   fused kind replays the tree-walk's per-iteration step/depth/insert/
-//!   allocation accounting in closed form, so the statistics stay
-//!   byte-identical while the data path runs at memory speed.
+//!   and [`ReduceKind::InsertApp`]/[`ReduceKind::Filter`]/
+//!   [`ReduceKind::Scan`]/[`ReduceKind::BoolAcc`] (`map`/`select`/
+//!   `difference`-style folds with the accumulator lambda emulated
+//!   arithmetically). Each fused kind replays the tree-walk's per-iteration
+//!   step/depth/insert/allocation accounting in closed form, so the
+//!   statistics stay byte-identical while the data path runs at memory
+//!   speed. Insert-only accumulator bodies (local or call-threaded spines)
+//!   do not fuse: they run as [`ReduceKind::Generic`], and the spine proof
+//!   only upgrades their [`FoldClass`].
 
 use crate::analysis::{self, DefSummaries, SpineBlock};
 use crate::bignat::BigNat;
@@ -282,9 +283,6 @@ pub enum Insn {
         elem: Reg,
         /// Set register (moved; mutated in place when uniquely owned).
         set: Reg,
-        /// True when this insert grows a fused monotone accumulator: its
-        /// novel-element weight feeds the running accumulator weight.
-        spine: bool,
         /// Static depth offset.
         depth: u32,
     },
@@ -517,17 +515,17 @@ impl SetTier {
 ///   combiner is a union of slices, hence commutative-associative, but its
 ///   per-pair work is a push, so it is never sharded.
 /// * [`ReduceKind::InsertApp`], [`ReduceKind::Filter`],
-///   [`ReduceKind::BoolAcc`], [`ReduceKind::Monotone`] — proper homs with
-///   real per-element lambda work: these are the shapes the worker pool
-///   shards (the monotone spine is `y ∪ g(x)` with `g` independent of the
-///   accumulator, hence commutative-associative).
+///   [`ReduceKind::BoolAcc`] — proper homs with real per-element lambda
+///   work: these are the shapes the worker pool shards.
 /// * [`ReduceKind::Scan`] (keep-last-match) — order-sensitive: sequential,
 ///   always.
-/// * [`ReduceKind::Generic`] — sequential by shape, *unless* the
-///   interprocedural spine summary ([`crate::analysis`]) proved the
-///   combiner threads its accumulator through a callee's spine parameter
-///   ([`FoldOrigin::SummarySpine`]), in which case it is a proper hom with
-///   per-element lambda work and shards like the fused hom kinds.
+/// * [`ReduceKind::Generic`] — sequential by shape, *unless* the spine
+///   proof ([`crate::analysis::spine_verdict`]) showed the combiner only
+///   threads its accumulator into insert-spine position, locally or
+///   through a callee's spine parameter ([`FoldOrigin::Spine`]). The
+///   combiner is then `y ∪ g(x)` with `g` independent of the accumulator,
+///   hence commutative-associative: a proper hom with per-element lambda
+///   work that shards like the fused hom kinds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FoldClass {
     /// Combiner provably order-insensitive (commutative-associative):
@@ -552,21 +550,18 @@ impl FoldClass {
             | ReduceKind::Product
             | ReduceKind::InsertApp { .. }
             | ReduceKind::Filter { .. }
-            | ReduceKind::BoolAcc { .. }
-            | ReduceKind::Monotone { .. } => FoldClass::ProperHom,
+            | ReduceKind::BoolAcc { .. } => FoldClass::ProperHom,
             ReduceKind::Scan { .. } | ReduceKind::Generic { .. } => FoldClass::Ordered,
         }
     }
 
     /// Classifies a fold given its provenance: [`FoldClass::of`] plus the
-    /// summary-aware path — a `Generic` *set* fold whose accumulator was
-    /// proved a call-threaded monotone spine ([`FoldOrigin::SummarySpine`])
-    /// is a proper hom even though its shape did not fuse.
+    /// spine path — a `Generic` *set* fold whose accumulator was proved an
+    /// insert spine ([`FoldOrigin::Spine`]), local or call-threaded, is a
+    /// proper hom even though its shape did not fuse.
     pub fn with_origin(kind: &ReduceKind, is_list: bool, origin: &FoldOrigin) -> FoldClass {
         match (FoldClass::of(kind, is_list), origin) {
-            (FoldClass::Ordered, FoldOrigin::SummarySpine { .. }) if !is_list => {
-                FoldClass::ProperHom
-            }
+            (FoldClass::Ordered, FoldOrigin::Spine { .. }) if !is_list => FoldClass::ProperHom,
             (class, _) => class,
         }
     }
@@ -589,13 +584,16 @@ pub enum FoldOrigin {
     /// The combiner matched one of the fused shapes; the [`ReduceKind`]
     /// itself names the algebra (or, for `Scan`, the order dependence).
     Shape,
-    /// A `Generic` set fold whose accumulator is threaded through the spine
-    /// parameter of definition `via`: proved a proper hom by the
-    /// interprocedural summary ([`crate::analysis::DefSummaries`]).
-    SummarySpine {
-        /// Definition index (into [`CompiledProgram::defs`]) whose spine
-        /// summary carried the proof across the call boundary.
-        via: u32,
+    /// A `Generic` set fold whose accumulator body is an insert spine
+    /// `y ∪ g(x)`: proved a proper hom by [`crate::analysis::spine_verdict`].
+    Spine {
+        /// `None` for a purely local spine (inserts, `if` branches and
+        /// `let` bodies in the lambda itself); `Some(def)` when the thread
+        /// passes through the spine parameter of definition `def` (an
+        /// index into [`CompiledProgram::defs`]), whose interprocedural
+        /// summary ([`crate::analysis::DefSummaries`]) carried the proof
+        /// across the call boundary.
+        via: Option<u32>,
     },
     /// The fold stayed `Ordered` because the spine proof failed; the
     /// [`SpineBlock`] names the first obstacle found.
@@ -670,22 +668,12 @@ pub enum ReduceKind {
         /// 1-based component holding the replacement value.
         value_index: usize,
     },
-    /// Arbitrary `app`; `acc` body built only from `insert`s into the
-    /// accumulator parameter (through `if`/`let`): runs both blocks but
-    /// tracks the accumulator weight by the spine inserts' novel weights
-    /// instead of re-walking the accumulator per iteration.
-    Monotone {
-        /// Block of the `app` lambda body.
-        app: BlockId,
-        /// Block of the `acc` lambda body (spine inserts marked).
-        acc: BlockId,
-    },
 }
 
 impl ReduceKind {
     /// Short lowercase label naming the fold strategy (`generic`, `member`,
-    /// `union`, `product`, `insert-app`, `filter`, `bool-acc`, `scan`,
-    /// `monotone`) for diagnostics and the `srl analyze` report.
+    /// `union`, `product`, `insert-app`, `filter`, `bool-acc`, `scan`) for
+    /// diagnostics and the `srl analyze` report.
     pub fn label(&self) -> &'static str {
         match self {
             ReduceKind::Generic { .. } => "generic",
@@ -696,7 +684,6 @@ impl ReduceKind {
             ReduceKind::Filter { .. } => "filter",
             ReduceKind::BoolAcc { .. } => "bool-acc",
             ReduceKind::Scan { .. } => "scan",
-            ReduceKind::Monotone { .. } => "monotone",
         }
     }
 }
@@ -898,9 +885,8 @@ enum AccShape {
         cond_index: usize,
         value_index: usize,
     },
-    Monotone,
-    CallSpine {
-        via: u32,
+    Spine {
+        via: Option<u32>,
     },
     Other(SpineBlock),
 }
@@ -944,21 +930,20 @@ impl<'a> Codegen<'a> {
         };
         let mut code = Vec::new();
         let result = fs.alloc();
-        self.gen(&mut fs, &mut code, 0, root, 0, result, true, false);
+        self.gen(&mut fs, &mut code, 0, root, 0, result, true);
         fs.free(1);
         let id = self.push_block(code, result);
         (id, fs.frame_size.max(1))
     }
 
     /// Compiles a reduce-lambda body into its own block sharing the frame.
-    /// `spine` marks the accumulator spine of a monotone fold; `ptys` are
-    /// the statically-inferred shapes of the lambda's two parameters (they
-    /// occupy the next two lexical slots, so the tier env mirrors them).
+    /// `ptys` are the statically-inferred shapes of the lambda's two
+    /// parameters (they occupy the next two lexical slots, so the tier env
+    /// mirrors them).
     fn gen_lambda_block(
         &mut self,
         fs: &mut FrameState,
         lambda: &LLambda,
-        spine: bool,
         ptys: [Option<Type>; 2],
     ) -> BlockId {
         let floor = fs.height;
@@ -969,7 +954,7 @@ impl<'a> Codegen<'a> {
         self.tier_env.push(yt);
         let result = fs.alloc();
         let mut code = Vec::new();
-        self.gen(fs, &mut code, floor, lambda.body, 0, result, true, spine);
+        self.gen(fs, &mut code, floor, lambda.body, 0, result, true);
         fs.free(1);
         self.tier_env.pop();
         self.tier_env.pop();
@@ -989,8 +974,7 @@ impl<'a> Codegen<'a> {
     /// below it would destroy state that outlives the block (an enclosing
     /// frame slot read by later loop iterations). `tail` means nothing in
     /// this block executes after this node, so a `Local` at or above the
-    /// floor may be moved out of its slot. `spine` marks the accumulator
-    /// spine of a monotone fold (see [`ReduceKind::Monotone`]).
+    /// floor may be moved out of its slot.
     #[allow(clippy::too_many_arguments)]
     fn gen(
         &mut self,
@@ -1001,7 +985,6 @@ impl<'a> Codegen<'a> {
         d: u32,
         dst: Reg,
         tail: bool,
-        spine: bool,
     ) {
         match self.node(id) {
             LExpr::Bool(b) => code.push(Insn::LoadBool {
@@ -1031,7 +1014,7 @@ impl<'a> Codegen<'a> {
             }
             LExpr::If(c, t, e) => {
                 let rc = fs.alloc();
-                self.gen(fs, code, floor, *c, d + 1, rc, false, false);
+                self.gen(fs, code, floor, *c, d + 1, rc, false);
                 fs.free(1);
                 let branch_at = code.len();
                 code.push(Insn::Branch {
@@ -1039,14 +1022,14 @@ impl<'a> Codegen<'a> {
                     else_to: 0,
                     depth: d,
                 });
-                self.gen(fs, code, floor, *t, d + 1, dst, tail, spine);
+                self.gen(fs, code, floor, *t, d + 1, dst, tail);
                 let jump_at = code.len();
                 code.push(Insn::Jump { to: 0 });
                 let else_to = code.len() as u32;
                 if let Insn::Branch { else_to: slot, .. } = &mut code[branch_at] {
                     *slot = else_to;
                 }
-                self.gen(fs, code, floor, *e, d + 1, dst, tail, spine);
+                self.gen(fs, code, floor, *e, d + 1, dst, tail);
                 let end = code.len() as u32;
                 if let Insn::Jump { to } = &mut code[jump_at] {
                     *to = end;
@@ -1055,16 +1038,7 @@ impl<'a> Codegen<'a> {
             LExpr::Tuple(items) => {
                 let start = fs.alloc_n(items.len());
                 for (i, item) in items.iter().enumerate() {
-                    self.gen(
-                        fs,
-                        code,
-                        floor,
-                        *item,
-                        d + 1,
-                        start + i as Reg,
-                        false,
-                        false,
-                    );
+                    self.gen(fs, code, floor, *item, d + 1, start + i as Reg, false);
                 }
                 code.push(Insn::MakeTuple {
                     dst,
@@ -1091,14 +1065,13 @@ impl<'a> Codegen<'a> {
             LExpr::EmptySet => code.push(Insn::LoadEmptySet { dst, depth: d }),
             LExpr::Insert(e, s) => {
                 let elem = fs.alloc();
-                self.gen(fs, code, floor, *e, d + 1, elem, false, false);
+                self.gen(fs, code, floor, *e, d + 1, elem, false);
                 let set = fs.alloc();
-                self.gen(fs, code, floor, *s, d + 1, set, tail, spine);
+                self.gen(fs, code, floor, *s, d + 1, set, tail);
                 code.push(Insn::Insert {
                     dst,
                     elem,
                     set,
-                    spine,
                     depth: d,
                 });
                 fs.free(2);
@@ -1112,7 +1085,7 @@ impl<'a> Codegen<'a> {
             }
             LExpr::Rest(e) => {
                 let src = fs.alloc();
-                self.gen(fs, code, floor, *e, d + 1, src, tail, false);
+                self.gen(fs, code, floor, *e, d + 1, src, tail);
                 code.push(Insn::Rest { dst, src, depth: d });
                 fs.free(1);
             }
@@ -1159,7 +1132,7 @@ impl<'a> Codegen<'a> {
                     // slots: earlier arguments' subtrees run before later
                     // ones that could still read the same slot.
                     let arg_tail = tail && i + 1 == args.len();
-                    self.gen(fs, code, floor, *a, d + 1, base + i as Reg, arg_tail, false);
+                    self.gen(fs, code, floor, *a, d + 1, base + i as Reg, arg_tail);
                 }
                 code.push(Insn::Call {
                     dst,
@@ -1178,11 +1151,11 @@ impl<'a> Codegen<'a> {
                 code.push(Insn::Bump { depth: d });
                 let slot = fs.height;
                 debug_assert!(slot < fs.next_temp, "let slot below the temp base");
-                self.gen(fs, code, floor, *value, d + 1, slot, false, false);
+                self.gen(fs, code, floor, *value, d + 1, slot, false);
                 let vt = self.shape_of(*value);
                 self.tier_env.push(vt);
                 fs.height += 1;
-                self.gen(fs, code, floor, *body, d + 1, dst, tail, spine);
+                self.gen(fs, code, floor, *body, d + 1, dst, tail);
                 fs.height -= 1;
                 self.tier_env.pop();
             }
@@ -1193,7 +1166,7 @@ impl<'a> Codegen<'a> {
                     depth: d,
                 });
                 let src = fs.alloc();
-                self.gen(fs, code, floor, *e, d + 1, src, tail, false);
+                self.gen(fs, code, floor, *e, d + 1, src, tail);
                 code.push(Insn::New { dst, src });
                 fs.free(1);
             }
@@ -1212,7 +1185,7 @@ impl<'a> Codegen<'a> {
                     depth: d,
                 });
                 let src = fs.alloc();
-                self.gen(fs, code, floor, *e, d + 1, src, tail, false);
+                self.gen(fs, code, floor, *e, d + 1, src, tail);
                 code.push(Insn::Succ { dst, src });
                 fs.free(1);
             }
@@ -1240,9 +1213,9 @@ impl<'a> Codegen<'a> {
                     depth: d,
                 });
                 let elem = fs.alloc();
-                self.gen(fs, code, floor, *e, d + 1, elem, false, false);
+                self.gen(fs, code, floor, *e, d + 1, elem, false);
                 let list = fs.alloc();
-                self.gen(fs, code, floor, *l, d + 1, list, tail, false);
+                self.gen(fs, code, floor, *l, d + 1, list, tail);
                 code.push(Insn::Cons { dst, elem, list });
                 fs.free(2);
             }
@@ -1253,7 +1226,7 @@ impl<'a> Codegen<'a> {
                     depth: d,
                 });
                 let src = fs.alloc();
-                self.gen(fs, code, floor, *e, d + 1, src, tail, false);
+                self.gen(fs, code, floor, *e, d + 1, src, tail);
                 code.push(Insn::Head { dst, src });
                 fs.free(1);
             }
@@ -1264,7 +1237,7 @@ impl<'a> Codegen<'a> {
                     depth: d,
                 });
                 let src = fs.alloc();
-                self.gen(fs, code, floor, *e, d + 1, src, tail, false);
+                self.gen(fs, code, floor, *e, d + 1, src, tail);
                 code.push(Insn::Tail { dst, src });
                 fs.free(1);
             }
@@ -1285,12 +1258,12 @@ impl<'a> Codegen<'a> {
         mul: bool,
     ) {
         let ra = fs.alloc();
-        self.gen(fs, code, floor, a, d + 1, ra, false, false);
+        self.gen(fs, code, floor, a, d + 1, ra, false);
         // The tree-walk checks the first operand's shape before evaluating
         // the second.
         code.push(Insn::CheckNat { src: ra, op });
         let rb = fs.alloc();
-        self.gen(fs, code, floor, b, d + 1, rb, false, false);
+        self.gen(fs, code, floor, b, d + 1, rb, false);
         code.push(if mul {
             Insn::NatMul { dst, a: ra, b: rb }
         } else {
@@ -1322,9 +1295,9 @@ impl<'a> Codegen<'a> {
             }
             _ => {
                 let ra = fs.alloc();
-                self.gen(fs, code, floor, a, d + 1, ra, false, false);
+                self.gen(fs, code, floor, a, d + 1, ra, false);
                 let rb = fs.alloc();
-                self.gen(fs, code, floor, b, d + 1, rb, false, false);
+                self.gen(fs, code, floor, b, d + 1, rb, false);
                 fs.free(2);
                 (Operand::Temp(ra), Operand::Temp(rb))
             }
@@ -1377,7 +1350,7 @@ impl<'a> Codegen<'a> {
             LExpr::Local(slot) => Operand::Slot(*slot as Reg),
             _ => {
                 let r = fs.alloc();
-                self.gen(fs, code, floor, e, d + 1, r, false, false);
+                self.gen(fs, code, floor, e, d + 1, r, false);
                 Operand::Temp(r)
             }
         }
@@ -1400,7 +1373,7 @@ impl<'a> Codegen<'a> {
         is_list: bool,
     ) {
         let rset = fs.alloc();
-        self.gen(fs, code, floor, set, d + 1, rset, false, false);
+        self.gen(fs, code, floor, set, d + 1, rset, false);
         // Last-use move of the base: a reduce in tail position whose base
         // is a slot that nothing after it reads (neither `extra`, evaluated
         // next, nor either lambda) hands the fold its accumulator uniquely
@@ -1411,9 +1384,9 @@ impl<'a> Codegen<'a> {
                     .iter()
                     .any(|&id| reads_slot(self.nodes, id, *s as u16)));
         let rbase = fs.alloc();
-        self.gen(fs, code, floor, base, d + 1, rbase, base_moves, false);
+        self.gen(fs, code, floor, base, d + 1, rbase, base_moves);
         let rextra = fs.alloc();
-        self.gen(fs, code, floor, extra, d + 1, rextra, false, false);
+        self.gen(fs, code, floor, extra, d + 1, rextra, false);
         let x_slot = fs.height;
         // Static tier selection: prove the traversed set's and the fold
         // result's shapes before compiling the lambda blocks, so the lambda
@@ -1451,8 +1424,8 @@ impl<'a> Codegen<'a> {
             // keeps duplicates/stored-order semantics in one code path.
             (
                 ReduceKind::Generic {
-                    app: self.gen_lambda_block(fs, app, false, app_ptys),
-                    acc: self.gen_lambda_block(fs, acc, false, acc_ptys),
+                    app: self.gen_lambda_block(fs, app, app_ptys),
+                    acc: self.gen_lambda_block(fs, acc, acc_ptys),
                 },
                 FoldOrigin::List,
             )
@@ -1493,7 +1466,7 @@ impl<'a> Codegen<'a> {
             | ReduceKind::Filter { app, .. }
             | ReduceKind::BoolAcc { app, .. }
             | ReduceKind::Scan { app, .. } => BASE.saturating_add(self.block_cost(*app)),
-            ReduceKind::Monotone { app, acc } | ReduceKind::Generic { app, acc } => BASE
+            ReduceKind::Generic { app, acc } => BASE
                 .saturating_add(self.block_cost(*app))
                 .saturating_add(self.block_cost(*acc)),
         }
@@ -1537,7 +1510,7 @@ impl<'a> Codegen<'a> {
             (AppShape::EqXY, AccShape::OrXY) => ReduceKind::Member,
             (AppShape::Identity, AccShape::InsertXY) => ReduceKind::Union,
             (_, AccShape::InsertXY) => ReduceKind::InsertApp {
-                app: self.gen_lambda_block(fs, app, false, app_ptys),
+                app: self.gen_lambda_block(fs, app, app_ptys),
             },
             (
                 _,
@@ -1547,7 +1520,7 @@ impl<'a> Codegen<'a> {
                     value_index,
                 },
             ) => ReduceKind::Filter {
-                app: self.gen_lambda_block(fs, app, false, app_ptys),
+                app: self.gen_lambda_block(fs, app, app_ptys),
                 keep_on_true,
                 cond_index,
                 value_index,
@@ -1559,39 +1532,31 @@ impl<'a> Codegen<'a> {
                     value_index,
                 },
             ) => ReduceKind::Scan {
-                app: self.gen_lambda_block(fs, app, false, app_ptys),
+                app: self.gen_lambda_block(fs, app, app_ptys),
                 cond_index,
                 value_index,
             },
             (_, AccShape::OrXY) => ReduceKind::BoolAcc {
-                app: self.gen_lambda_block(fs, app, false, app_ptys),
+                app: self.gen_lambda_block(fs, app, app_ptys),
                 is_or: true,
             },
             (_, AccShape::AndXY) => ReduceKind::BoolAcc {
-                app: self.gen_lambda_block(fs, app, false, app_ptys),
+                app: self.gen_lambda_block(fs, app, app_ptys),
                 is_or: false,
             },
-            (_, AccShape::Monotone) => ReduceKind::Monotone {
-                app: self.gen_lambda_block(fs, app, false, app_ptys),
-                acc: self.gen_lambda_block(fs, acc, true, acc_ptys),
-            },
-            // A call-threaded spine stays `Generic`, not `Monotone`: the
-            // spine inserts live in callee blocks (compiled once per
-            // definition, shared by every caller), so they cannot carry the
-            // Monotone kind's spine marking and the per-iteration weight
-            // walk must stay. The summary upgrades the *class* instead,
-            // which is what gates sharding.
-            (_, AccShape::CallSpine { via }) => {
+            // A spine, local or call-threaded, runs as `Generic`: the proof
+            // upgrades the *class*, which is what gates sharding.
+            (_, AccShape::Spine { via }) => {
                 let kind = ReduceKind::Generic {
-                    app: self.gen_lambda_block(fs, app, false, app_ptys),
-                    acc: self.gen_lambda_block(fs, acc, false, acc_ptys),
+                    app: self.gen_lambda_block(fs, app, app_ptys),
+                    acc: self.gen_lambda_block(fs, acc, acc_ptys),
                 };
-                return (kind, FoldOrigin::SummarySpine { via });
+                return (kind, FoldOrigin::Spine { via });
             }
             (_, AccShape::Other(block)) => {
                 let kind = ReduceKind::Generic {
-                    app: self.gen_lambda_block(fs, app, false, app_ptys),
-                    acc: self.gen_lambda_block(fs, acc, false, acc_ptys),
+                    app: self.gen_lambda_block(fs, app, app_ptys),
+                    acc: self.gen_lambda_block(fs, acc, acc_ptys),
                 };
                 return (kind, FoldOrigin::Unproven(block));
             }
@@ -1714,16 +1679,12 @@ impl<'a> Codegen<'a> {
         }
     }
 
-    /// The spine verdict for an unfused accumulator body: a purely local
-    /// spine keeps the fused [`ReduceKind::Monotone`] path (inserts marked,
-    /// weight tracked by novel-insert deltas — the proof codegen already
-    /// trusted intraprocedurally), a call-threaded spine records the callee
-    /// whose summary carries the proof, and anything else records the first
-    /// obstacle for diagnostics.
+    /// The spine verdict for an unfused accumulator body: a spine (local,
+    /// or call-threaded through the callee whose summary carries the proof)
+    /// or the first obstacle found, for diagnostics.
     fn spine_shape(&self, body: LId, y: u16) -> AccShape {
         match analysis::spine_verdict(self.program, &self.summaries, self.nodes, body, y) {
-            Ok(None) => AccShape::Monotone,
-            Ok(Some(via)) => AccShape::CallSpine { via },
+            Ok(via) => AccShape::Spine { via },
             Err(block) => AccShape::Other(block),
         }
     }
@@ -2012,7 +1973,9 @@ mod tests {
 
     #[test]
     fn branching_insert_fold_is_monotone() {
-        // write_cell's shape: both branches insert into the accumulator.
+        // write_cell's shape: both branches insert into the accumulator. No
+        // fused kind; the local spine proof makes the Generic fold a proper
+        // hom.
         let e = set_reduce(
             var("T"),
             Lambda::identity(),
@@ -2029,7 +1992,10 @@ mod tests {
             empty_set(),
         );
         let (_, chunk) = expr_chunk(&e, &["T", "p", "s"]);
-        assert!(matches!(main_kind(&chunk), ReduceKind::Monotone { .. }));
+        let r = main_reduce(&chunk);
+        assert!(matches!(r.kind, ReduceKind::Generic { .. }));
+        assert_eq!(r.class, FoldClass::ProperHom);
+        assert_eq!(r.origin, FoldOrigin::Spine { via: None });
     }
 
     #[test]
@@ -2106,7 +2072,7 @@ mod tests {
         let inner = block_reduce(&chunk, chunk.defs()[sift as usize].block);
         assert!(matches!(inner.kind, ReduceKind::Generic { .. }));
         assert_eq!(inner.class, FoldClass::ProperHom);
-        assert_eq!(inner.origin, FoldOrigin::SummarySpine { via: finsert });
+        assert_eq!(inner.origin, FoldOrigin::Spine { via: Some(finsert) });
 
         let pow = c.def_id("powerset").unwrap();
         let outer = block_reduce(&chunk, chunk.defs()[pow as usize].block);

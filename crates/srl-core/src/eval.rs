@@ -204,9 +204,6 @@ pub(crate) struct EvalCore {
     pub(crate) locals: Vec<Value>,
     /// Start of the current call frame within `locals`.
     pub(crate) frame_base: usize,
-    /// Scratch used by the VM's fused monotone folds: spine inserts report
-    /// the weights of novel elements here (see `bytecode::ReduceKind`).
-    pub(crate) spine_delta: usize,
     /// Diagnostic (not part of [`EvalStats`]): how many folds actually ran
     /// sharded across the worker pool. Lets tests and tools verify the
     /// parallel path engaged without perturbing the byte-identical stats.
@@ -279,7 +276,6 @@ impl Evaluator {
                 allocated_leaves: 0,
                 locals: Vec::new(),
                 frame_base: 0,
-                spine_delta: 0,
                 parallel_folds: 0,
                 tier_engagements: TierEngagements::default(),
                 cancel: CancelToken::new(),
@@ -688,22 +684,17 @@ impl EvalCore {
     /// `insert(elem, set)` with the paper's accounting — shape check first
     /// (like the tree-walk's match), then one insert counted and the
     /// element's weight charged, then the copy-on-write insert. Returns the
-    /// grown set plus whether the element was novel and its weight (the
-    /// VM's monotone folds consume those). Shared by both backends so the
-    /// shape error, the stats order and the COW discipline cannot diverge.
-    pub(crate) fn insert_value(
-        &mut self,
-        elem: Value,
-        set: Value,
-    ) -> Result<(Value, bool, usize), EvalError> {
+    /// grown set. Shared by both backends so the shape error, the stats
+    /// order and the COW discipline cannot diverge.
+    pub(crate) fn insert_value(&mut self, elem: Value, set: Value) -> Result<Value, EvalError> {
         match set {
             Value::Set(mut items) => {
                 self.stats.inserts += 1;
                 let weight = elem.weight();
                 self.charge_allocation(weight)?;
                 // Copy-on-write: in place when uniquely owned.
-                let novel = Arc::make_mut(&mut items).insert_weighted(elem, weight);
-                Ok((Value::Set(items), novel, weight))
+                Arc::make_mut(&mut items).insert_weighted(elem, weight);
+                Ok(Value::Set(items))
             }
             other => Err(EvalError::Shape {
                 operator: "insert",
@@ -806,8 +797,7 @@ impl EvalCore {
             LExpr::Insert(elem, set) => {
                 let v = self.eval_in(compiled, nodes, &nodes[elem.index()], depth + 1)?;
                 let s = self.eval_in(compiled, nodes, &nodes[set.index()], depth + 1)?;
-                let (grown, _, _) = self.insert_value(v, s)?;
-                Ok(grown)
+                self.insert_value(v, s)
             }
             LExpr::Choose(e) => {
                 // Peephole: `choose(x)` on a variable borrows the slot and

@@ -50,10 +50,9 @@
 //! 3. the sharded fold's *own* accumulator-weight trajectory is monotone
 //!    (set accumulators only grow; bool accumulators flip once), so its
 //!    maximum is reconstructed exactly from the shard results: the merge
-//!    walks the shard accumulators in order, adds the weights of the
-//!    globally-novel elements (recomputed against the merged prefix, since
-//!    in-shard novelty is relative) with the same saturating cap the
-//!    sequential loop applies, and records the final weight.
+//!    unions the shard accumulators in order and notes the merged set's
+//!    capped weight (an O(1) read), the final and largest value the
+//!    sequential loop notes.
 //!
 //! Limit errors stay faithful too: a worker runs against the budget that
 //! remained at fold entry (so a shard that alone exhausts it fails with the
@@ -82,11 +81,13 @@
 //! ## What is sharded
 //!
 //! Only folds whose [`FoldClass`](crate::bytecode::FoldClass) is
-//! `ProperHom` *and* whose fused kind has real per-element lambda work:
-//! `InsertApp`, `Filter`, `BoolAcc`, `Monotone`. `Member`, `Union` and
-//! `Product` are proper homs too, but their data path is already one binary
-//! search / one bulk merge / one ordered pass over `A × B` — there is
-//! nothing left to fan out. Set-building folds are
+//! `ProperHom` *and* whose kind has real per-element lambda work:
+//! `InsertApp`, `Filter`, `BoolAcc`, and `Generic` folds whose accumulator
+//! body was proved an insert spine, local or call-threaded
+//! ([`FoldOrigin::Spine`](crate::bytecode::FoldOrigin::Spine)). `Member`,
+//! `Union` and `Product` are proper homs too, but their data path is
+//! already one binary search / one bulk merge / one ordered pass over
+//! `A × B` — there is nothing left to fan out. Set-building folds are
 //! sharded only when the base is a set (any other base is an error or
 //! degenerate case the sequential path reproduces exactly). The handoff is
 //! gated by [`PAR_WORK_THRESHOLD`]: input cardinality times the fold's
@@ -106,10 +107,7 @@ use crate::faultpoint;
 use crate::limits::{EvalLimits, EvalStats};
 use crate::setrepr::SetRepr;
 use crate::value::Value;
-use crate::vm::{
-    boolacc_element, cap_add, capped, filter_element, generic_element, insertapp_element,
-    monotone_element, VmCtx,
-};
+use crate::vm::{boolacc_element, filter_element, generic_element, insertapp_element, VmCtx};
 
 /// Minimum estimated fold work (input cardinality × static per-element
 /// cost, see [`crate::bytecode::ReduceInsn::unit_cost`]) before a fold is
@@ -173,13 +171,10 @@ pub(crate) fn try_run(
             Some(run_sharded(core, ctx, chunk, r, d, items, base_v, extra_v))
         }
         // `Generic` reaches here only as `ProperHom` (the class gate above),
-        // i.e. when the interprocedural summary proved a call-threaded
-        // monotone spine — it then shards exactly like `Monotone`, with the
-        // merge reconstructing the weight trajectory.
-        ReduceKind::InsertApp { .. }
-        | ReduceKind::Filter { .. }
-        | ReduceKind::Monotone { .. }
-        | ReduceKind::Generic { .. }
+        // i.e. when the spine proof showed its accumulator, local or
+        // call-threaded, only grows by inserts: the merge then notes the
+        // final weight, the maximum of the sequential trajectory.
+        ReduceKind::InsertApp { .. } | ReduceKind::Filter { .. } | ReduceKind::Generic { .. }
             if base_is_set =>
         {
             Some(run_sharded(core, ctx, chunk, r, d, items, base_v, extra_v))
@@ -263,7 +258,6 @@ fn run_sharded(
                 allocated_leaves: 0,
                 locals: frame.clone(),
                 frame_base: 0,
-                spine_delta: 0,
                 parallel_folds: 0,
                 tier_engagements: TierEngagements::default(),
                 cancel: cancel.clone(),
@@ -374,8 +368,7 @@ fn run_shard(
             let mut acc = shard_seed(r);
             for elem in shard {
                 let applied = insertapp_element(core, ctx, chunk, *app, x, elem, extra_v, lb, d)?;
-                let (grown, _, _) = core.insert_value(applied, acc)?;
-                acc = grown;
+                acc = core.insert_value(applied, acc)?;
             }
             Ok(ShardData::Set(into_set(acc)))
         }
@@ -402,40 +395,17 @@ fn run_shard(
                     d,
                 )?;
                 if let Some(v) = kept {
-                    let (grown, _, _) = core.insert_value(v, acc)?;
-                    acc = grown;
+                    acc = core.insert_value(v, acc)?;
                 }
             }
             Ok(ShardData::Set(into_set(acc)))
         }
-        ReduceKind::Monotone { app, acc } => {
-            let mut accumulator = shard_seed(r);
-            for elem in shard {
-                // The in-shard spine delta measures novelty against the
-                // shard-local accumulator; the merge recomputes global
-                // novelty, so it is discarded here.
-                let (grown, _delta) = monotone_element(
-                    core,
-                    ctx,
-                    chunk,
-                    *app,
-                    *acc,
-                    x,
-                    elem,
-                    extra_v,
-                    lb,
-                    accumulator,
-                )?;
-                accumulator = grown;
-            }
-            Ok(ShardData::Set(into_set(accumulator)))
-        }
         ReduceKind::Generic { app, acc } => {
-            // Only summary-proved spine folds arrive here (see `try_run`):
-            // the combiner never inspects its accumulator, so the shard can
-            // fold from the empty set, and the sequential loop's
-            // per-iteration weight walk (monotone for a spine) collapses to
-            // the final weight the merge reconstructs from novel weights.
+            // Only spine-proved folds arrive here (see `try_run`): the
+            // combiner never inspects its accumulator, so the shard can fold
+            // from the empty set, and the sequential loop's per-iteration
+            // weight observation (growing along a spine) collapses to the
+            // final weight the merge notes.
             let mut accumulator = shard_seed(r);
             for elem in shard {
                 accumulator = generic_element(
@@ -458,7 +428,7 @@ fn run_shard(
 }
 
 /// Unwraps a set accumulator. Shard accumulators start from the empty set
-/// and only ever grow by inserts (or pass through a monotone spine), so
+/// and only ever grow by inserts (or pass through an insert spine), so
 /// they stay sets by construction.
 fn into_set(v: Value) -> SetRepr {
     match v {
@@ -468,8 +438,8 @@ fn into_set(v: Value) -> SetRepr {
 }
 
 /// Absorbs the shard runs into the caller's core in shard order, re-checking
-/// the cumulative budgets, then reconstructs the fold's value and its
-/// accumulator-weight observation.
+/// the cumulative budgets, then builds the fold's value and notes its
+/// accumulator weight.
 fn merge(
     core: &mut EvalCore,
     r: &ReduceInsn,
@@ -525,12 +495,12 @@ fn merge(
         datas.push(run.outcome?);
     }
 
-    let w0 = weight_capped(base_v, ACCUMULATOR_WEIGHT_CAP);
     match &r.kind {
         ReduceKind::BoolAcc { is_or, .. } => {
             // The sequential trajectory notes w0 until the first flip and 1
             // from it on; its maximum is 1 only when the very first element
             // flips (weights are ≥ 1, so w0 dominates otherwise).
+            let w0 = weight_capped(base_v, ACCUMULATOR_WEIGHT_CAP);
             let mut first_flip = None;
             for (data, range) in datas.iter().zip(bounds) {
                 if let ShardData::Flip(Some(i)) = data {
@@ -548,24 +518,23 @@ fn merge(
         _ => {
             // Set-building kinds: base ∪ shard₀ ∪ shard₁ ∪ … with the
             // leftmost copy kept on ties — shard order is element order, so
-            // this is exactly the sequential first-wins rule. The weights of
-            // globally-novel elements grow the running accumulator weight
-            // under the same saturating cap the sequential loop applies
-            // per element (saturation depends only on the running total).
+            // this is exactly the sequential first-wins rule. The sequential
+            // accumulator only grows, so its final weight is the maximum
+            // the sequential loop notes.
             let mut merged: SetRepr = match base_v {
                 Value::Set(s) => (**s).clone(),
                 other => unreachable!("set-building fold sharded over non-set base {other}"),
             };
-            let mut acc_w = w0;
             for data in &datas {
                 let shard_set = match data {
                     ShardData::Set(s) => s,
                     ShardData::Flip(_) => unreachable!("set fold produced a flip payload"),
                 };
-                acc_w = cap_add(acc_w, merged.merge_union(shard_set));
+                merged.merge_union(shard_set);
             }
-            core.note_accumulator_weight(capped(acc_w));
-            Ok(Value::Set(Arc::new(merged)))
+            let merged = Value::Set(Arc::new(merged));
+            core.note_accumulator_weight(weight_capped(&merged, ACCUMULATOR_WEIGHT_CAP));
+            Ok(merged)
         }
     }
 }
@@ -606,8 +575,8 @@ mod tests {
 
     #[test]
     fn novel_weight_counts_only_new_elements() {
-        // The shard merge grows the accumulator weight by what
-        // `merge_union` reports: the weight of the globally novel elements.
+        // `merge_union` reports the weight of the globally novel elements:
+        // what the merged accumulator's cached weight grows by.
         let novel_weight = |acc: &SetRepr, incoming: &SetRepr| acc.clone().merge_union(incoming);
         let acc: SetRepr = [Value::atom(1), Value::atom(3)].into_iter().collect();
         let incoming: SetRepr = [

@@ -3,7 +3,7 @@
 //! Before this module, every consumer wired the stages together by hand —
 //! `Program::validate` here, `check_program` there, `Program::compile` plus
 //! `Evaluator::with_compiled` somewhere else — and each harness picked its
-//! own subset. A [`Pipeline`] owns the cross-cutting choices (dialect
+//! own subset. A [`PipelineConfig`] owns the cross-cutting choices (dialect
 //! override, type-checking policy, [`EvalLimits`] budget, [`ExecBackend`])
 //! and drives every program through the same audited sequence:
 //!
@@ -17,8 +17,8 @@
 //! The *parse* stage lives in the `srl-syntax` crate (this crate has no
 //! dependency on the text syntax): `srl-syntax`'s `TextFrontend` extension
 //! trait turns a [`Source`] into a `Program` and hands it to
-//! [`Pipeline::check`]. DSL-built programs enter at the same point, so text
-//! input and Rust-built input flow through one path from there on.
+//! [`PipelineConfig::check`]. DSL-built programs enter at the same point,
+//! so text input and Rust-built input flow through one path from there on.
 //!
 //! A [`Compiled`] artifact owns the shared [`CompiledProgram`] (which holds
 //! the symbol interner and lazily caches the VM's bytecode chunks) together
@@ -80,37 +80,43 @@ pub enum TypePolicy {
     Skip,
 }
 
-/// The complete cross-cutting configuration of a [`Pipeline`] as one
+/// The staged compile path with its cross-cutting configuration, as one
 /// plain, cloneable value — the unit of tenant configuration.
 ///
-/// The pipeline's builder chain (`Pipeline::new().with_limits(…)
-/// .with_backend(…)…`) is fine for one-off construction, but every
-/// long-lived consumer (the CLI, the REPL session, the bench `Harness`, an
-/// `srl-serve` tenant) needs to hold, compare, clone and transport the
-/// *choices* independently of the pipeline built from them. This struct is
-/// those choices; [`PipelineConfig::pipeline`] builds the pipeline, and
+/// Every long-lived consumer (the CLI, the REPL session, the bench
+/// `Harness`, an `srl-serve` tenant) holds, compares, clones and transports
+/// these choices, and pushes programs through [`PipelineConfig::check`],
+/// [`PipelineConfig::compile`] and [`PipelineConfig::prepare`] directly.
 /// `srl_core::api::pipeline_config_from_json` deserializes one from the
 /// JSON object form used by per-tenant server configuration files.
 ///
 /// `tiers` is the columnar-storage-tier switch. It is deliberately *not*
-/// consumed by [`PipelineConfig::pipeline`]: the toggle is thread-local
-/// state (see [`crate::setrepr::set_atom_tier_enabled`]), so the consumer
-/// that owns the evaluating thread applies it around each query.
+/// consumed by the stages: the toggle is thread-local state (see
+/// [`crate::setrepr::set_atom_tier_enabled`]), so the consumer that owns the
+/// evaluating thread applies it around each query.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PipelineConfig {
     /// Dialect override for every entering program; `None` keeps each
-    /// program's own dialect.
+    /// program's own dialect (the parse stage records [`Dialect::full`]; a
+    /// service enforcing e.g. BASRL submissions would set it here).
     pub dialect: Option<Dialect>,
     /// When the check stage runs the type checker.
     pub type_policy: TypePolicy,
-    /// The evaluation budget (including the wall-clock deadline, the
-    /// admission-control knob of a serving deployment).
+    /// The evaluation budget configured into produced evaluators (including
+    /// the wall-clock deadline, the admission-control knob of a serving
+    /// deployment).
     pub limits: EvalLimits,
-    /// The execution backend, including the worker-pool width.
+    /// The execution backend configured into produced evaluators, including
+    /// the worker-pool width.
     pub backend: ExecBackend,
     /// Whether the columnar set-storage tiers may engage (default true).
     pub tiers: bool,
 }
+
+/// The name most call sites (and `perfbench`) build with
+/// (`Pipeline::new()…prepare(…)`), kept as an alias of the one
+/// configuration type so they compile unchanged.
+pub type Pipeline = PipelineConfig;
 
 impl Default for PipelineConfig {
     fn default() -> Self {
@@ -125,7 +131,8 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// A fresh default configuration.
+    /// Default limits, the default execution backend, no dialect override,
+    /// the [`TypePolicy::IfTyped`] checking policy, and the tiers on.
     pub fn new() -> Self {
         Self::default()
     }
@@ -148,92 +155,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Arms a wall-clock deadline of `ms` milliseconds on the budget.
-    pub fn deadline_ms(mut self, ms: u64) -> Self {
-        self.limits = self.limits.with_deadline_ms(ms);
-        self
-    }
-
-    /// Sets the execution backend.
-    pub fn with_backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Selects an `n`-worker VM pool (like [`Pipeline::threads`], this
-    /// implies the VM backend).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.backend = ExecBackend::vm_with_threads(n);
-        self
-    }
-
-    /// Enables or disables the columnar storage tiers.
-    pub fn with_tiers(mut self, on: bool) -> Self {
-        self.tiers = on;
-        self
-    }
-
-    /// Builds the pipeline these choices describe. (`tiers` is thread-local
-    /// execution state, applied by the evaluating consumer — see the struct
-    /// docs.)
-    pub fn pipeline(&self) -> Pipeline {
-        let mut pipeline = Pipeline::new()
-            .with_limits(self.limits)
-            .with_backend(self.backend)
-            .with_type_policy(self.type_policy);
-        if let Some(dialect) = self.dialect {
-            pipeline = pipeline.with_dialect(dialect);
-        }
-        pipeline
-    }
-}
-
-/// The staged compile path with its cross-cutting configuration.
-///
-/// Cheap to construct and `Clone`; a long-lived service would typically hold
-/// one per dialect/budget configuration (a "session") and push every
-/// incoming program through it — [`PipelineConfig`] is that configuration
-/// as a first-class value.
-#[derive(Clone, Debug)]
-pub struct Pipeline {
-    dialect: Option<Dialect>,
-    limits: EvalLimits,
-    backend: ExecBackend,
-    type_policy: TypePolicy,
-}
-
-impl Default for Pipeline {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Pipeline {
-    /// A pipeline with default limits, the default execution backend, no
-    /// dialect override, and the [`TypePolicy::IfTyped`] checking policy.
-    pub fn new() -> Self {
-        Pipeline {
-            dialect: None,
-            limits: EvalLimits::default(),
-            backend: ExecBackend::default(),
-            type_policy: TypePolicy::default(),
-        }
-    }
-
-    /// Overrides the dialect of every program entering the pipeline (the
-    /// parse stage records [`Dialect::full`] by default; a service enforcing
-    /// e.g. BASRL submissions would set it here).
-    pub fn with_dialect(mut self, dialect: Dialect) -> Self {
-        self.dialect = Some(dialect);
-        self
-    }
-
-    /// Sets the evaluation budget configured into produced evaluators.
-    pub fn with_limits(mut self, limits: EvalLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
     /// Arms a wall-clock deadline of `ms` milliseconds on every evaluation
     /// run by produced evaluators (shorthand for
     /// [`EvalLimits::with_deadline_ms`] on the configured budget). A query
@@ -245,7 +166,7 @@ impl Pipeline {
         self
     }
 
-    /// Sets the execution backend configured into produced evaluators.
+    /// Sets the execution backend.
     pub fn with_backend(mut self, backend: ExecBackend) -> Self {
         self.backend = backend;
         self
@@ -264,30 +185,16 @@ impl Pipeline {
         self
     }
 
-    /// Sets the type-checking policy of the check stage.
-    pub fn with_type_policy(mut self, policy: TypePolicy) -> Self {
-        self.type_policy = policy;
+    /// Enables or disables the columnar storage tiers.
+    pub fn with_tiers(mut self, on: bool) -> Self {
+        self.tiers = on;
         self
     }
 
-    /// The dialect override, if any.
-    pub fn dialect(&self) -> Option<Dialect> {
-        self.dialect
-    }
-
-    /// The evaluation budget.
-    pub fn limits(&self) -> EvalLimits {
-        self.limits
-    }
-
-    /// The execution backend.
-    pub fn backend(&self) -> ExecBackend {
-        self.backend
-    }
-
-    /// The type-checking policy.
-    pub fn type_policy(&self) -> TypePolicy {
-        self.type_policy
+    /// A copy of these choices, kept because callers (`perfbench` among
+    /// them) still ask a config for its pipeline this way.
+    pub fn pipeline(&self) -> Pipeline {
+        self.clone()
     }
 
     /// The check stage: applies the dialect override, validates structural
@@ -329,7 +236,7 @@ impl Pipeline {
 
     /// The compile stage: lowers a checked program once into the shared
     /// slot-indexed arena (interned symbols; bytecode chunks are generated
-    /// lazily on first VM use) and pairs it with this pipeline's limits and
+    /// lazily on first VM use) and pairs it with the configured limits and
     /// backend.
     pub fn compile(&self, checked: Checked) -> Compiled {
         let compiled = Arc::new(checked.program.compile());
@@ -557,25 +464,17 @@ mod tests {
             .with_type_policy(TypePolicy::Skip)
             .with_limits(EvalLimits::small())
             .deadline_ms(250)
-            .threads(3);
-        let pipeline = config.pipeline();
-        assert_eq!(pipeline.dialect(), Some(Dialect::basrl()));
-        assert_eq!(pipeline.type_policy(), TypePolicy::Skip);
-        assert_eq!(pipeline.limits(), EvalLimits::small().with_deadline_ms(250));
-        assert_eq!(pipeline.backend(), ExecBackend::vm_with_threads(3));
-        // The config itself stays comparable and cloneable.
-        assert_eq!(config, config.clone());
+            .threads(3)
+            .with_tiers(false);
+        assert_eq!(config.dialect, Some(Dialect::basrl()));
+        assert_eq!(config.type_policy, TypePolicy::Skip);
+        assert_eq!(config.limits, EvalLimits::small().with_deadline_ms(250));
+        assert_eq!(config.backend, ExecBackend::vm_with_threads(3));
+        assert!(!config.tiers);
+        // The config stays comparable and cloneable, and `pipeline()` is a
+        // plain copy.
+        assert_eq!(config.pipeline(), config);
         assert_ne!(config, PipelineConfig::default());
-    }
-
-    #[test]
-    fn default_config_matches_the_default_pipeline() {
-        let pipeline = PipelineConfig::default().pipeline();
-        let fresh = Pipeline::new();
-        assert_eq!(pipeline.dialect(), fresh.dialect());
-        assert_eq!(pipeline.limits(), fresh.limits());
-        assert_eq!(pipeline.backend(), fresh.backend());
-        assert_eq!(pipeline.type_policy(), fresh.type_policy());
     }
 
     #[test]

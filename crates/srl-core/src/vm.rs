@@ -80,7 +80,6 @@ pub(crate) fn run_expr(
     ctx: &VmCtx<'_>,
     chunk: &Chunk,
 ) -> Result<Value, EvalError> {
-    core.spine_delta = 0;
     pad_frame(core, chunk.main_frame());
     run_block(core, ctx, chunk, chunk.main(), 0)?;
     Ok(core.take_reg(chunk.block(chunk.main()).result()))
@@ -89,7 +88,6 @@ pub(crate) fn run_expr(
 /// Runs a definition's block in the current root frame (the arguments are
 /// already in slots `0..arity`); returns the result.
 pub(crate) fn run_def(core: &mut EvalCore, ctx: &VmCtx<'_>, def: u32) -> Result<Value, EvalError> {
-    core.spine_delta = 0;
     let entry = ctx.pchunk.defs()[def as usize];
     pad_frame(core, entry.frame_size);
     run_block(core, ctx, ctx.pchunk, entry.block, 0)?;
@@ -103,27 +101,13 @@ fn pad_frame(core: &mut EvalCore, frame_size: u16) {
     }
 }
 
-/// Caps a running accumulator weight exactly like
-/// [`weight_capped`]: exact while `≤ cap`, pinned to `cap + 1` beyond.
+/// Grows a running accumulator weight by a novel element's weight, capped
+/// exactly like [`weight_capped`]: exact while `≤ cap`, pinned to
+/// `cap + 1` beyond. Only [`product_fold`] keeps a running weight: it never
+/// materialises the intermediate sets whose weight it replays.
 #[inline]
-pub(crate) fn capped(w: usize) -> usize {
-    if w > ACCUMULATOR_WEIGHT_CAP {
-        ACCUMULATOR_WEIGHT_CAP + 1
-    } else {
-        w
-    }
-}
-
-/// Grows a running accumulator weight by a novel element's weight (or a
-/// batch of novel weights: saturation only depends on the running total),
-/// saturating at the cap sentinel.
-#[inline]
-pub(crate) fn cap_add(acc_w: usize, w: usize) -> usize {
-    if acc_w > ACCUMULATOR_WEIGHT_CAP {
-        acc_w
-    } else {
-        capped(acc_w.saturating_add(w))
-    }
+fn cap_add(acc_w: usize, w: usize) -> usize {
+    acc_w.saturating_add(w).min(ACCUMULATOR_WEIGHT_CAP + 1)
 }
 
 /// Charges the fused steps of an [`Operand`] (the child visits the tree-walk
@@ -308,16 +292,12 @@ pub(crate) fn run_block(
                 dst,
                 elem,
                 set,
-                spine,
                 depth,
             } => {
                 core.bump_step(base + *depth as usize)?;
                 let v = core.take_reg(*elem);
                 let s = core.take_reg(*set);
-                let (grown, novel, weight) = core.insert_value(v, s)?;
-                if *spine && novel {
-                    core.spine_delta = core.spine_delta.saturating_add(weight);
-                }
+                let grown = core.insert_value(v, s)?;
                 core.set_reg(*dst, grown);
             }
             Insn::Choose { dst, op, depth } => {
@@ -578,45 +558,13 @@ pub(crate) fn filter_element(
     }
 }
 
-/// One `Monotone` iteration: the app block, then the acc block applied to
-/// `(applied, accumulator)`. Returns the grown accumulator and the weight
-/// sum of the iteration's novel spine inserts (novelty relative to *this*
-/// core's accumulator — shard workers recompute global novelty at merge).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn monotone_element(
-    core: &mut EvalCore,
-    ctx: &VmCtx<'_>,
-    chunk: &Chunk,
-    app: BlockId,
-    acc: BlockId,
-    x: u16,
-    elem: Value,
-    extra: &Value,
-    lambda_base: usize,
-    accumulator: Value,
-) -> Result<(Value, usize), EvalError> {
-    core.note_iteration()?;
-    let applied = apply_app(core, ctx, chunk, app, x, elem, extra, lambda_base)?;
-    core.set_reg(x, applied);
-    core.set_reg(x + 1, accumulator);
-    // The spine inserts report their novel weights through spine_delta;
-    // save/restore keeps nested monotone folds in the app block from
-    // clobbering this fold's window.
-    let saved = core.spine_delta;
-    core.spine_delta = 0;
-    let run = run_block(core, ctx, chunk, acc, lambda_base);
-    let delta = core.spine_delta;
-    core.spine_delta = saved;
-    run?;
-    Ok((core.take_reg(chunk.block(acc).result()), delta))
-}
-
 /// One `Generic` iteration: the app block, then the acc block applied to
 /// `(applied, accumulator)`. Returns the new accumulator. The caller owns
-/// the per-iteration accumulator-weight walk: the sequential loop notes
-/// `weight_capped` after every element, while shard workers (which only see
-/// summary-proved spine folds, whose weight trajectory is monotone) skip it
-/// and let the merge reconstruct the same maximum from novel weights.
+/// the per-iteration accumulator-weight observation: the sequential loop
+/// notes `weight_capped` after every element, while shard workers (which
+/// only see spine-proved folds, local or call-threaded, whose accumulator
+/// only grows) skip it and let the merge note the final weight, the
+/// trajectory's maximum.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn generic_element(
     core: &mut EvalCore,
@@ -788,7 +736,6 @@ fn run_reduce(
             if n == 0 {
                 base_v
             } else {
-                let w0 = weight_capped(&base_v, ACCUMULATOR_WEIGHT_CAP);
                 match base_v {
                     Value::Set(mut b) => {
                         // Per element: identity app is 1 step at d+2, the
@@ -801,14 +748,15 @@ fn run_reduce(
                         // One bulk merge into the accumulator — in place
                         // when codegen moved it here uniquely owned, into a
                         // copy otherwise. Ties keep the accumulator's copy,
-                        // exactly like the insert fold, and the weight it
-                        // reports is what the novel inserts would have
-                        // grown the accumulator by (saturation depends only
-                        // on the running total, so one batched add caps
-                        // like the per-element ones).
-                        let added = Arc::make_mut(&mut b).merge_union(&items);
-                        core.note_accumulator_weight(cap_add(w0, added));
-                        Value::Set(b)
+                        // exactly like the insert fold; the accumulator only
+                        // grows, so its final weight is the maximum.
+                        Arc::make_mut(&mut b).merge_union(&items);
+                        let merged = Value::Set(b);
+                        core.note_accumulator_weight(weight_capped(
+                            &merged,
+                            ACCUMULATOR_WEIGHT_CAP,
+                        ));
+                        merged
                     }
                     other => {
                         // First iteration, replayed: the identity app, then
@@ -830,15 +778,10 @@ fn run_reduce(
             // place; a non-set base fails at the first iteration's insert,
             // exactly like the tree-walk.
             let mut acc = base_v;
-            let mut acc_w = weight_capped(&acc, ACCUMULATOR_WEIGHT_CAP);
             for elem in items.iter() {
                 let applied = insertapp_element(core, ctx, chunk, *app, x, elem, &extra_v, lb, d)?;
-                let (grown, novel, w) = core.insert_value(applied, acc)?;
-                acc = grown;
-                if novel {
-                    acc_w = cap_add(acc_w, w);
-                }
-                core.note_accumulator_weight(capped(acc_w));
+                acc = core.insert_value(applied, acc)?;
+                core.note_accumulator_weight(weight_capped(&acc, ACCUMULATOR_WEIGHT_CAP));
             }
             core.clear_lambda_slots(x);
             acc
@@ -850,7 +793,6 @@ fn run_reduce(
             value_index,
         } => {
             let mut acc = base_v;
-            let mut acc_w = weight_capped(&acc, ACCUMULATOR_WEIGHT_CAP);
             for elem in items.iter() {
                 let kept = filter_element(
                     core,
@@ -867,13 +809,9 @@ fn run_reduce(
                     d,
                 )?;
                 if let Some(v) = kept {
-                    let (grown, novel, w) = core.insert_value(v, acc)?;
-                    acc = grown;
-                    if novel {
-                        acc_w = cap_add(acc_w, w);
-                    }
+                    acc = core.insert_value(v, acc)?;
                 }
-                core.note_accumulator_weight(capped(acc_w));
+                core.note_accumulator_weight(weight_capped(&acc, ACCUMULATOR_WEIGHT_CAP));
             }
             core.clear_lambda_slots(x);
             acc
@@ -905,10 +843,7 @@ fn run_reduce(
                 } else {
                     core.bump_batch(1, d + 3)?;
                 }
-                // The scan accumulator is not monotone: walk it like the
-                // tree-walk does (it is small in every scan-shaped program).
-                let w = weight_capped(&acc, ACCUMULATOR_WEIGHT_CAP);
-                core.note_accumulator_weight(w);
+                core.note_accumulator_weight(weight_capped(&acc, ACCUMULATOR_WEIGHT_CAP));
             }
             core.clear_lambda_slots(x);
             acc
@@ -932,29 +867,6 @@ fn run_reduce(
             }
             core.clear_lambda_slots(x);
             acc
-        }
-        ReduceKind::Monotone { app, acc } => {
-            let mut accumulator = base_v;
-            let mut acc_w = weight_capped(&accumulator, ACCUMULATOR_WEIGHT_CAP);
-            for elem in items.iter() {
-                let (grown, delta) = monotone_element(
-                    core,
-                    ctx,
-                    chunk,
-                    *app,
-                    *acc,
-                    x,
-                    elem,
-                    &extra_v,
-                    lb,
-                    accumulator,
-                )?;
-                accumulator = grown;
-                acc_w = cap_add(acc_w, delta);
-                core.note_accumulator_weight(capped(acc_w));
-            }
-            core.clear_lambda_slots(x);
-            accumulator
         }
     };
     // Diagnostic: a fold engaged the columnar tier when it traversed a

@@ -6,8 +6,8 @@
 //! executes — register instructions with their static depth offsets, the
 //! fused superinstructions a fold compiled to, and the block structure of
 //! the reduce lambdas. Read it when auditing which folds fused (a `reduce`
-//! line names its kind: `member`, `union/merge`, `insert-app`, `filter`,
-//! `bool-acc`, `scan`, `monotone`, or `generic`) or when debugging codegen.
+//! line names its kind: `member`, `union/merge`, `product`, `insert-app`,
+//! `filter`, `bool-acc`, `scan`, or `generic`) or when debugging codegen.
 //!
 //! Registers print as `r<n>`; frame slots and temporaries share one
 //! register space (slots below each frame's lexical height, temporaries
@@ -155,12 +155,8 @@ fn render_insn(chunk: &Chunk, insn: &Insn) -> String {
             dst,
             elem,
             set,
-            spine,
             depth,
-        } => format!(
-            "r{dst} <- insert r{elem} into r{set}{}  @{depth}",
-            if *spine { " [spine]" } else { "" },
-        ),
+        } => format!("r{dst} <- insert r{elem} into r{set}  @{depth}"),
         Insn::Choose { dst, op, depth } => {
             format!("r{dst} <- choose {}  @{depth}", operand(chunk, op))
         }
@@ -212,9 +208,6 @@ fn render_insn(chunk: &Chunk, insn: &Insn) -> String {
                     cond_index,
                     value_index,
                 } => format!("scan app=b{app} flag=.{cond_index} value=.{value_index}"),
-                ReduceKind::Monotone { app, acc } => {
-                    format!("monotone app=b{app} acc=b{acc}")
-                }
             };
             // The origin says where `class` came from; fused shapes carry
             // no annotation (the kind already names the algebra). Def
@@ -222,7 +215,8 @@ fn render_insn(chunk: &Chunk, insn: &Insn) -> String {
             // names; `srl analyze` renders the same provenance with names.
             let origin = match &r.origin {
                 FoldOrigin::Shape => String::new(),
-                FoldOrigin::SummarySpine { via } => format!(" origin=spine(def#{via})"),
+                FoldOrigin::Spine { via: None } => " origin=spine(local)".to_string(),
+                FoldOrigin::Spine { via: Some(via) } => format!(" origin=spine(def#{via})"),
                 FoldOrigin::Unproven(SpineBlock::NotThreaded) => {
                     " origin=blocked(not-threaded)".to_string()
                 }
@@ -330,6 +324,37 @@ mod tests {
             text.contains("class=proper-hom origin=spine(def#0)"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn local_spines_disassemble_as_generic_proper_homs() {
+        // write_cell's shape: both branches insert into the accumulator.
+        let p = Program::srl().define(
+            "write",
+            ["T", "p", "s"],
+            set_reduce(
+                var("T"),
+                Lambda::identity(),
+                lam(
+                    "c",
+                    "acc",
+                    if_(
+                        eq(sel(var("c"), 1), var("p")),
+                        insert(tuple([var("p"), var("s")]), var("acc")),
+                        insert(var("c"), var("acc")),
+                    ),
+                ),
+                empty_set(),
+                empty_set(),
+            ),
+        );
+        let text = disasm_program(&p.compile());
+        assert!(
+            text.contains("reduce[generic app=b0 acc=b1] class=proper-hom origin=spine(local)"),
+            "{text}"
+        );
+        assert!(text.contains("insert r"), "{text}");
+        assert!(!text.contains("[spine]"), "{text}");
     }
 
     #[test]

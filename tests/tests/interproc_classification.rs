@@ -197,8 +197,8 @@ fn e6_blowup_and_primrec_classification_pinned() {
 #[test]
 fn e7_tm_simulation_classification_pinned() {
     // The TM simulator layers the arithmetic library under tape handling:
-    // the tape write/init folds fuse to local monotone spines (proper),
-    // read_cell is the order-sensitive keep-last scan.
+    // the tape write/init folds are local insert spines (generic folds
+    // proved proper homs), read_cell is the order-sensitive keep-last scan.
     let rows = program_rows(&srl_stdlib::tm_sim::compile(
         &machines::tm::library::even_parity(),
     ));
@@ -215,8 +215,8 @@ fn e7_tm_simulation_classification_pinned() {
             "shift generic ordered",
             "rem generic ordered",
             "read_cell scan ordered",
-            "write_cell monotone proper-hom",
-            "init_work monotone proper-hom",
+            "write_cell generic proper-hom",
+            "init_work generic proper-hom",
             "simulate generic ordered",
             "simulate_square generic ordered",
             "simulate_square generic ordered",

@@ -14,12 +14,13 @@
 use std::sync::Arc;
 
 use srl_core::dsl::*;
+use srl_core::setrepr::set_atom_tier_enabled;
 use srl_core::{
     Dialect, Env, EvalError, EvalLimits, EvalStats, Evaluator, ExecBackend, Expr, Lambda, Program,
     Value,
 };
 use srl_integration_tests::atom_set;
-use srl_stdlib::derived::{difference, forall, intersection, map_set, union};
+use srl_stdlib::derived::{difference, forall, intersection, map_set, select, union};
 
 /// The pool width the parallel side of every differential pair runs with.
 /// Wider than the container's core count on purpose: correctness must not
@@ -354,9 +355,10 @@ fn each_hom_kind_shards_and_stays_identical() {
                 var("T"),
             ),
         ),
-        // Monotone: branching insert bodies keep the spine shape.
+        // Local spine: branching insert bodies into the accumulator — a
+        // Generic fold the spine proof upgrades to a proper hom.
         (
-            "monotone",
+            "local-spine",
             set_reduce(
                 var("S"),
                 lam(
@@ -381,6 +383,154 @@ fn each_hom_kind_shards_and_stays_identical() {
     for (label, expr) in cases {
         let (_, par_folds) = assert_expr_identical(&program, &expr, &env, label);
         assert!(par_folds > 0, "{label}: parallel path did not engage");
+    }
+
+    // Accumulators that cross `ACCUMULATOR_WEIGHT_CAP` (4096): every
+    // set-building kind notes the capped weight, 4097, on every engine,
+    // pool width and tier setting. The apps are cheap (no nested member
+    // scan) so the tree-walk stays fast at this size.
+    let program = Program::srl().define("grow", ["x", "T"], insert(var("x"), var("T")));
+    let cap_env = || {
+        Env::new()
+            .bind("S", atom_set(0..4200))
+            .bind("T", atom_set(4200..4300))
+    };
+    let pair_spine = lam(
+        "p",
+        "acc",
+        if_(
+            sel(var("p"), 2),
+            insert(sel(var("p"), 1), var("acc")),
+            insert(tuple([sel(var("p"), 1)]), var("acc")),
+        ),
+    );
+    let flagged = lam("x", "t", tuple([var("x"), leq(var("t"), var("x"))]));
+    let cap_cases: Vec<(&str, Expr)> = vec![
+        (
+            "insert-app",
+            map_set(
+                var("S"),
+                lam("x", "t", tuple([var("x"), var("t")])),
+                atom(0),
+            ),
+        ),
+        (
+            "filter",
+            select(var("S"), lam("x", "t", leq(var("t"), var("x"))), atom(0)),
+        ),
+        ("union", union(var("S"), var("T"))),
+        (
+            "local-spine",
+            set_reduce(var("S"), flagged, pair_spine, empty_set(), atom(2000)),
+        ),
+        (
+            "call-spine",
+            set_reduce(
+                var("S"),
+                Lambda::identity(),
+                lam("x", "acc", call("grow", [var("x"), var("acc")])),
+                empty_set(),
+                empty_set(),
+            ),
+        ),
+    ];
+    for (label, expr) in cap_cases {
+        let runs = engine_matrix(&program, |ev| {
+            ev.eval(&expr, &cap_env()).map(|v| (v, *ev.stats()))
+        });
+        let (first, reference, _) = &runs[0];
+        let (_, stats) = reference
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{label} on {first}: {e}"));
+        assert_eq!(stats.max_accumulator_weight, 4097, "{label}: capped weight");
+        for (config, run, sharded) in &runs[1..] {
+            assert_eq!(run, reference, "{label}: {config} differs from {first}");
+            // The fused union is one bulk merge and never shards; every
+            // other kind takes the shard merge on a pool.
+            let pooled = config.starts_with("vm[2]") || config.starts_with("vm[4]");
+            assert_eq!(
+                *sharded > 0,
+                pooled && label != "union",
+                "{label}: {config}"
+            );
+        }
+    }
+}
+
+/// Runs `f` on the tree-walk and the VM at 1, 2 and 4 threads, each with
+/// the columnar tiers on and off (inputs built by `f` under that setting);
+/// returns every outcome, labelled, with its sharded-fold count.
+fn engine_matrix<R>(
+    program: &Program,
+    mut f: impl FnMut(&mut Evaluator) -> R,
+) -> Vec<(String, R, u64)> {
+    let compiled = Arc::new(program.compile());
+    let mut runs = Vec::new();
+    for tier_on in [true, false] {
+        let was = set_atom_tier_enabled(tier_on);
+        for (name, backend) in [
+            ("tree", ExecBackend::TreeWalk),
+            ("vm[1]", ExecBackend::vm()),
+            ("vm[2]", ExecBackend::vm_with_threads(2)),
+            ("vm[4]", ExecBackend::vm_with_threads(4)),
+        ] {
+            let mut ev =
+                Evaluator::with_compiled(program, Arc::clone(&compiled), EvalLimits::benchmark())
+                    .expect("compiled from this program")
+                    .with_backend(backend);
+            let result = f(&mut ev);
+            runs.push((
+                format!("{name} tier={tier_on}"),
+                result,
+                ev.parallel_folds(),
+            ));
+        }
+        set_atom_tier_enabled(was);
+    }
+    runs
+}
+
+#[test]
+fn local_spine_over_a_non_set_base_fails_like_the_tree_walk() {
+    // The spine's first insert meets the boolean base: a shape error after
+    // one iteration's charges, identical on every engine and tier.
+    let program = Program::srl();
+    let expr = set_reduce(
+        var("S"),
+        Lambda::identity(),
+        lam(
+            "x",
+            "acc",
+            if_(
+                leq(var("x"), atom(5)),
+                insert(var("x"), var("acc")),
+                insert(tuple([var("x")]), var("acc")),
+            ),
+        ),
+        bool_(false),
+        empty_set(),
+    );
+    let runs = engine_matrix(&program, |ev| {
+        let err = ev
+            .eval(&expr, &Env::new().bind("S", atom_set(0..5000)))
+            .expect_err("insert into a boolean");
+        (err, *ev.last_error_stats().expect("partial stats"))
+    });
+    let (first, (_, reference), _) = &runs[0];
+    assert_eq!(reference.reduce_iterations, 1, "{reference:?}");
+    for (config, (err, stats), sharded) in &runs {
+        assert!(
+            matches!(
+                err,
+                EvalError::Shape {
+                    operator: "insert",
+                    ..
+                }
+            ),
+            "{config}: {err:?}"
+        );
+        assert_eq!(*sharded, 0, "{config}: a non-set base never shards");
+        assert_eq!(stats, reference, "{config} vs {first}: partial stats");
     }
 }
 
@@ -536,7 +686,7 @@ fn shard_count_edge_cases_agree() {
 
 #[test]
 fn nested_hom_folds_agree_under_limits() {
-    // An outer monotone fold whose app runs an inner filter fold per
+    // An outer insert-app fold whose app runs an inner filter fold per
     // element: the outer fold shards, the inner folds run sequentially on
     // the workers — under a real budget, with byte-identical stats.
     let program = Program::srl();

@@ -270,6 +270,10 @@ fn example_srl_files_are_in_sync_with_the_printer() {
         ("arith.srl", srl_stdlib::arith::arithmetic_program()),
         ("apath.srl", srl_stdlib::agap::apath_program()),
         ("closure.srl", closure_program()),
+        (
+            "tm.srl",
+            srl_stdlib::tm_sim::compile(&machines::tm::library::even_parity()),
+        ),
     ];
     for (file, program) in cases {
         let path = format!("{dir}/{file}");
