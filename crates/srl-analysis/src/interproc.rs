@@ -51,13 +51,12 @@ pub struct FoldRow {
     /// it by input cardinality to decide whether sharding pays).
     pub unit_cost: u32,
     /// Storage-tier label of the traversed set (`"atom"` when shape
-    /// inference proved `set(atom)`, `"tuple(k)"` when it proved an
-    /// arity-k atom-tuple set — the columnar tier pre-engages either way;
+    /// inference proved `set(atom)`, so the columnar tier pre-engages;
     /// `"generic"` otherwise — see `srl_core::bytecode::SetTier`).
-    pub tier: String,
+    pub tier: &'static str,
     /// Storage-tier label of the fold's accumulator, same vocabulary as
     /// [`FoldRow::tier`]; `"generic"` for list folds.
-    pub acc_tier: String,
+    pub acc_tier: &'static str,
     /// Human-readable reason for the verdict, definition names resolved.
     pub reason: String,
 }

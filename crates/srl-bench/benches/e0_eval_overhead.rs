@@ -144,14 +144,15 @@ fn bench(c: &mut Criterion) {
                 steps
             })
         });
-        // Skewed bulk union over atom pairs (the rows tier): this pins the
-        // galloping fast path of the in-place row merge. The long side has
-        // n*n elements, the short side 8 spread across its range — above
-        // the skew threshold the merge locates the long runs by exponential
-        // probe and moves them wholesale, so the balanced variant (two
-        // halves of the same elements) is the linear-merge contrast. Each
-        // iteration merges into a fresh copy of the left operand, the path
-        // a shared accumulator takes (`Arc::make_mut`, then in place).
+        // Skewed bulk union over atom pairs (generic tuple storage): this
+        // pins the galloping fast path of the in-place sorted-vector merge.
+        // The long side has n*n elements, the short side 8 spread across
+        // its range — above the skew threshold the merge locates the long
+        // runs by exponential probe and moves them wholesale, so the
+        // balanced variant (two halves of the same elements) is the
+        // linear-merge contrast. Each iteration merges into a fresh copy of
+        // the left operand, the path a shared accumulator takes
+        // (`Arc::make_mut`, then in place).
         let pair = |i: u64| Value::tuple([Value::atom(i), Value::atom(i + 1)]);
         let long: SetRepr = {
             let mut s = SetRepr::new();

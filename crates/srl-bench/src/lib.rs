@@ -221,13 +221,13 @@ pub mod queries {
         union(var("A"), var("B"))
     }
 
-    /// E5 (rows-tier core): the reachability *relation* from `choose(D)`
-    /// along `E` — the pairs `(s, v)` with `v` reachable from the chosen
-    /// source — by one frontier-expansion round per element of the driver
-    /// set `K`. The pair twin of [`reach_query`]: the accumulator is a
-    /// fixed-arity atom-tuple relation, so per edge the round probes one
-    /// pair tuple against the columnar row store (per-column binary
-    /// search), and each round ends in one bulk row-store union.
+    /// E5 (pair-relation core): the reachability *relation* from
+    /// `choose(D)` along `E` — the pairs `(s, v)` with `v` reachable from
+    /// the chosen source — by one frontier-expansion round per element of
+    /// the driver set `K`. The pair twin of [`reach_query`]: the
+    /// accumulator is a fixed-arity atom-tuple relation, so per edge the
+    /// round probes one pair tuple against it (a binary search), and each
+    /// round ends in one bulk union.
     pub fn pair_reach_query() -> Expr {
         // One round, the accumulated relation threaded through `extra`:
         // {(s, e.2) | e ∈ E, (s, e.1) ∈ R}.
@@ -276,9 +276,8 @@ pub mod queries {
     }
 
     /// Product relation: `A × B` as pair tuples — every insert is an
-    /// arity-2 plain-atom tuple, so the accumulator lives on the
-    /// struct-of-arrays rows tier end to end (one galloping bulk union per
-    /// outer element).
+    /// arity-2 plain-atom tuple, and the accumulator grows by one
+    /// galloping bulk union per outer element.
     pub fn product_relation() -> Expr {
         let row = set_reduce(
             var("B"),

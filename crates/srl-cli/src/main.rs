@@ -319,8 +319,8 @@ fn run(rest: &[String]) -> ExitCode {
                 println!("{value}");
                 eprintln!("{}", stats_table(&stats));
                 eprintln!(
-                    "tier engagements: atoms {}  bits {}  rows {}",
-                    tiers.atoms, tiers.bits, tiers.rows
+                    "tier engagements: atoms {}  bits {}",
+                    tiers.atoms, tiers.bits
                 );
             }
             ExitCode::SUCCESS

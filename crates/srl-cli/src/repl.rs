@@ -345,10 +345,7 @@ fn handle_line(session: &mut Session, line: &str) -> bool {
                         stats.steps, stats.reduce_iterations, stats.inserts
                     );
                     if tiers.total() > 0 {
-                        println!(
-                            "  [tiers: atoms {} | bits {} | rows {}]",
-                            tiers.atoms, tiers.bits, tiers.rows
-                        );
+                        println!("  [tiers: atoms {} | bits {}]", tiers.atoms, tiers.bits);
                     }
                 }
                 Err(e) => eprintln!("evaluation error: {e}"),

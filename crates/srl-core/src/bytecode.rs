@@ -447,50 +447,28 @@ pub enum SetTier {
     /// Proved `set(atom)`: the sorted-`u32`/bitset columnar representation
     /// applies to every value this operand can hold.
     Atom,
-    /// Proved `set(tuple(atom, …, atom))` of this arity: the
-    /// struct-of-arrays row representation applies to every value this
-    /// operand can hold.
-    Tuple {
-        /// The tuple width `k` of the proved `set(tuple(atom^k))` shape.
-        arity: u8,
-    },
-    /// Shape unknown or neither `set(atom)` nor a fixed-arity atom-tuple
-    /// set: generic sorted-`Vec<Value>` storage (which may still promote
-    /// adaptively at run time).
+    /// Shape unknown or not `set(atom)` (sets of tuples included): generic
+    /// inline/sorted-`Vec<Value>` storage, which may still promote to the
+    /// columnar tier adaptively at run time.
     Generic,
 }
 
 impl SetTier {
     /// The tier a statically-inferred shape proves: [`SetTier::Atom`]
-    /// exactly for `set(atom)`, [`SetTier::Tuple`] exactly for
-    /// `set(tuple(atom, …, atom))` with arity in `1..=255` (not for
-    /// polymorphic or unknown shapes).
+    /// exactly for `set(atom)` (not for polymorphic or unknown shapes).
     pub(crate) fn of(ty: Option<&Type>) -> SetTier {
         match ty {
             Some(Type::Set(inner)) if **inner == Type::Atom => SetTier::Atom,
-            Some(Type::Set(inner)) => match &**inner {
-                Type::Tuple(ts)
-                    if !ts.is_empty()
-                        && ts.len() <= u8::MAX as usize
-                        && ts.iter().all(|t| *t == Type::Atom) =>
-                {
-                    SetTier::Tuple {
-                        arity: ts.len() as u8,
-                    }
-                }
-                _ => SetTier::Generic,
-            },
             _ => SetTier::Generic,
         }
     }
 
-    /// Short lowercase label (`atom` / `tuple(k)` / `generic`) for the
-    /// disassembler and diagnostics.
-    pub fn label(&self) -> String {
+    /// Short lowercase label (`atom` / `generic`) for the disassembler and
+    /// diagnostics.
+    pub fn label(&self) -> &'static str {
         match self {
-            SetTier::Atom => "atom".to_string(),
-            SetTier::Tuple { arity } => format!("tuple({arity})"),
-            SetTier::Generic => "generic".to_string(),
+            SetTier::Atom => "atom",
+            SetTier::Generic => "generic",
         }
     }
 }

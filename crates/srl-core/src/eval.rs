@@ -88,14 +88,16 @@ pub struct TierEngagements {
     pub atoms: u64,
     /// Folds engaging the dense bitset tier.
     pub bits: u64,
-    /// Folds engaging the struct-of-arrays atom-tuple rows tier.
+    /// Always 0. The struct-of-arrays rows tier it counted is retired:
+    /// sets of tuples live in the generic tiers. Kept so existing readers
+    /// and the v1 `tiers` object keep their three keys.
     pub rows: u64,
 }
 
 impl TierEngagements {
     /// Engagements across all columnar tiers.
     pub fn total(&self) -> u64 {
-        self.atoms + self.bits + self.rows
+        self.atoms + self.bits
     }
 }
 
@@ -103,7 +105,6 @@ impl std::ops::AddAssign for TierEngagements {
     fn add_assign(&mut self, rhs: Self) {
         self.atoms += rhs.atoms;
         self.bits += rhs.bits;
-        self.rows += rhs.rows;
     }
 }
 
@@ -209,7 +210,7 @@ pub(crate) struct EvalCore {
     /// parallel path engaged without perturbing the byte-identical stats.
     pub(crate) parallel_folds: u64,
     /// Diagnostic (not part of [`EvalStats`]): how many folds traversed or
-    /// produced a columnar (atoms/bits/rows tier) set, broken down by
+    /// produced a columnar (atoms/bits tier) set, broken down by
     /// tier. Lets the differential suites prove the columnar tiers
     /// actually engaged on a workload without perturbing the
     /// byte-identical stats.
@@ -323,11 +324,11 @@ impl Evaluator {
 
     /// Diagnostic counter: how many `set-reduce` folds traversed a columnar
     /// input or produced a columnar accumulator (the sorted-`u32` atoms
-    /// tier, the dense bitset tier, or the struct-of-arrays rows tier, see
-    /// [`crate::setrepr`]). Like [`Evaluator::parallel_folds`],
-    /// deliberately **not** part of [`EvalStats`]: the statistics are
-    /// byte-identical whether or not the tier engages, while this counter
-    /// reports the storage strategy (and, unlike the statistics, may
+    /// tier or the dense bitset tier, see [`crate::setrepr`]). Like
+    /// [`Evaluator::parallel_folds`], deliberately **not** part of
+    /// [`EvalStats`]: the statistics are byte-identical whether or not the
+    /// tier engages, while this counter reports the storage strategy
+    /// (and, unlike the statistics, may
     /// differ between backends on a fused product; see
     /// [`TierEngagements`]). The per-tier breakdown is
     /// [`Evaluator::tier_engagement_breakdown`].
@@ -492,7 +493,6 @@ impl EvalCore {
         match kind {
             Some(ColumnarKind::Atoms) => self.tier_engagements.atoms += 1,
             Some(ColumnarKind::Bits) => self.tier_engagements.bits += 1,
-            Some(ColumnarKind::Rows) => self.tier_engagements.rows += 1,
             None => {}
         }
     }

@@ -325,14 +325,12 @@ fn run_sharded(
 }
 
 /// The empty accumulator a shard starts from: the columnar atoms tier when
-/// codegen proved the fold result is a `set(atom)`, the struct-of-arrays
-/// row tier when it proved a fixed-arity atom-tuple set, the generic tier
+/// codegen proved the fold result is a `set(atom)`, the generic tier
 /// otherwise. Stats-neutral (every empty set weighs zero), mirroring
 /// `run_reduce`'s static pre-promotion of the sequential base.
 fn shard_seed(r: &ReduceInsn) -> Value {
     match r.acc_tier {
         SetTier::Atom => Value::Set(Arc::new(SetRepr::new_atoms())),
-        SetTier::Tuple { arity } => Value::Set(Arc::new(SetRepr::new_rows(arity as usize))),
         SetTier::Generic => Value::empty_set(),
     }
 }
@@ -575,9 +573,13 @@ mod tests {
 
     #[test]
     fn novel_weight_counts_only_new_elements() {
-        // `merge_union` reports the weight of the globally novel elements:
-        // what the merged accumulator's cached weight grows by.
-        let novel_weight = |acc: &SetRepr, incoming: &SetRepr| acc.clone().merge_union(incoming);
+        // `merge_union` grows the merged accumulator's cached weight by the
+        // weight of the globally novel elements.
+        let novel_weight = |acc: &SetRepr, incoming: &SetRepr| {
+            let mut merged = acc.clone();
+            merged.merge_union(incoming);
+            merged.weight_sum() - acc.weight_sum()
+        };
         let acc: SetRepr = [Value::atom(1), Value::atom(3)].into_iter().collect();
         let incoming: SetRepr = [
             Value::atom(1),

@@ -8,7 +8,7 @@
 //! `BTreeSet<Value>`; profiling after the zero-copy refactor showed its node
 //! churn dominating reduce-heavy workloads, and it was replaced by a sorted
 //! `Vec<Value>`. This revision adds type-specialised tiers below the
-//! vector, giving a five-point tier lattice:
+//! vector, giving a four-point tier lattice:
 //!
 //! * **Inline small sets** (`inline`). Most accumulator sets in BASRL runs
 //!   hold at most [`INLINE_CAP`] elements (bounded accumulators are the whole
@@ -28,17 +28,9 @@
 //!   is stored as a bit vector — O(1)-word membership, word-parallel
 //!   union/difference. This is the membership-heavy-fold mode for dense
 //!   atom universes (alphabet-indexed unions).
-//! * **Struct-of-arrays rows** (`rows`): when every element is a tuple of
-//!   the *same* arity `k` whose components are all plain atoms, the set
-//!   stores `k` parallel `Vec<u32>` columns sorted lexicographically by
-//!   row. Lexicographic row order **is** the total `Value` order
-//!   restricted to same-arity atom tuples (atoms compare by index, tuples
-//!   by slice lexicographic comparison), so the columnar form is
-//!   observationally identical. Membership narrows one column at a time
-//!   (each binary search probes a contiguous `u32` slice); bulk merges
-//!   run over row indices with the same galloping probe as the scalar
-//!   tiers. This is the relation mode for transitive-closure and join
-//!   accumulators.
+//!
+//! Sets of tuples, sets of sets and mixed contents live in the two generic
+//! tiers.
 //!
 //! Selection is **adaptive at construction**: `FromIterator`, the merge ops
 //! and clone re-tier through [`SetRepr::from_sorted_vec`], which promotes to
@@ -54,10 +46,9 @@
 //! ## Widening is observationally free
 //!
 //! The columnar tiers are *lossless*: they only ever hold unnamed atoms
-//! and tuples thereof (named atoms — equal to unnamed ones but displayed
-//! differently — are rejected by [`plain_id`] and force the generic tier),
-//! so reconstructing `Value::atom(id)` or an atom tuple round-trips
-//! display, equality, order and hash exactly.
+//! (named atoms — equal to unnamed ones but displayed differently — are
+//! rejected by [`plain_id`] and force the generic tier), so reconstructing
+//! `Value::atom(id)` round-trips display, equality, order and hash exactly.
 //! Inserting a value that does not fit the columnar invariant **widens** the
 //! store back to the generic representation; since the element sequence is
 //! unchanged, every observable — iteration order, `choose`/`rest`,
@@ -80,8 +71,7 @@
 //!
 //! The live elements are strictly sorted ascending in the total [`Value`]
 //! order and duplicate-free — inline: `slots[..len]`; spilled:
-//! `items[start..]`; atoms: `ids[start..]`; rows: the rows `start..` of the
-//! column family; bits: the set bits of `words`,
+//! `items[start..]`; atoms: `ids[start..]`; bits: the set bits of `words`,
 //! with `len` their popcount and `min` the lowest set bit. Dead slots hold
 //! placeholders and are never observed: equality, ordering, hashing,
 //! iteration and length all go through the live window. [`Clone`] compacts
@@ -91,7 +81,7 @@
 //! Every tier answers [`SetRepr::weight_sum`] — the sum of its elements'
 //! [`Value::weight`]s — in O(1), so neither the evaluator's size budget nor
 //! a fold's per-iteration accumulator weight walks a set. The columnar
-//! tiers derive it (atoms weigh 1, arity-k rows `1 + k`), the inline tier
+//! tiers derive it (every element is an atom of weight 1), the inline tier
 //! sums its ≤ [`INLINE_CAP`] elements, and the spilled tier keeps it as a
 //! field that every mutation updates: `insert` adds the element's weight,
 //! `pop_first` subtracts it, `merge_union` adds the novel elements', and
@@ -168,8 +158,6 @@ pub(crate) enum ColumnarKind {
     Atoms,
     /// Dense bitset over atom ids.
     Bits,
-    /// Struct-of-arrays atom-tuple rows.
-    Rows,
 }
 
 enum Store {
@@ -188,16 +176,6 @@ enum Store {
     /// Dense columnar: the set bits of `words` are the atom ids; `len` is
     /// their popcount, `min` the lowest set bit (0 when empty).
     Bits { words: Vec<u64>, len: u32, min: u32 },
-    /// Struct-of-arrays: every element is an arity-`arity` tuple of plain
-    /// atoms. Row `i` is `(cols[0][i], …, cols[arity-1][i])`; rows
-    /// `start..` are live, sorted lexicographically (the total `Value`
-    /// order restricted to same-arity atom tuples) and duplicate-free.
-    /// `arity ≥ 1` and every column has the same length.
-    Rows {
-        arity: usize,
-        cols: Vec<Vec<u32>>,
-        start: usize,
-    },
 }
 
 /// The atom id of `v` if it can live in a columnar store: an **unnamed**
@@ -223,195 +201,6 @@ fn sorted_ids_of(items: &[Value]) -> Option<Vec<u32>> {
         ids.push(plain_id(v)?);
     }
     Some(ids)
-}
-
-/// The component atom indices of `v` when it is a non-empty tuple whose
-/// components are all atoms with `u32` indices — names ignored, so this is
-/// the *membership* key against a row store (equality ignores names). The
-/// second result is `true` when every component is unnamed, i.e. the tuple
-/// can itself *live* in a row store.
-fn row_key(v: &Value) -> Option<(Vec<u32>, bool)> {
-    let items = v.as_tuple()?;
-    if items.is_empty() {
-        return None;
-    }
-    let mut ids = Vec::with_capacity(items.len());
-    let mut plain = true;
-    for c in items {
-        match c {
-            Value::Atom(a) => {
-                ids.push(u32::try_from(a.index).ok()?);
-                plain &= a.name.is_none();
-            }
-            _ => return None,
-        }
-    }
-    Some((ids, plain))
-}
-
-/// Column vectors for an already-sorted, deduplicated slice of same-arity
-/// all-plain-atom tuples; `None` if any element does not qualify.
-fn sorted_cols_of(items: &[Value]) -> Option<(usize, Vec<Vec<u32>>)> {
-    let arity = match items.first()?.as_tuple() {
-        Some(ts) if !ts.is_empty() => ts.len(),
-        _ => return None,
-    };
-    let mut cols = vec![Vec::with_capacity(items.len()); arity];
-    for v in items {
-        let ts = v.as_tuple().filter(|ts| ts.len() == arity)?;
-        for (col, c) in cols.iter_mut().zip(ts) {
-            col.push(plain_id(c)?);
-        }
-    }
-    Some((arity, cols))
-}
-
-/// Lexicographic comparison of live row `i` of column family `a` against
-/// row `j` of `b` (both arity-k). Same-arity atom tuples compare exactly
-/// this way in the total `Value` order.
-fn cmp_rows(a: &[Vec<u32>], i: usize, b: &[Vec<u32>], j: usize) -> Ordering {
-    for (ca, cb) in a.iter().zip(b) {
-        match ca[i].cmp(&cb[j]) {
-            Ordering::Equal => continue,
-            ord => return ord,
-        }
-    }
-    Ordering::Equal
-}
-
-/// Locates the component ids `row` among the live rows of `cols` by
-/// per-column narrowing: each column restricts the candidate range to rows
-/// whose prefix matches, so every binary search probes one contiguous
-/// `u32` slice. Returns the position relative to `start`, like
-/// `binary_search`.
-fn row_search(cols: &[Vec<u32>], start: usize, row: &[u32]) -> Result<usize, usize> {
-    let n = cols[0].len() - start;
-    let (mut lo, mut hi) = (0usize, n);
-    for (col, &c) in cols.iter().zip(row) {
-        let w = &col[start + lo..start + hi];
-        let a = w.partition_point(|&x| x < c);
-        let b = a + w[a..].partition_point(|&x| x == c);
-        if a == b {
-            return Err(lo + a);
-        }
-        hi = lo + b;
-        lo += a;
-    }
-    Ok(lo)
-}
-
-/// First row of `a[lo..hi)` that is `>=` row `j` of `b`, relative to `lo`,
-/// found by exponential probe + bisection — the row form of [`gallop_lt`].
-/// Precondition: row `lo` of `a` is `<` row `j` of `b`.
-fn gallop_rows_lt(a: &[Vec<u32>], lo: usize, hi: usize, b: &[Vec<u32>], j: usize) -> usize {
-    let n = hi - lo;
-    let mut probe = 1;
-    while probe < n && cmp_rows(a, lo + probe, b, j) == Ordering::Less {
-        probe <<= 1;
-    }
-    let (mut l, mut h) = (probe >> 1, probe.min(n));
-    while l < h {
-        let m = l + (h - l) / 2;
-        if cmp_rows(a, lo + m, b, j) == Ordering::Less {
-            l = m + 1;
-        } else {
-            h = m;
-        }
-    }
-    l
-}
-
-/// Appends live rows `range` of `src` to the output column family.
-fn extend_rows(out: &mut [Vec<u32>], src: &[Vec<u32>], range: Range<usize>) {
-    for (o, s) in out.iter_mut().zip(src) {
-        o.extend_from_slice(&s[range.clone()]);
-    }
-}
-
-/// Merges the same-arity rows `sb..` of `b` into the live rows `start..`
-/// of `cols` in place — the row form of [`merge_into`]: rows below `b`'s
-/// first row stay put, the rest is split off and merged back with
-/// galloping runs. Column slices move; no `Value` is materialised. Equal
-/// rows keep the receiver's copy (both are plain ids, so first-wins is
-/// invisible here). Returns the number of novel rows.
-fn merge_rows_into(cols: &mut [Vec<u32>], start: usize, b: &[Vec<u32>], sb: usize) -> usize {
-    let eb = b[0].len();
-    if sb == eb {
-        return 0;
-    }
-    let before = cols[0].len();
-    let first: Vec<u32> = b.iter().map(|c| c[sb]).collect();
-    let at = start + row_search(cols, start, &first).unwrap_or_else(|p| p);
-    let tail: Vec<Vec<u32>> = cols.iter_mut().map(|c| c.split_off(at)).collect();
-    let ea = tail[0].len();
-    let gallop = skewed(ea, eb - sb);
-    let (mut i, mut j) = (0, sb);
-    while i < ea && j < eb {
-        match cmp_rows(&tail, i, b, j) {
-            Ordering::Less => {
-                let run = if gallop {
-                    gallop_rows_lt(&tail, i, ea, b, j)
-                } else {
-                    1
-                };
-                extend_rows(cols, &tail, i..i + run);
-                i += run;
-            }
-            Ordering::Greater => {
-                let run = if gallop {
-                    gallop_rows_lt(b, j, eb, &tail, i)
-                } else {
-                    1
-                };
-                extend_rows(cols, b, j..j + run);
-                j += run;
-            }
-            Ordering::Equal => {
-                extend_rows(cols, &tail, i..i + 1);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    extend_rows(cols, &tail, i..ea);
-    extend_rows(cols, b, j..eb);
-    cols[0].len() - before
-}
-
-/// Difference `a \ b` of two same-arity row families, with the same
-/// galloping runs as [`union_rows`].
-fn diff_rows(arity: usize, a: &[Vec<u32>], sa: usize, b: &[Vec<u32>], sb: usize) -> SetRepr {
-    let (ea, eb) = (a[0].len(), b[0].len());
-    let gallop = skewed(ea - sa, eb - sb);
-    let mut cols = vec![Vec::new(); arity];
-    let (mut i, mut j) = (sa, sb);
-    while i < ea && j < eb {
-        match cmp_rows(a, i, b, j) {
-            Ordering::Less => {
-                let run = if gallop {
-                    gallop_rows_lt(a, i, ea, b, j)
-                } else {
-                    1
-                };
-                extend_rows(&mut cols, a, i..i + run);
-                i += run;
-            }
-            Ordering::Greater => {
-                let run = if gallop {
-                    gallop_rows_lt(b, j, eb, a, i)
-                } else {
-                    1
-                };
-                j += run;
-            }
-            Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    extend_rows(&mut cols, a, i..ea);
-    SetRepr::from_sorted_cols(arity, cols)
 }
 
 /// Sum of the elements' weights — the walk the spilled tier's cached
@@ -522,12 +311,11 @@ fn next_set_bit(words: &[u64], from: u32) -> Option<u32> {
     }
 }
 
-/// A borrowed element of a set: a columnar atom id, a row of a columnar
-/// relation, or a full value. The comparison glue lets the cursor merges
-/// and lexicographic walks mix tiers without materialising `Value`s.
+/// A borrowed element of a set: a columnar atom id or a full value. The
+/// comparison glue lets the cursor merges and lexicographic walks mix tiers
+/// without materialising `Value`s.
 enum ElemRef<'a> {
     Id(u32),
-    Row { cols: &'a [Vec<u32>], row: usize },
     Val(&'a Value),
 }
 
@@ -535,9 +323,6 @@ impl ElemRef<'_> {
     fn to_value(&self) -> Value {
         match self {
             ElemRef::Id(i) => Value::atom(*i as u64),
-            ElemRef::Row { cols, row } => {
-                Value::tuple(cols.iter().map(|c| Value::atom(c[*row] as u64)))
-            }
             ElemRef::Val(v) => (*v).clone(),
         }
     }
@@ -553,44 +338,12 @@ fn id_cmp_value(id: u32, v: &Value) -> Ordering {
     }
 }
 
-/// How live row `row` of `cols` compares to `v` in the total value order
-/// (booleans < atoms < naturals < tuples < sets < lists; tuples compare
-/// componentwise, then by length — slice semantics).
-fn row_cmp_value(cols: &[Vec<u32>], row: usize, v: &Value) -> Ordering {
-    match v {
-        Value::Bool(_) | Value::Atom(_) | Value::Nat(_) => Ordering::Greater,
-        Value::Tuple(items) => {
-            for (col, c) in cols.iter().zip(items.iter()) {
-                match id_cmp_value(col[row], c) {
-                    Ordering::Equal => continue,
-                    ord => return ord,
-                }
-            }
-            cols.len().cmp(&items.len())
-        }
-        Value::Set(_) | Value::List(_) => Ordering::Less,
-    }
-}
-
 fn cmp_elem(a: &ElemRef<'_>, b: &ElemRef<'_>) -> Ordering {
     match (a, b) {
         (ElemRef::Id(x), ElemRef::Id(y)) => x.cmp(y),
         (ElemRef::Id(x), ElemRef::Val(v)) => id_cmp_value(*x, v),
         (ElemRef::Val(v), ElemRef::Id(y)) => id_cmp_value(*y, v).reverse(),
         (ElemRef::Val(x), ElemRef::Val(y)) => x.cmp(y),
-        // Atoms sort before tuples.
-        (ElemRef::Id(_), ElemRef::Row { .. }) => Ordering::Less,
-        (ElemRef::Row { .. }, ElemRef::Id(_)) => Ordering::Greater,
-        // `cmp_rows` zips, so it compares the common prefix; equal prefixes
-        // fall to the arity comparison (slice semantics).
-        (ElemRef::Row { cols: a, row: i }, ElemRef::Row { cols: b, row: j }) => {
-            match cmp_rows(a, *i, b, *j) {
-                Ordering::Equal => a.len().cmp(&b.len()),
-                ord => ord,
-            }
-        }
-        (ElemRef::Row { cols, row }, ElemRef::Val(v)) => row_cmp_value(cols, *row, v),
-        (ElemRef::Val(v), ElemRef::Row { cols, row }) => row_cmp_value(cols, *row, v).reverse(),
     }
 }
 
@@ -599,11 +352,6 @@ enum ElemIter<'a> {
     Vals(std::slice::Iter<'a, Value>),
     Ids(std::slice::Iter<'a, u32>),
     Bits(BitCursor<'a>),
-    Rows {
-        cols: &'a [Vec<u32>],
-        row: usize,
-        end: usize,
-    },
 }
 
 impl<'a> Iterator for ElemIter<'a> {
@@ -614,15 +362,6 @@ impl<'a> Iterator for ElemIter<'a> {
             ElemIter::Vals(it) => it.next().map(ElemRef::Val),
             ElemIter::Ids(it) => it.next().map(|&i| ElemRef::Id(i)),
             ElemIter::Bits(c) => c.next().map(ElemRef::Id),
-            ElemIter::Rows { cols, row, end } => {
-                if row < end {
-                    let r = *row;
-                    *row += 1;
-                    Some(ElemRef::Row { cols, row: r })
-                } else {
-                    None
-                }
-            }
         }
     }
 }
@@ -943,46 +682,17 @@ impl SetRepr {
         }
     }
 
-    /// An empty set pre-promoted to the struct-of-arrays row tier for
-    /// arity-`arity` atom tuples — the relation analogue of
-    /// [`SetRepr::new_atoms`], used by the VM when the static tier analysis
-    /// proves a fold accumulates `set(tuple(atom, …, atom))`. Falls back to
-    /// the generic empty set when the tier is disabled (or for the empty
-    /// tuple arity, which the row store excludes).
-    pub fn new_rows(arity: usize) -> Self {
-        if arity > 0 && atom_tier_enabled() {
-            SetRepr {
-                store: Store::Rows {
-                    arity,
-                    cols: vec![Vec::new(); arity],
-                    start: 0,
-                },
-            }
-        } else {
-            SetRepr::new()
-        }
-    }
-
     /// Builds the set from an already-sorted, deduplicated vector (crate
     /// only: callers are the merge ops, `Clone`, `FromIterator` and the
     /// VM's product kernel, which establish the invariant themselves). This
     /// is the adaptive tier
-    /// selection point: all-plain-atom contents go columnar, same-arity
-    /// all-atom-tuple contents go struct-of-arrays. `weight` is the
-    /// elements' weight sum when the caller already knows it.
+    /// selection point: all-plain-atom contents go columnar, everything
+    /// else stays generic. `weight` is the elements' weight sum when the
+    /// caller already knows it.
     pub(crate) fn from_sorted_vec(items: Vec<Value>, weight: Option<usize>) -> Self {
         if items.len() > INLINE_CAP && atom_tier_enabled() {
             if let Some(ids) = sorted_ids_of(&items) {
                 return SetRepr::from_sorted_ids(ids);
-            }
-            if let Some((arity, cols)) = sorted_cols_of(&items) {
-                return SetRepr {
-                    store: Store::Rows {
-                        arity,
-                        cols,
-                        start: 0,
-                    },
-                };
             }
         }
         SetRepr {
@@ -1061,28 +771,6 @@ impl SetRepr {
         SetRepr::from_sorted_ids(ids)
     }
 
-    /// Builds the set from sorted, deduplicated row columns, materialising
-    /// tuples when small or when the tier is off (mirroring
-    /// [`SetRepr::from_sorted_ids`]).
-    fn from_sorted_cols(arity: usize, cols: Vec<Vec<u32>>) -> Self {
-        let n = cols[0].len();
-        if n <= INLINE_CAP || !atom_tier_enabled() {
-            let items: Vec<Value> = (0..n)
-                .map(|i| Value::tuple(cols.iter().map(|c| Value::atom(c[i] as u64))))
-                .collect();
-            return SetRepr {
-                store: store_from_sorted_values(items, Some(n * (1 + arity))),
-            };
-        }
-        SetRepr {
-            store: Store::Rows {
-                arity,
-                cols,
-                start: 0,
-            },
-        }
-    }
-
     /// The live elements by reference, when this is a value-backed tier.
     /// Columnar tiers return `None` — callers inside the crate use this as
     /// the zero-copy fast path and fall back to [`SetRepr::iter`].
@@ -1104,9 +792,8 @@ impl SetRepr {
     }
 
     /// Sum of the live elements' [`Value::weight`]s, without walking the
-    /// set: atoms weigh 1 each, arity-k rows `1 + k` each, the spilled
-    /// tier reads its cached sum and the inline tier adds up its ≤
-    /// [`INLINE_CAP`] elements.
+    /// set: atoms weigh 1 each, the spilled tier reads its cached sum and
+    /// the inline tier adds up its ≤ [`INLINE_CAP`] elements.
     #[inline]
     pub fn weight_sum(&self) -> usize {
         match &self.store {
@@ -1120,25 +807,12 @@ impl SetRepr {
                 *weight
             }
             Store::Atoms { .. } | Store::Bits { .. } => self.len(),
-            Store::Rows { arity, .. } => self.len() * (1 + *arity),
-        }
-    }
-
-    /// `Some(arity)` when the set is backed by the struct-of-arrays row
-    /// tier — every element is then an arity-k tuple of plain atoms.
-    #[inline]
-    pub(crate) fn rows_arity(&self) -> Option<usize> {
-        match &self.store {
-            Store::Rows { arity, .. } => Some(*arity),
-            _ => None,
         }
     }
 
     /// For columnar tiers: `Some(max_id)` (`Some(None)` when empty). `None`
     /// for value-backed tiers. Lets `new`-atom allocation scan sets without
-    /// walking elements. Only the first row column is sorted, so the row
-    /// tier scans the later columns (still a contiguous `u32` sweep, no
-    /// `Value` materialisation).
+    /// walking elements.
     pub(crate) fn columnar_max_id(&self) -> Option<Option<u64>> {
         match &self.store {
             Store::Atoms { ids, start } => Some(ids[*start..].last().map(|&i| i as u64)),
@@ -1151,33 +825,15 @@ impl SetRepr {
                     ((words.len() - 1) as u64) * 64 + (63 - w.leading_zeros()) as u64,
                 ))
             }
-            Store::Rows { cols, start, .. } => {
-                let Some(&first_max) = cols[0].last() else {
-                    return Some(None);
-                };
-                if *start == cols[0].len() {
-                    return Some(None);
-                }
-                let mut max = first_max;
-                for col in &cols[1..] {
-                    for &id in &col[*start..] {
-                        max = max.max(id);
-                    }
-                }
-                Some(Some(max as u64))
-            }
             _ => None,
         }
     }
 
-    /// True if the elements live in a columnar tier (atom ids, a dense
-    /// bitset, or struct-of-arrays rows).
+    /// True if the elements live in a columnar tier (atom ids or a dense
+    /// bitset).
     #[inline]
     pub fn is_columnar(&self) -> bool {
-        matches!(
-            self.store,
-            Store::Atoms { .. } | Store::Bits { .. } | Store::Rows { .. }
-        )
+        matches!(self.store, Store::Atoms { .. } | Store::Bits { .. })
     }
 
     /// The storage tier currently backing the set, for diagnostics.
@@ -1187,7 +843,6 @@ impl SetRepr {
             Store::Spilled { .. } => "spilled",
             Store::Atoms { .. } => "atoms",
             Store::Bits { .. } => "bits",
-            Store::Rows { .. } => "rows",
         }
     }
 
@@ -1197,7 +852,6 @@ impl SetRepr {
         match &self.store {
             Store::Atoms { .. } => Some(ColumnarKind::Atoms),
             Store::Bits { .. } => Some(ColumnarKind::Bits),
-            Store::Rows { .. } => Some(ColumnarKind::Rows),
             Store::Small { .. } | Store::Spilled { .. } => None,
         }
     }
@@ -1208,11 +862,6 @@ impl SetRepr {
             Store::Spilled { items, start, .. } => ElemIter::Vals(items[*start..].iter()),
             Store::Atoms { ids, start } => ElemIter::Ids(ids[*start..].iter()),
             Store::Bits { words, .. } => ElemIter::Bits(BitCursor::new(words)),
-            Store::Rows { cols, start, .. } => ElemIter::Rows {
-                cols,
-                row: *start,
-                end: cols[0].len(),
-            },
         }
     }
 
@@ -1228,15 +877,7 @@ impl SetRepr {
                 }
                 Some(ColView::Buf(buf, n))
             }
-            Store::Spilled { .. } | Store::Rows { .. } => None,
-        }
-    }
-
-    /// The live row columns, when this is the struct-of-arrays tier.
-    fn rows_view(&self) -> Option<(usize, &[Vec<u32>], usize)> {
-        match &self.store {
-            Store::Rows { arity, cols, start } => Some((*arity, cols.as_slice(), *start)),
-            _ => None,
+            Store::Spilled { .. } => None,
         }
     }
 
@@ -1248,7 +889,6 @@ impl SetRepr {
             Store::Spilled { items, start, .. } => items.len() - start,
             Store::Atoms { ids, start } => ids.len() - start,
             Store::Bits { len, .. } => *len as usize,
-            Store::Rows { cols, start, .. } => cols[0].len() - start,
         }
     }
 
@@ -1279,11 +919,6 @@ impl SetRepr {
             Store::Spilled { items, start, .. } => ElemIter::Vals(items[*start..][range].iter()),
             Store::Atoms { ids, start } => ElemIter::Ids(ids[*start..][range].iter()),
             Store::Bits { words, .. } => ElemIter::Bits(BitCursor::skipped(words, range.start)),
-            Store::Rows { cols, start, .. } => ElemIter::Rows {
-                cols,
-                row: *start + range.start,
-                end: *start + range.end,
-            },
         };
         SetIter { inner, remaining }
     }
@@ -1298,14 +933,12 @@ impl SetRepr {
             Store::Spilled { items, start, .. } => items.get(*start).cloned(),
             Store::Atoms { ids, start } => ids.get(*start).map(|&i| Value::atom(i as u64)),
             Store::Bits { len, min, .. } => (*len > 0).then(|| Value::atom(*min as u64)),
-            Store::Rows { cols, start, .. } => (*start < cols[0].len())
-                .then(|| Value::tuple(cols.iter().map(|c| Value::atom(c[*start] as u64)))),
         }
     }
 
     /// Membership test: binary search on the sorted tiers, one word probe
-    /// on the bitset tier, per-column narrowing on the row tier. Columnar
-    /// tests compare by atom index (names do not participate in equality).
+    /// on the bitset tier. Columnar tests compare by atom index (names do
+    /// not participate in equality).
     pub fn contains(&self, value: &Value) -> bool {
         match &self.store {
             Store::Small { len, slots } => slots[..*len as usize].binary_search(value).is_ok(),
@@ -1319,10 +952,6 @@ impl SetRepr {
             Store::Bits { words, .. } => match atom_index_of(value) {
                 Some(ix) => u32::try_from(ix).is_ok_and(|id| bit_test(words, id)),
                 None => false,
-            },
-            Store::Rows { arity, cols, start } => match row_key(value) {
-                Some((row, _)) if row.len() == *arity => row_search(cols, *start, &row).is_ok(),
-                _ => false,
             },
         }
     }
@@ -1371,13 +1000,11 @@ impl SetRepr {
                         return true;
                     }
                 }
-                // Spill: move the inline elements into a vector, re-tiering
-                // on the way out (same-arity all-atom-tuple contents go
-                // struct-of-arrays; mixed contents land in the vector).
+                // Spill: move the inline elements into a vector.
                 let mut items = Vec::with_capacity(2 * INLINE_CAP);
                 items.extend(slots.iter_mut().map(|s| std::mem::replace(s, PAD)));
                 items.insert(pos, value);
-                self.store = SetRepr::from_sorted_vec(items, None).store;
+                self.store = store_from_sorted_values(items, None);
                 return true;
             }
             Store::Spilled {
@@ -1444,28 +1071,6 @@ impl SetRepr {
                     // Novel named atom: widen below.
                 }
                 // Non-atom value or sparse growth: re-tier below.
-            }
-            Store::Rows { arity, cols, start } => {
-                if let Some((row, plain)) = row_key(&value) {
-                    if row.len() == *arity {
-                        match row_search(cols, *start, &row) {
-                            // A duplicate (possibly with named components):
-                            // first-wins keeps the stored plain copy.
-                            Ok(_) => return false,
-                            Err(pos) if plain => {
-                                let at = *start + pos;
-                                for (col, &c) in cols.iter_mut().zip(&row) {
-                                    col.insert(at, c);
-                                }
-                                return true;
-                            }
-                            // A novel tuple with named components: the row
-                            // store cannot keep the names — widen below.
-                            Err(_) => {}
-                        }
-                    }
-                }
-                // Arity mismatch or non-row value: widen below.
             }
         }
         // Re-tier path (rare): rebuild in a representation that can hold
@@ -1560,101 +1165,65 @@ impl SetRepr {
                 };
                 Some(Value::atom(id as u64))
             }
-            Store::Rows { cols, start, .. } => {
-                if *start == cols[0].len() {
-                    return None;
-                }
-                let value = Value::tuple(cols.iter().map(|c| Value::atom(c[*start] as u64)));
-                *start += 1;
-                if *start * 2 > cols[0].len() {
-                    for col in cols.iter_mut() {
-                        col.drain(..*start);
-                    }
-                    *start = 0;
-                }
-                Some(value)
-            }
         }
     }
 
-    /// `self ∪= other`, in place. Returns the weight the union added: the
-    /// summed [`Value::weight`] of the elements of `other` that were not in
-    /// `self` — what folding `other` into `self` with [`SetRepr::insert`]
-    /// grows the accumulator by. This is the bulk form of that fold (the
-    /// VM's fused `union` and the parallel shard merge use it), with the
-    /// same first-wins rule: on equal elements **`self`'s copy is kept**.
+    /// `self ∪= other`, in place: the bulk form of folding `other` into
+    /// `self` with [`SetRepr::insert`] (the VM's fused `union` and the
+    /// parallel shard merge use it), with the same first-wins rule: on
+    /// equal elements **`self`'s copy is kept**. The merged set's weight is
+    /// an O(1) [`SetRepr::weight_sum`] read afterwards.
     ///
-    /// Same-tier operands merge without rebuilding `self`: the generic,
-    /// sorted-id and row tiers keep their prefix below `other`'s minimum
-    /// (so an `other` that sorts after `self` is an append) and move, never
-    /// clone, the rest; skewed sizes gallop. Inline, bitset and mixed-tier
+    /// Same-tier operands merge without rebuilding `self`: the generic and
+    /// sorted-id tiers keep their prefix below `other`'s minimum (so an
+    /// `other` that sorts after `self` is an append) and move, never clone,
+    /// the rest; skewed sizes gallop. Inline, bitset and mixed-tier
     /// operands take one pass into a fresh store (word-parallel for
     /// bitsets). Either way the result sits in the tier a fresh build of
     /// its contents picks. A caller holding a shared set copies it first
     /// (`Arc::make_mut`) and merges into the copy.
-    pub fn merge_union(&mut self, other: &SetRepr) -> usize {
+    pub fn merge_union(&mut self, other: &SetRepr) {
         if other.is_empty() {
-            return 0;
+            return;
         }
         if self.is_empty() {
             *self = other.clone();
-            return self.weight_sum();
+            return;
         }
-        if let Some(added) = self.merge_same_tier(other) {
+        if self.merge_same_tier(other).is_some() {
             self.settle();
-            return added;
+            return;
         }
-        // Inline or mixed tiers (atoms ∪ rows, rows ∪ generic, arity
-        // mismatch): one linear cursor pass demotes and merges at once —
-        // in id space when both sides are plain atoms.
-        let before = self.weight_sum();
-        let merged = match (self.col_view(), other.col_view()) {
+        // Inline or mixed tiers (atoms ∪ generic): one linear cursor pass
+        // demotes and merges at once — in id space when both sides are
+        // plain atoms.
+        *self = match (self.col_view(), other.col_view()) {
             (Some(a), Some(b)) => union_cols(&a, &b),
             _ => SetRepr::from_sorted_vec(merge_union_elems(self, other), None),
         };
-        *self = merged;
-        self.weight_sum() - before
     }
 
-    /// The in-place arms of [`SetRepr::merge_union`]: `Some(added weight)`
-    /// when `other` can merge straight into `self`'s tier, `None` when the
-    /// operands need the cursor merge.
-    fn merge_same_tier(&mut self, other: &SetRepr) -> Option<usize> {
+    /// The in-place arms of [`SetRepr::merge_union`]: `Some(())` when
+    /// `other` merged straight into `self`'s tier, `None` when the operands
+    /// need the cursor merge. The spilled tier adds the novel elements'
+    /// weights to its cached sum.
+    fn merge_same_tier(&mut self, other: &SetRepr) -> Option<()> {
         match &mut self.store {
             Store::Spilled {
                 items,
                 start,
                 weight,
-            } => {
-                let b = other.value_slice()?;
-                let mut added = 0;
-                merge_into(items, *start, b, |v| added += v.weight());
-                *weight += added;
-                Some(added)
-            }
+            } => merge_into(items, *start, other.value_slice()?, |v| {
+                *weight += v.weight()
+            }),
             Store::Atoms { ids, start } => {
-                let view = other.col_view()?;
-                let mut added = 0;
-                merge_into(ids, *start, view.id_slice()?, |_| added += 1);
-                Some(added)
-            }
-            Store::Rows { arity, cols, start } => {
-                let added = match other.rows_view() {
-                    Some((k, b, sb)) if k == *arity => merge_rows_into(cols, *start, b, sb),
-                    Some(_) => return None,
-                    // An inline set of plain same-arity tuples lifts to a
-                    // small column family.
-                    None => match sorted_cols_of(other.value_slice()?) {
-                        Some((k, b)) if k == *arity => merge_rows_into(cols, *start, &b, 0),
-                        _ => return None,
-                    },
-                };
-                Some(added * (1 + *arity))
+                merge_into(ids, *start, other.col_view()?.id_slice()?, |_| {})
             }
             // A bitset holds one word per 64 ids: `union_cols` ORs them
             // into a fresh vector and re-tiers the result in one pass.
-            Store::Small { .. } | Store::Bits { .. } => None,
+            Store::Small { .. } | Store::Bits { .. } => return None,
         }
+        Some(())
     }
 
     /// Re-tiers a columnar store that an in-place merge carried across a
@@ -1669,7 +1238,7 @@ impl SetRepr {
             Store::Atoms { ids, .. } => {
                 n >= BITS_MIN_LEN && (*ids.last().unwrap() as usize) < BITS_MAX_SPREAD * n
             }
-            Store::Bits { .. } | Store::Rows { .. } => false,
+            Store::Bits { .. } => false,
         };
         if rebuild {
             *self = self.clone();
@@ -1685,12 +1254,6 @@ impl SetRepr {
             return self.clone();
         }
         if self.is_columnar() || other.is_columnar() {
-            if let (Some((ka, ca, sa)), Some((kb, cb, sb))) = (self.rows_view(), other.rows_view())
-            {
-                if ka == kb {
-                    return diff_rows(ka, ca, sa, cb, sb);
-                }
-            }
             if let (Some(a), Some(b)) = (self.col_view(), other.col_view()) {
                 return diff_cols(&a, &b);
             }
@@ -1712,7 +1275,6 @@ impl SetRepr {
             Store::Spilled { items, .. } => items.len(),
             Store::Atoms { ids, .. } => ids.len(),
             Store::Bits { words, .. } => words.len() * 64,
-            Store::Rows { cols, .. } => cols[0].len(),
         }
     }
 
@@ -1749,10 +1311,6 @@ impl Clone for SetRepr {
             } => SetRepr::from_sorted_vec(items[*start..].to_vec(), Some(*weight)),
             Store::Atoms { ids, start } => SetRepr::from_sorted_ids(ids[*start..].to_vec()),
             Store::Bits { words, .. } => SetRepr::from_bits(words.clone()),
-            Store::Rows { arity, cols, start } => SetRepr::from_sorted_cols(
-                *arity,
-                cols.iter().map(|c| c[*start..].to_vec()).collect(),
-            ),
         }
     }
 }
@@ -1819,10 +1377,6 @@ impl IntoIterator for SetRepr {
                 }
                 out.into_iter()
             }
-            Store::Rows { cols, start, .. } => (start..cols[0].len())
-                .map(|i| Value::tuple(cols.iter().map(|c| Value::atom(c[i] as u64))))
-                .collect::<Vec<_>>()
-                .into_iter(),
         }
     }
 }
@@ -2167,24 +1721,19 @@ mod tests {
         // A huge index cannot be a u32 id.
         let wide: SetRepr = (0..8).map(|i| Value::atom(i + (1 << 40))).collect();
         assert_eq!(wide.tier_label(), "spilled");
-        // Tuples with a named component cannot live in the row store (the
-        // columns could not reproduce the name).
-        let named_pairs: SetRepr = (0..8)
-            .map(|i| Value::tuple([Value::named_atom(i, "n"), Value::atom(i)]))
+        // Sets of tuples live in the generic tier, plain-atom tuples too.
+        let pairs: SetRepr = (0..8)
+            .map(|i| Value::tuple([Value::atom(i / 7), Value::atom(i)]))
             .collect();
-        assert_eq!(named_pairs.tier_label(), "spilled");
-        // Mixed arities have no single column family.
-        let mixed: SetRepr = (0..4)
+        assert_eq!(pairs.tier_label(), "spilled");
+        assert_eq!(pairs.weight_sum(), 8 * 3, "a pair weighs 3");
+        let mut s: SetRepr = (0..INLINE_CAP as u64)
             .map(|i| Value::tuple([Value::atom(i)]))
-            .chain((0..4).map(|i| Value::tuple([Value::atom(i), Value::atom(i)])))
             .collect();
-        assert_eq!(mixed.tier_label(), "spilled");
-        // A non-atom component disqualifies the whole set.
-        let nats: SetRepr = (0..8)
-            .map(|i| Value::tuple([Value::atom(i), Value::nat(i)]))
-            .collect();
-        assert_eq!(nats.tier_label(), "spilled");
-        // The empty tuple has no columns.
+        assert!(s.is_inline());
+        s.insert(Value::tuple([Value::atom(50)]));
+        assert_eq!(s.tier_label(), "spilled", "spill-by-insert stays generic");
+        // One non-atom element keeps the whole set generic.
         let units: SetRepr = [Value::tuple([]), Value::atom(0)]
             .into_iter()
             .chain((1..7).map(Value::atom))
@@ -2338,9 +1887,7 @@ mod tests {
     #[test]
     fn galloping_merge_matches_linear_on_values() {
         // Skewed sizes over generic elements drive the galloping path;
-        // compare against the per-element fold. The tuples carry a named
-        // component so they stay on the generic tier (plain atom tuples
-        // would tier as rows and take the columnar merge instead).
+        // compare against the per-element fold.
         let big: SetRepr = (0..300)
             .map(|i| Value::tuple([Value::named_atom(i, "v"), Value::atom(i)]))
             .collect();
@@ -2367,7 +1914,7 @@ mod tests {
 
     #[test]
     fn merge_union_novel_weight_matches_reference_across_tiers() {
-        let reference = |acc: &SetRepr, inc: &SetRepr| -> usize {
+        let novel_weight = |acc: &SetRepr, inc: &SetRepr| -> usize {
             inc.iter()
                 .filter(|v| !acc.contains(v))
                 .map(|v| v.weight())
@@ -2381,11 +1928,11 @@ mod tests {
             (
                 atoms(0..100),
                 (0..6).map(|i| Value::tuple([Value::atom(i)])).collect(),
-            ), // bits × rows
+            ), // bits × generic tuples
             (
                 (0..8).map(|i| Value::tuple([Value::atom(i)])).collect(),
                 (4..12).map(|i| Value::tuple([Value::atom(i)])).collect(),
-            ), // rows × rows
+            ), // generic tuples × generic tuples
             (
                 (0..8).map(|i| Value::named_atom(i, "n")).collect(),
                 (4..12).map(|i| Value::named_atom(i, "n")).collect(),
@@ -2395,7 +1942,7 @@ mod tests {
                     .map(|i| Value::tuple([Value::atom(i), Value::atom(i)]))
                     .collect(),
                 (0..6).map(|i| Value::tuple([Value::atom(i)])).collect(),
-            ), // rows × rows, arity mismatch
+            ), // generic tuples × generic tuples, arity mismatch
             (
                 (0..8)
                     .map(|i| Value::tuple([Value::atom(i), Value::atom(i)]))
@@ -2403,20 +1950,23 @@ mod tests {
                 (4..12)
                     .map(|i| Value::tuple([Value::named_atom(i, "n"), Value::atom(i)]))
                     .collect(),
-            ), // rows × generic tuples
+            ), // generic tuples × named-component tuples
             (SetRepr::new(), atoms(0..5)),
             (atoms(0..5), SetRepr::new()),
         ];
         for (acc, inc) in combos {
             let mut merged = acc.clone();
-            let added = merged.merge_union(&inc);
+            merged.merge_union(&inc);
             let context = format!(
                 "acc tier {} inc tier {}",
                 acc.tier_label(),
                 inc.tier_label()
             );
-            assert_eq!(added, reference(&acc, &inc), "{context}");
-            assert_eq!(merged.weight_sum(), acc.weight_sum() + added, "{context}");
+            assert_eq!(
+                merged.weight_sum(),
+                acc.weight_sum() + novel_weight(&acc, &inc),
+                "{context}"
+            );
             let mut folded = acc.clone();
             for v in inc.iter() {
                 folded.insert(v);
@@ -2432,9 +1982,6 @@ mod tests {
             atoms(0..10),                                        // atoms
             atoms(0..100),                                       // bits
             (0..8).map(|i| Value::named_atom(i, "n")).collect(), // spilled
-            (0..8)
-                .map(|i| Value::tuple([Value::atom(i), Value::atom(i + 1)]))
-                .collect(), // rows
         ];
         for s in &sets {
             let n = s.len();
@@ -2523,257 +2070,5 @@ mod tests {
                 assert_eq!(gallop_lt(&s, &bound), expect, "bound {bound}");
             }
         }
-    }
-
-    fn pairs(ixs: impl IntoIterator<Item = u64>) -> SetRepr {
-        ixs.into_iter()
-            .map(|i| Value::tuple([Value::atom(i / 7), Value::atom(i)]))
-            .collect()
-    }
-
-    #[test]
-    fn tuple_sets_promote_to_the_rows_tier() {
-        let s = pairs(0..10);
-        assert_eq!(s.tier_label(), "rows");
-        assert!(s.is_columnar());
-        // An arity-k row weighs 1 + k, like the tuple it stands for.
-        assert_eq!(s.weight_sum(), 30);
-        assert_eq!(s.len(), 10);
-        assert_eq!(
-            s.first(),
-            Some(Value::tuple([Value::atom(0), Value::atom(0)]))
-        );
-        assert!(s.contains(&Value::tuple([Value::atom(1), Value::atom(9)])));
-        assert!(!s.contains(&Value::tuple([Value::atom(9), Value::atom(1)])));
-        assert!(!s.contains(&Value::tuple([Value::atom(0)])));
-        assert!(!s.contains(&Value::atom(0)));
-        // Small tuple sets stay inline; spill-by-insert promotes.
-        let mut s = pairs(0..INLINE_CAP as u64);
-        assert!(s.is_inline());
-        s.insert(Value::tuple([Value::atom(50), Value::atom(50)]));
-        assert_eq!(s.tier_label(), "rows");
-        assert_eq!(s.len(), INLINE_CAP + 1);
-        // Row order is the Value order: lexicographic by component.
-        let drained: Vec<Value> = s.clone().into_iter().collect();
-        let mut expect: Vec<Value> = s.iter().collect();
-        expect.sort();
-        assert_eq!(drained, expect);
-        // Unary tuples work too: columns ≠ bare atom ids.
-        let unary: SetRepr = (0..8).map(|i| Value::tuple([Value::atom(i)])).collect();
-        assert_eq!(unary.tier_label(), "rows");
-        assert!(unary.contains(&Value::tuple([Value::atom(3)])));
-        assert!(!unary.contains(&Value::atom(3)));
-    }
-
-    #[test]
-    fn rows_widen_on_foreign_insert() {
-        // Arity change demotes in place without losing elements.
-        let mut s = pairs(0..10);
-        assert!(s.insert(Value::tuple([Value::atom(0)])));
-        assert_eq!(s.tier_label(), "spilled");
-        assert_eq!(s.len(), 11);
-        assert_eq!(s.first(), Some(Value::tuple([Value::atom(0)])));
-        // A non-atom component demotes too.
-        let mut s = pairs(0..10);
-        assert!(s.insert(Value::tuple([Value::atom(0), Value::nat(0)])));
-        assert_eq!(s.tier_label(), "spilled");
-        assert_eq!(s.len(), 11);
-        // A *novel* tuple with a named component demotes (columns cannot
-        // reproduce the name)…
-        let mut s = pairs(0..10);
-        assert!(s.insert(Value::tuple([Value::named_atom(9, "n"), Value::atom(9)])));
-        assert_eq!(s.tier_label(), "spilled");
-        // …but a named *duplicate* is first-wins: the stored plain copy
-        // stays and the tier is kept.
-        let mut s = pairs(0..10);
-        let dup = Value::tuple([Value::named_atom(0, "n"), Value::atom(3)]);
-        assert!(s.contains(&dup));
-        assert!(!s.insert(dup));
-        assert_eq!(s.tier_label(), "rows");
-        // A plain non-member atom (not a tuple at all) demotes.
-        let mut s = pairs(0..10);
-        assert!(s.insert(Value::atom(0)));
-        assert_eq!(s.tier_label(), "spilled");
-        assert_eq!(s.first(), Some(Value::atom(0)));
-    }
-
-    #[test]
-    fn row_merges_match_generic_merges() {
-        let cases: Vec<(Vec<u64>, Vec<u64>)> = vec![
-            ((0..20).collect(), (10..30).collect()),
-            ((0..200).collect(), (150..160).collect()), // skewed: galloping
-            ((0..200).step_by(3).collect(), (0..200).step_by(7).collect()),
-            (vec![5], (0..100).collect()),
-            ((0..10).collect(), vec![]),
-        ];
-        for (xa, xb) in cases {
-            let (ra, rb) = (pairs(xa.iter().copied()), pairs(xb.iter().copied()));
-            let (ga, gb) = {
-                let _guard = TierGuard::off();
-                let ga: SetRepr = ra.iter().collect();
-                let gb: SetRepr = rb.iter().collect();
-                (ga, gb)
-            };
-            let u = union(&ra, &rb);
-            let d = ra.merge_sorted_difference(&rb);
-            let (ug, dg) = {
-                let _guard = TierGuard::off();
-                (union(&ga, &gb), ga.merge_sorted_difference(&gb))
-            };
-            assert_eq!(u, ug, "union {xa:?} ∪ {xb:?}");
-            assert_eq!(u.iter().collect::<Vec<_>>(), ug.iter().collect::<Vec<_>>());
-            assert_eq!(d, dg, "difference {xa:?} \\ {xb:?}");
-            assert_eq!(d.iter().collect::<Vec<_>>(), dg.iter().collect::<Vec<_>>());
-        }
-        // An arity mismatch falls back to the cursor merge and demotes.
-        let (unary, binary): (SetRepr, SetRepr) = (
-            (0..8).map(|i| Value::tuple([Value::atom(i)])).collect(),
-            pairs(0..8),
-        );
-        let u = union(&unary, &binary);
-        assert_eq!(u.len(), 16);
-        assert_eq!(u.tier_label(), "spilled");
-        let mut folded = unary.clone();
-        for v in binary.iter() {
-            folded.insert(v);
-        }
-        assert_eq!(u, folded);
-    }
-
-    #[test]
-    fn mixed_atoms_and_rows_merge_in_one_pass() {
-        // The adversarial mix: an id store against a row store. The cursor
-        // merge demotes and merges in a single pass (no per-element
-        // re-insert, no quadratic rebuild).
-        let a = atoms(0..50);
-        let r = pairs(0..50);
-        let u = union(&a, &r);
-        assert_eq!(u.len(), 100);
-        assert_eq!(u.tier_label(), "spilled");
-        // Atoms sort before tuples, so the id store's elements lead.
-        assert_eq!(u.first(), Some(Value::atom(0)));
-        assert_eq!(
-            u.iter().nth(50),
-            Some(Value::tuple([Value::atom(0), Value::atom(0)]))
-        );
-        // Symmetric direction agrees.
-        assert_eq!(union(&r, &a), u);
-        // Difference removes nothing: no atom equals any pair.
-        assert_eq!(a.merge_sorted_difference(&r), a);
-        assert_eq!(r.merge_sorted_difference(&a), r);
-        // First-wins tie direction survives the demote-and-merge: a named
-        // generic operand loses ties against both columnar stores.
-        let named: SetRepr = (0..3)
-            .map(|i| Value::named_atom(i, "n"))
-            .chain((0..3).map(|i| Value::tuple([Value::named_atom(i / 7, "n"), Value::atom(i)])))
-            .collect();
-        assert_eq!(named.tier_label(), "spilled");
-        let u = union(&a, &named);
-        assert_eq!(format!("{}", u.first().unwrap()), "d0", "self's atom won");
-        let u = union(&r, &named);
-        // The named bare atoms sort ahead of every tuple; the first tuple
-        // is self's plain copy of the duplicated (0, 0).
-        let first_tuple = u.iter().nth(3).unwrap();
-        assert_eq!(format!("{first_tuple}"), "[d0, d0]", "self's row won");
-        // The reverse direction keeps the named copies: *other* now loses.
-        let u = union(&named, &r);
-        assert_eq!(format!("{}", u.iter().nth(3).unwrap()), "[n#0, d0]");
-    }
-
-    #[test]
-    fn rows_pop_first_drains_ascending_and_compacts() {
-        let mut s = pairs(0..40);
-        let expect: Vec<Value> = s.iter().collect();
-        let mut drained = Vec::new();
-        let mut min_backing = usize::MAX;
-        while let Some(v) = s.pop_first() {
-            min_backing = min_backing.min(s.backing_slots());
-            drained.push(v);
-        }
-        assert_eq!(drained, expect);
-        // The dead prefix was reclaimed along the way, not kept forever.
-        assert!(min_backing < 40, "backing never shrank: {min_backing}");
-        // Worklist pattern: interleaved pop and insert stays on the tier.
-        let mut s = pairs(0..20);
-        for i in 20..60 {
-            s.pop_first();
-            s.insert(Value::tuple([Value::atom(i / 7), Value::atom(i)]));
-            assert_eq!(s.tier_label(), "rows");
-        }
-        assert_eq!(s.len(), 20);
-    }
-
-    #[test]
-    fn rows_are_invisible_to_eq_ord_hash_across_tiers() {
-        use std::collections::hash_map::DefaultHasher;
-        let r = pairs(0..10);
-        let g: SetRepr = {
-            let _guard = TierGuard::off();
-            r.iter().collect()
-        };
-        assert_eq!(g.tier_label(), "spilled");
-        assert_eq!(r, g);
-        assert_eq!(r.cmp(&g), Ordering::Equal);
-        let hash = |s: &SetRepr| {
-            let mut h = DefaultHasher::new();
-            s.hash(&mut h);
-            h.finish()
-        };
-        assert_eq!(hash(&r), hash(&g));
-        // Ordering against a neighboring set agrees tier-on and tier-off.
-        let bigger = pairs(1..11);
-        let bigger_g: SetRepr = {
-            let _guard = TierGuard::off();
-            bigger.iter().collect()
-        };
-        assert_eq!(r.cmp(&bigger), g.cmp(&bigger_g));
-    }
-
-    #[test]
-    fn new_rows_is_a_working_empty_set() {
-        let mut s = SetRepr::new_rows(2);
-        assert_eq!(s.tier_label(), "rows");
-        assert!(s.is_empty());
-        assert_eq!(s.first(), None);
-        assert_eq!(s.pop_first(), None);
-        assert!(s.insert(Value::tuple([Value::atom(2), Value::atom(0)])));
-        assert!(s.insert(Value::tuple([Value::atom(1), Value::atom(5)])));
-        assert!(!s.insert(Value::tuple([Value::atom(2), Value::atom(0)])));
-        assert_eq!(s.len(), 2);
-        assert_eq!(
-            s.first(),
-            Some(Value::tuple([Value::atom(1), Value::atom(5)]))
-        );
-        let same: SetRepr = [[1u64, 5], [2, 0]]
-            .into_iter()
-            .map(|[a, b]| Value::tuple([Value::atom(a), Value::atom(b)]))
-            .collect();
-        assert_eq!(s, same);
-        // Widening works from the empty row store too.
-        let mut s = SetRepr::new_rows(2);
-        assert!(s.insert(Value::nat(7)));
-        assert_eq!(s.tier_label(), "inline");
-        // Arity 0 and tier-off fall back to a plain empty set.
-        assert_eq!(SetRepr::new_rows(0).tier_label(), "inline");
-        let _guard = TierGuard::off();
-        assert_eq!(SetRepr::new_rows(2).tier_label(), "inline");
-    }
-
-    #[test]
-    fn row_search_narrows_per_column() {
-        let cols: Vec<Vec<u32>> = vec![vec![0, 0, 0, 1, 1, 2], vec![0, 3, 5, 0, 4, 2]];
-        for (i, row) in [[0, 0], [0, 3], [0, 5], [1, 0], [1, 4], [2, 2]]
-            .iter()
-            .enumerate()
-        {
-            let key: Vec<u32> = row.to_vec();
-            assert_eq!(row_search(&cols, 0, &key), Ok(i), "{row:?}");
-        }
-        assert_eq!(row_search(&cols, 0, &[0, 4]), Err(2));
-        assert_eq!(row_search(&cols, 0, &[0, 6]), Err(3));
-        assert_eq!(row_search(&cols, 0, &[3, 0]), Err(6));
-        // A live window offsets every answer.
-        assert_eq!(row_search(&cols, 3, &[1, 4]), Ok(1));
-        assert_eq!(row_search(&cols, 3, &[0, 0]), Err(0));
     }
 }

@@ -84,10 +84,9 @@ fn join_opt(a: Option<Type>, b: Option<Type>) -> Option<Type> {
 }
 
 /// The shape of a constant. Set shapes are judged cheaply: a columnar
-/// store *proves* its element shape (`set(atom)` for the scalar tiers,
-/// `set(tuple(atom, …, atom))` for the arity-k row tier — that is the
-/// representation invariant), any other non-empty set is judged by its
-/// minimum element, and the empty set gets the polymorphic `set('a0)`.
+/// store *proves* `set(atom)` (that is the representation invariant), any
+/// other non-empty set is judged by its minimum element, and the empty set
+/// gets the polymorphic `set('a0)`.
 pub(crate) fn shape_of_value(v: &Value) -> Option<Type> {
     match v {
         Value::Bool(_) => Some(Type::Bool),
@@ -99,9 +98,6 @@ pub(crate) fn shape_of_value(v: &Value) -> Option<Type> {
             .collect::<Option<Vec<_>>>()
             .map(Type::Tuple),
         Value::Set(items) => {
-            if let Some(arity) = items.rows_arity() {
-                return Some(Type::relation(arity));
-            }
             if items.is_columnar() {
                 return Some(Type::set_of(Type::Atom));
             }

@@ -651,29 +651,18 @@ fn run_reduce(
     let n = items.len();
 
     // Static tier pre-promotion: when codegen proved the fold's result is a
-    // `set(atom)` (or a fixed-arity atom-tuple set) and the base is the
-    // empty generic set, start the accumulator on the matching columnar
-    // tier so inserts stay u32-columnar from the first element.
+    // `set(atom)` and the base is the empty generic set, start the
+    // accumulator on the columnar atoms tier so inserts stay u32-columnar
+    // from the first element.
     // Stats-neutral: all representations of the empty set weigh zero and
     // charge nothing. A wrong (advisory) stamp only costs the fast path —
     // the first non-conforming insert demotes in place.
-    match r.acc_tier {
-        SetTier::Atom => {
-            if let Value::Set(b) = &base_v {
-                if b.is_empty() && !b.is_columnar() {
-                    base_v = Value::Set(Arc::new(crate::setrepr::SetRepr::new_atoms()));
-                }
+    if r.acc_tier == SetTier::Atom {
+        if let Value::Set(b) = &base_v {
+            if b.is_empty() && !b.is_columnar() {
+                base_v = Value::Set(Arc::new(crate::setrepr::SetRepr::new_atoms()));
             }
         }
-        SetTier::Tuple { arity } => {
-            if let Value::Set(b) = &base_v {
-                if b.is_empty() && !b.is_columnar() {
-                    base_v =
-                        Value::Set(Arc::new(crate::setrepr::SetRepr::new_rows(arity as usize)));
-                }
-            }
-        }
-        SetTier::Generic => {}
     }
 
     // Proper-hom folds with enough per-element work shard across the worker

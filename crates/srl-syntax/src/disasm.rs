@@ -393,11 +393,12 @@ mod tests {
     }
 
     #[test]
-    fn relation_folds_disassemble_with_the_tuple_tier() {
+    fn relation_folds_disassemble_generic() {
         use srl_core::types::Type;
         // A declared arity-2 relation: shape inference proves
         // set(tuple(atom, atom)) for both the traversed set and the
-        // insert-spine accumulator, and the stamp prints as tuple(2).
+        // insert-spine accumulator, and sets of tuples live in the generic
+        // tier, so the stamp prints as generic.
         let p = Program::srl().define_typed(
             "copy",
             [("E", Type::relation(2))],
@@ -411,7 +412,7 @@ mod tests {
         );
         let c = p.compile();
         let text = disasm_program(&c);
-        assert!(text.contains("tier=tuple(2)/tuple(2)"), "{text}");
+        assert!(text.contains("tier=generic/generic"), "{text}");
     }
 
     /// `derived::cartesian(A, B)` spelled out with its parts exposed, so

@@ -1,25 +1,23 @@
-//! Differential test: generic vs. columnar *tuple-set* storage.
+//! Differential test: programs over *tuple sets*, across backends and the
+//! columnar-tier toggle.
 //!
-//! The struct-of-arrays rows tier (`srl-core::setrepr::Store::Rows`:
-//! k parallel sorted-lexicographic `u32` columns for sets of fixed-arity
-//! plain-atom tuples) promises to be **pure representation**, exactly
-//! like the atom tiers before it: for every program, identical `Value`
-//! results, identical *printed* results (named-component copies
-//! included), and byte-identical `EvalStats` whether the tier is enabled
-//! or disabled, on every backend (tree-walk, sequential VM, pooled VM at
-//! 2 and 4 threads). This suite drives the full 2×4 matrix over the
-//! E1–E9 srl-bench workloads through their *relational* lens — pair-edge
-//! closures (E5), table joins (E9), product relations — proves via the
-//! per-tier engagement breakdown (`Evaluator::tier_engagement_breakdown`)
-//! that the rows tier actually engages where fixed-arity tuples
-//! accumulate and provably stays out when disabled, and stresses the
-//! promotion/demotion edges the adaptive storage decisions hinge on
-//! (arity changes mid-fold, non-atom components, named duplicates, the
-//! inline-capacity threshold).
+//! Sets of tuples live in the generic tiers (inline and spilled); the
+//! columnar tiers hold plain atoms only. For every program in this suite
+//! the results must be identical `Value`s, identical *printed* results
+//! (named-component copies included), and byte-identical `EvalStats`
+//! whether the columnar tier is enabled or disabled, on every backend
+//! (tree-walk, sequential VM, pooled VM at 2 and 4 threads). The suite
+//! drives the full 2×4 matrix over the E1–E9 srl-bench workloads through
+//! their *relational* lens — pair-edge closures (E5), table joins (E9),
+//! product relations — pins the per-tier engagement breakdown
+//! (`Evaluator::tier_engagement_breakdown`): no engagement when the tier
+//! is disabled, and `rows` always 0, and stresses the shape edges of the
+//! storage decisions (arity changes mid-fold, non-atom components, named
+//! duplicates, the inline-capacity threshold, tuple ∪ atom mixes).
 //!
-//! The toggle (`set_atom_tier_enabled`) gates every columnar tier,
-//! including rows; inputs are rebuilt under each configuration's toggle
-//! so the "off" runs really evaluate generic-tier values.
+//! The toggle (`set_atom_tier_enabled`) gates every columnar tier; inputs
+//! are rebuilt under each configuration's toggle so the "off" runs really
+//! evaluate generic-tier values.
 
 use std::sync::Arc;
 
@@ -60,7 +58,7 @@ fn rebuild(v: &Value) -> Value {
     }
 }
 
-/// A set of pair tuples `(i, j)` — the canonical rows-tier inhabitant.
+/// A set of pair tuples `(i, j)` — the canonical relation inhabitant.
 fn pair_set(pairs: impl IntoIterator<Item = (u64, u64)>) -> Value {
     Value::set(
         pairs
@@ -120,11 +118,10 @@ fn run_matrix(
 
 /// Asserts every configuration produced the same value (structurally
 /// *and* as printed — named-atom copies must not drift), byte-identical
-/// `EvalStats`, and that the disabled tier never reported an engagement
-/// on *any* tier. Returns the value and the minimum **rows**-tier
-/// engagement count over the tier-on configurations (so callers can
-/// assert the rows tier provably engaged on every backend, not just one).
-fn assert_tier_identical(label: &str, outcomes: &[Outcome]) -> (Value, u64) {
+/// `EvalStats`, that the disabled tier never reported an engagement on
+/// *any* tier, and that no configuration reported a `rows` engagement (the
+/// documented contract of `TierEngagements::rows`). Returns the value.
+fn assert_tier_identical(label: &str, outcomes: &[Outcome]) -> Value {
     let (first, rest) = outcomes.split_first().expect("matrix is non-empty");
     let (v0, s0) = first
         .result
@@ -152,13 +149,14 @@ fn assert_tier_identical(label: &str, outcomes: &[Outcome]) -> (Value, u64) {
             o.config
         );
     }
-    let rows_min = outcomes
-        .iter()
-        .filter(|o| o.tier_on)
-        .map(|o| o.engagements.rows)
-        .min()
-        .expect("tier-on configurations exist");
-    (v0.clone(), rows_min)
+    for o in outcomes {
+        assert_eq!(
+            o.engagements.rows, 0,
+            "{label} [{}]: the retired rows tier reported engagements",
+            o.config
+        );
+    }
+    v0.clone()
 }
 
 /// Asserts every configuration failed with the same error kind and the
@@ -213,32 +211,30 @@ fn assert_expr_identical(
     inputs: &[Value],
     expr: &Expr,
     label: &str,
-) -> (Value, u64) {
+) -> Value {
     let outcomes = run_expr(program, EvalLimits::benchmark(), names, inputs, expr);
     assert_tier_identical(label, &outcomes)
 }
 
 // ---------------------------------------------------------------------------
 // The srl-bench workloads, E1–E9, through their relational lens: the
-// rows tier must be unobservable in values, display, and stats, and it
-// must provably engage where fixed-arity atom tuples accumulate.
+// tier toggle must be unobservable in values, display, and stats.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn e1_apath_agrees_and_engages_rows() {
+fn e1_apath_agrees() {
     use srl_stdlib::agap::{apath_program, names};
     use workloads::altgraph::AlternatingGraph;
 
     // The alternating-path edges are pair tuples: the traversed relation
-    // lives on the rows tier on every backend.
+    // lives on the generic tier on every backend.
     let program = apath_program();
     let graph = AlternatingGraph::random(6, 0.25, 13);
     let inputs = [graph.nodes_value(), graph.edges_value(), graph.ands_value()];
     let outcomes = run_matrix(&program, EvalLimits::benchmark(), &inputs, |ev, vals| {
         ev.call(names::APATH, vals)
     });
-    let (_, rows_min) = assert_tier_identical("E1 APATH", &outcomes);
-    assert!(rows_min > 0, "E1: rows tier did not engage on some backend");
+    assert_tier_identical("E1 APATH", &outcomes);
 }
 
 #[test]
@@ -246,13 +242,13 @@ fn e2_powerset_of_a_relation_agrees() {
     use srl_stdlib::blowup::{names, powerset_program};
 
     // Powerset over a *pair-tuple* ground set: the subsets are tuple sets
-    // that promote as they cross the inline capacity.
+    // that spill as they cross the inline capacity.
     let program = powerset_program();
     let inputs = [pair_set((0..5u64).map(|i| (i, i + 1)))];
     let outcomes = run_matrix(&program, EvalLimits::default(), &inputs, |ev, vals| {
         ev.call(names::POWERSET, vals)
     });
-    let (v, _) = assert_tier_identical("E2 powerset(pairs)", &outcomes);
+    let v = assert_tier_identical("E2 powerset(pairs)", &outcomes);
     assert_eq!(v.len(), Some(1usize << 5));
 }
 
@@ -290,12 +286,11 @@ fn e4_permutation_product_agrees() {
 }
 
 #[test]
-fn e5_tc_dtc_agree_and_engage_rows() {
+fn e5_tc_dtc_agree() {
     use srl_bench::queries;
     use workloads::digraph::Digraph;
 
-    // The E5 closures accumulate the pair *relation*: the core rows-tier
-    // workload. Engagement must hold on every backend.
+    // The E5 closures accumulate the pair *relation*.
     let program = Program::new(Dialect::full());
     for n in [6usize, 14] {
         let g = Digraph::random(n, 2.0 / n as f64, 23 + n as u64);
@@ -304,19 +299,13 @@ fn e5_tc_dtc_agree_and_engage_rows() {
             ("E5 TC", queries::tc_query()),
             ("E5 DTC", queries::dtc_query()),
         ] {
-            let (_, rows_min) = assert_expr_identical(
+            assert_expr_identical(
                 &program,
                 &["D", "E"],
                 &inputs,
                 &expr,
                 &format!("{label} n={n}"),
             );
-            if n == 14 {
-                assert!(
-                    rows_min > 0,
-                    "{label} n={n}: rows tier did not engage on some backend"
-                );
-            }
         }
     }
 }
@@ -379,25 +368,21 @@ fn e8_order_dependence_probes_agree_on_tuples() {
 }
 
 #[test]
-fn e9_relational_queries_agree_and_engage_rows() {
+fn e9_relational_queries_agree() {
     use srl_bench::queries;
     use workloads::tables::CompanyDatabase;
 
     // The E9 tables are fixed-arity atom-tuple relations; the join
-    // traverses one and produces another — both on the rows tier.
+    // traverses one and produces another.
     let program = Program::new(Dialect::full());
     let db = CompanyDatabase::generate(32, 8, 4, 47);
     let inputs = [db.employees_value(), db.departments_value()];
-    let (_, rows_min) = assert_expr_identical(
+    assert_expr_identical(
         &program,
         &["EMP", "DEPT"],
         &inputs,
         &queries::company_join(),
         "E9 join",
-    );
-    assert!(
-        rows_min > 0,
-        "E9 join: rows tier did not engage on some backend"
     );
     assert_expr_identical(
         &program,
@@ -409,14 +394,14 @@ fn e9_relational_queries_agree_and_engage_rows() {
 }
 
 #[test]
-fn product_relation_agrees_and_engages_rows() {
+fn product_relation_agrees() {
     use srl_bench::queries;
 
-    // A × B: every accumulated element is a plain pair — the purest
-    // rows-tier workload (bulk unions of column slices).
+    // A × B: every accumulated element is a plain pair, built by bulk
+    // unions of pair blocks.
     let program = Program::new(Dialect::full());
     let inputs = [atom_set(0..12u64), atom_set(0..10u64)];
-    let (v, rows_min) = assert_expr_identical(
+    let v = assert_expr_identical(
         &program,
         &["A", "B"],
         &inputs,
@@ -424,23 +409,19 @@ fn product_relation_agrees_and_engages_rows() {
         "A × B",
     );
     assert_eq!(v.len(), Some(120));
-    assert!(
-        rows_min > 0,
-        "product: rows tier did not engage on some backend"
-    );
 }
 
 // ---------------------------------------------------------------------------
-// Mixed-shape adversaries: promotions, demotions, and cross-tier merges
+// Mixed-shape adversaries: shape changes and cross-tier merges
 // mid-evaluation.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn arity_change_mid_fold_agrees() {
     // The combiner inserts the pair for members of T and its first
-    // component (a bare atom) otherwise: the accumulator promotes to the
-    // rows tier while same-arity inserts land, then demotes in place on
-    // the first foreign shape. Identity must survive on every backend.
+    // component (a bare atom) otherwise: the accumulator mixes pairs and
+    // bare atoms from the first foreign shape on. Identity must survive on
+    // every backend.
     let program = Program::srl();
     let expr = set_reduce(
         var("S"),
@@ -465,8 +446,8 @@ fn arity_change_mid_fold_agrees() {
 
 #[test]
 fn widening_tuple_contents_agree() {
-    // Mixed-arity unions, nat-component tuples, and tuple∪atom mixes all
-    // force demotion out of the rows tier mid-merge.
+    // Mixed-arity unions, nat-component tuples, and tuple∪atom mixes:
+    // cross-shape merges, including against a columnar atom operand.
     let program = Program::srl();
     let unary = Value::set((0..20u64).map(|i| Value::tuple([Value::atom(i)])));
     let pairs = pair_set((0..20u64).map(|i| (i, i)));
@@ -492,8 +473,8 @@ fn widening_tuple_contents_agree() {
 fn named_component_first_wins_survives_the_tier() {
     // Tuples with named components are equal to their plain-rank twins
     // but display differently; first-wins must keep exactly the same copy
-    // whether the target set is columnar or generic (a named duplicate
-    // must not widen a row store or replace its plain copy).
+    // whatever the toggle (a named duplicate must not replace the stored
+    // plain copy).
     let program = Program::srl();
     let named = Value::set(
         (0..15u64)
@@ -503,7 +484,7 @@ fn named_component_first_wins_survives_the_tier() {
     let inputs = [plain, named];
     // `union(x, y)` folds over `x` inserting into `y`: the base set's
     // copies arrive first and win. With N as base the named copies stay…
-    let (v, _) = assert_expr_identical(
+    let v = assert_expr_identical(
         &program,
         &["A", "N"],
         &inputs,
@@ -512,9 +493,9 @@ fn named_component_first_wins_survives_the_tier() {
     );
     assert_eq!(v.len(), Some(30));
     assert!(format!("{v}").contains("v0"), "{v}");
-    // …and with the columnar A as base the plain ranks stay: a named
-    // duplicate answered `false` without widening the storage.
-    let (v, _) = assert_expr_identical(
+    // …and with A as base the plain ranks stay: a named duplicate is
+    // answered `false`.
+    let v = assert_expr_identical(
         &program,
         &["A", "N"],
         &inputs,
@@ -533,11 +514,11 @@ fn named_component_first_wins_survives_the_tier() {
 fn tuple_storage_threshold_edges_agree() {
     let program = Program::srl();
     let cases: Vec<(&str, Vec<(u64, u64)>)> = vec![
-        // Inline capacity edge: 4 stays inline, 5 promotes to rows.
+        // Inline capacity edge: 4 stays inline, 5 spills.
         ("len 3", (0..3).map(|i| (i, i + 1)).collect()),
         ("len 4", (0..4).map(|i| (i, i + 1)).collect()),
         ("len 5", (0..5).map(|i| (i, i + 1)).collect()),
-        // Shared-prefix columns stress the per-column narrowing.
+        // Shared first components: ties broken by the second.
         ("shared prefix", (0..40).map(|i| (i / 8, i)).collect()),
         // Wide arity-3-like spread via big second components.
         ("wide ids", (0..40).map(|i| (i, i * 1_000)).collect()),
@@ -599,7 +580,8 @@ impl Gen {
     }
 
     /// Up to 60 tuples of the given arity, drawn dense (small universe) or
-    /// sparse (wide universe), so generated sets land on every tier.
+    /// sparse (wide universe), so generated sets are both inline and
+    /// spilled.
     fn tuple_set(&mut self, arity: usize) -> Vec<Vec<u64>> {
         let len = self.below(60);
         let universe = if self.below(2) == 0 { 16 } else { 100_000 };
@@ -635,7 +617,7 @@ fn random_tuple_set_algebra_is_tier_invariant() {
                 member(tuple(probe.iter().map(|&i| atom(i))), var("A")),
             ),
         ] {
-            let (v, _) = assert_expr_identical(
+            let v = assert_expr_identical(
                 &program,
                 &["A", "B"],
                 &inputs,
@@ -716,7 +698,7 @@ fn generated_products_agree_on_every_engine_and_tier() {
         let (a, b) = (g.product_operand(), g.product_operand());
         let inputs = [a.clone(), b.clone()];
         let label = format!("case {case}: A={a} B={b}");
-        let (v, _) = assert_expr_identical(
+        let v = assert_expr_identical(
             &program,
             &["A", "B"],
             &inputs,
@@ -778,7 +760,7 @@ fn failures_inside_the_product_stop_at_the_same_iteration() {
     let (e, partial) = assert_same_failure("non-set B", &outcomes);
     assert_eq!(e.kind(), "shape");
     assert_eq!(partial.reduce_iterations, 1);
-    let (v, _) = assert_tier_identical(
+    let v = assert_tier_identical(
         "empty A, non-set B",
         &run_expr(
             &program,
