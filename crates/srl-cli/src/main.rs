@@ -22,8 +22,9 @@
 //! field order, byte-identical across backends *and* across `--threads`
 //! settings (CI diffs backend pairs and thread pairs), and the exact body
 //! the `srl serve` line protocol returns for the same query.
-//! `--threads N` shards provably order-insensitive `set-reduce` folds
-//! across an `N`-worker pool (VM backend only; see `srl-core::parallel`).
+//! `--threads N` shards provably order-insensitive `set-reduce` folds whose
+//! estimated work clears the gate across an `N`-worker pool (VM backend
+//! only; see `srl-core::parallel`).
 //! The REPL accepts definitions (`f(x) = …`), input bindings
 //! (`S := {d1, d2}`), and expressions over both.
 
@@ -95,7 +96,8 @@ local to the combiner or threaded through a callee's spine parameter.
 [d1, d2] (tuple), {d0, d1} (set), <d1, d2> (list). With --json the result
 and EvalStats print as the versioned v1 body (byte-identical across
 backends and across --threads settings). --threads N shards proper-hom
-set-reduce folds over an N-worker pool (vm backend only). --timeout-ms N
+set-reduce folds whose estimated work clears the gate over an N-worker
+pool (vm backend only). --timeout-ms N
 arms a wall-clock deadline; an overrunning query aborts with exit code 7
 and, with --json, a structured error object carrying the partial stats.
 

@@ -14,6 +14,9 @@ use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 use srl_core::api;
+use srl_core::bytecode::Insn;
+use srl_core::parallel::PAR_WORK_THRESHOLD;
+use srl_core::Program;
 
 const SRL: &str = env!("CARGO_BIN_EXE_srl");
 
@@ -154,13 +157,35 @@ fn timeouts_are_exit_seven_and_prompt() {
     let _ = std::fs::remove_file(file);
 }
 
-/// A projection fold over `n` pairs — a proper-hom `insert-app` fold whose
-/// work estimate clears `PAR_WORK_THRESHOLD`, so `--threads 4` shards it.
+/// A proper-hom `insert-app` fold projecting the pairs in `S`.
+const PROJECTION_EXPR: &str =
+    "set-reduce(S, lambda(x, e) x.2, lambda(y, acc) insert(y, acc), emptyset, emptyset)";
+
+/// The fewest pairs whose projection fold work reaches
+/// `PAR_WORK_THRESHOLD`, so `--threads 4` shards it: the gate over the
+/// fold's unit cost, read from the compiled code.
+fn sharded_pairs() -> usize {
+    let expr = srl_syntax::parse_expr(PROJECTION_EXPR).expect("the projection parses");
+    let compiled = Program::srl().compile();
+    let lowered = compiled.lower_expr(&expr, &["S"]);
+    let chunk = lowered.code(&compiled);
+    let cost = chunk
+        .block(chunk.main())
+        .code()
+        .iter()
+        .find_map(|insn| match insn {
+            Insn::Reduce(r) => Some(r.unit_cost),
+            _ => None,
+        })
+        .expect("the projection is one fold");
+    PAR_WORK_THRESHOLD.div_ceil(u64::from(cost)) as usize
+}
+
+/// The projection over `n` pairs as a program whose `main` applies it.
 fn projection_main(n: usize) -> String {
     let pairs: Vec<String> = (1..=n).map(|i| format!("[d{i}, d{}]", i + n)).collect();
     format!(
-        "proj(S) =\n  set-reduce(S, lambda(x, t) x.2, lambda(y, acc) insert(y, acc), emptyset, emptyset)\n\n\
-         main() =\n  proj({{{}}})\n",
+        "proj(S) =\n  {PROJECTION_EXPR}\n\nmain() =\n  proj({{{}}})\n",
         pairs.join(", ")
     )
 }
@@ -170,7 +195,7 @@ fn injected_worker_panics_are_exit_eight() {
     // `SRL_FAULTS=worker_panic@1` panics shard 1 of the first parallel fold;
     // the worker pool must convert that into a structured internal error —
     // a clean exit 8, not an abort or a hung process.
-    let file = temp_program("fault", &projection_main(1200));
+    let file = temp_program("fault", &projection_main(sharded_pairs()));
     let file_str = file.to_str().unwrap();
     let out = Command::new(SRL)
         .args(["run", file_str, "--threads", "4", "--json"])
@@ -332,9 +357,8 @@ fn serve_sheds_past_max_inflight() {
     );
     let mut a = server.connect();
     let mut b = server.connect();
-    let pairs: Vec<String> = (0..1200)
-        .map(|i| format!("[d{i}, d{}]", i + 1200))
-        .collect();
+    let n = sharded_pairs();
+    let pairs: Vec<String> = (0..n).map(|i| format!("[d{i}, d{}]", i + n)).collect();
     for (client, tenant) in [(&mut a, "a"), (&mut b, "b")] {
         let bound = client.request(&format!(
             "{{\"v\": 1, \"kind\": \"bind\", \"tenant\": \"{tenant}\", \"name\": \"S\", \"value\": \"{{{}}}\"}}",
@@ -344,8 +368,7 @@ fn serve_sheds_past_max_inflight() {
     }
     let query = |tenant: &str| {
         format!(
-            "{{\"v\": 1, \"kind\": \"run\", \"tenant\": \"{tenant}\", \"expr\": \
-             \"set-reduce(S, lambda(x, e) x.2, lambda(y, acc) insert(y, acc), emptyset, emptyset)\"}}"
+            "{{\"v\": 1, \"kind\": \"run\", \"tenant\": \"{tenant}\", \"expr\": \"{PROJECTION_EXPR}\"}}"
         )
     };
     a.send(&query("a"));

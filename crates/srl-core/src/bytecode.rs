@@ -416,7 +416,8 @@ pub struct ReduceInsn {
     /// Static estimate of the work one fold iteration performs (weighted
     /// instruction count of the lambda blocks; nested reduces and calls
     /// weigh heavily). The parallel executor multiplies it by the input
-    /// cardinality to decide whether sharding pays for the thread handoff.
+    /// cardinality and shards only when the product reaches
+    /// [`crate::parallel::PAR_WORK_THRESHOLD`].
     pub unit_cost: u32,
     /// Statically-proved storage tier of the **traversed set** (see
     /// [`SetTier`]): [`SetTier::Atom`] when shape inference
@@ -1433,9 +1434,9 @@ impl<'a> Codegen<'a> {
     /// Static per-iteration work estimate of a fold: the weighted
     /// instruction count of the lambda blocks it runs per element. A nested
     /// reduce or a call hides an unknown amount of work behind one
-    /// instruction, so both weigh far more than a plain instruction —
-    /// enough that e.g. a `select` whose predicate quantifies over a second
-    /// relation shards even at modest cardinalities.
+    /// instruction, so both weigh far more than a plain instruction. The
+    /// weights are flat: a nested fused `Member` (one binary search) weighs
+    /// as much as a nested fold over a whole relation.
     fn unit_cost(&self, kind: &ReduceKind) -> u32 {
         const BASE: u32 = 4; // the fused accumulator arithmetic per element
         match kind {

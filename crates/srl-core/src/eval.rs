@@ -313,10 +313,12 @@ impl Evaluator {
     }
 
     /// Diagnostic counter: how many `set-reduce` folds were actually
-    /// executed sharded across the worker pool (always 0 under
-    /// `threads ≤ 1`, under the tree-walk backend, and for folds below the
-    /// [`crate::parallel`] work threshold). Deliberately **not** part of
-    /// [`EvalStats`]: the statistics are byte-identical across thread
+    /// executed sharded across the worker pool. It stays 0 under
+    /// `threads ≤ 1`, under the tree-walk backend, and for folds whose
+    /// `n × unit_cost` is below [`crate::parallel::PAR_WORK_THRESHOLD`]
+    /// (about 1 ms of sequential work), which covers every fold of the
+    /// E1–E9 queries at perfbench's batch sizes. Deliberately **not** part
+    /// of [`EvalStats`]: the statistics are byte-identical across thread
     /// counts, while this counter reports the execution strategy.
     pub fn parallel_folds(&self) -> u64 {
         self.core.parallel_folds

@@ -91,9 +91,13 @@
 //! sharded only when the base is a set (any other base is an error or
 //! degenerate case the sequential path reproduces exactly). The handoff is
 //! gated by [`PAR_WORK_THRESHOLD`]: input cardinality times the fold's
-//! static [`unit_cost`](crate::bytecode::ReduceInsn::unit_cost) must make
-//! the spawn worth it. Declining never changes results or statistics —
-//! gating is pure strategy.
+//! static [`unit_cost`](crate::bytecode::ReduceInsn::unit_cost) must reach
+//! about a millisecond of sequential work (2^16 units) before the spawn
+//! pays on real cores. The E1–E9 queries that perfbench's batch workload
+//! times stay below it and run sequentially; powerset sift folds from 11
+//! atoms up and selects over thousands of elements with a nested
+//! quantifier shard. The constant's doc holds the calibration. Declining
+//! never changes results or statistics — gating is pure strategy.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -115,7 +119,35 @@ use crate::vm::{boolacc_element, filter_element, generic_element, insertapp_elem
 /// overhead would outweigh the per-shard work; above it, the shards
 /// amortize the handoff. Gating is pure execution strategy — results and
 /// statistics are identical either way.
-pub const PAR_WORK_THRESHOLD: u64 = 4096;
+///
+/// **Calibration** (2 vCPU host, nproc = 2). 2^16 units is about 1 ms of
+/// sequential fold work at the 13–20 ns per unit the E1–E9 batch folds
+/// run at. Below that, sharding loses on real cores:
+///
+/// - one `thread::scope` spawn plus join costs 37–40 µs per fold;
+/// - shards that run concurrently each take 0.6–0.85× of the sequential
+///   fold's time, not 0.5× (E9's filter over 600 pairs: 134 µs
+///   sequential, 113–200 µs per 300-element shard).
+///
+/// The batch folds span 4.7k–37k units and every one of them lost when
+/// sharded, so they run sequentially. Raising the gate from 4,096 to this
+/// value, perfbench `batch-experiments` at `threads = nproc = 2`
+/// (10 alternating pairs, medians, change/parent):
+///
+/// | metric | ratio | pairs won |
+/// |---|---|---|
+/// | `e9_join_ms` (0.497 → 0.308) | 0.62 | 10/10 |
+/// | `e5_tc_dtc_ms` (2.55 → 1.83) | 0.72 | 10/10 |
+/// | `e2_powerset_ms` | 0.74 | 10/10 |
+/// | `throughput_qps` | 1.28 | 10/10 |
+/// | `peak_rss_mb` | 0.90 | 10/10 |
+/// | `latency_p50_us` | 0.79 | 9/10 |
+/// | `e1`/`e3`/`e7` | 0.82–0.83 | 8–9/10 |
+///
+/// Folds above the gate still shard: E2's powerset sift folds from 11
+/// atoms up (1,024 subsets × 73 = 74,752 units; 2,048 × 73 at 12 atoms)
+/// and the `E9 inter-pairs n=4096` probe (4,096 × 265 ≈ 1.09M units).
+pub const PAR_WORK_THRESHOLD: u64 = 1 << 16;
 
 /// What one shard hands back to the merge.
 struct ShardRun {

@@ -16,8 +16,11 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use srl_core::api::Json;
+use srl_core::bytecode::Insn;
 use srl_core::faultpoint;
+use srl_core::parallel::PAR_WORK_THRESHOLD;
 use srl_core::pipeline::PipelineConfig;
+use srl_core::Program;
 use srl_serve::{ServeConfig, Server, ServerHandle};
 
 /// Serializes the tests in this binary around the process-global registry
@@ -106,9 +109,8 @@ fn singleton_run(arg: &str) -> String {
     )
 }
 
-/// The 1200-pair projection workload of the fault-injection suite, as a
-/// `bind` + bare-`expr` pair: enough elements that the VM pool shards the
-/// proper-hom fold.
+/// The projection workload of the fault-injection suite over `n` pairs, as
+/// a `bind` + bare-`expr` pair.
 fn projection_bind_line(n: u64) -> String {
     let pairs: Vec<String> = (0..n).map(|i| format!("[d{i}, d{}]", i + n)).collect();
     format!(
@@ -122,6 +124,26 @@ const PROJECTION_EXPR: &str =
 
 fn projection_run_line() -> String {
     format!("{{\"v\": 1, \"kind\": \"run\", \"expr\": \"{PROJECTION_EXPR}\"}}")
+}
+
+/// The fewest pairs whose projection fold work reaches
+/// `PAR_WORK_THRESHOLD`, so a pooled tenant shards it: the gate over the
+/// fold's unit cost, read from the compiled code.
+fn sharded_pairs() -> u64 {
+    let expr = srl_syntax::parse_expr(PROJECTION_EXPR).expect("the projection parses");
+    let compiled = Program::srl().compile();
+    let lowered = compiled.lower_expr(&expr, &["S"]);
+    let chunk = lowered.code(&compiled);
+    let cost = chunk
+        .block(chunk.main())
+        .code()
+        .iter()
+        .find_map(|insn| match insn {
+            Insn::Reduce(r) => Some(r.unit_cost),
+            _ => None,
+        })
+        .expect("the projection is one fold");
+    PAR_WORK_THRESHOLD.div_ceil(u64::from(cost))
 }
 
 #[test]
@@ -306,9 +328,10 @@ fn shed_past_max_inflight_with_bind_and_stats_still_served() {
     };
     let mut a = Client::connect(&handle);
     let mut b = Client::connect(&handle);
-    let bound = a.request(&tenanted(&projection_bind_line(1200), "a"));
+    let bind = projection_bind_line(sharded_pairs());
+    let bound = a.request(&tenanted(&bind, "a"));
     assert_eq!(bound.get("ok").and_then(Json::as_bool), Some(true));
-    let bound = b.request(&tenanted(&projection_bind_line(1200), "b"));
+    let bound = b.request(&tenanted(&bind, "b"));
     assert_eq!(bound.get("ok").and_then(Json::as_bool), Some(true));
 
     faultpoint::arm(faultpoint::MERGE_DELAY, 1000);
@@ -354,7 +377,8 @@ fn worker_panic_returns_internal_and_the_pool_keeps_serving() {
         ..ServeConfig::default()
     });
     let mut client = Client::connect(&handle);
-    client.request(&projection_bind_line(1200));
+    let pairs = sharded_pairs();
+    client.request(&projection_bind_line(pairs));
 
     // Shard 1 of the sharded fold panics on entry; the panic output is
     // expected noise, so silence the hook for the faulted request only.
@@ -375,7 +399,7 @@ fn worker_panic_returns_internal_and_the_pool_keeps_serving() {
     let stats = retry.get("stats").expect("stats");
     assert_eq!(
         stats.get("reduce_iterations").and_then(Json::as_u64),
-        Some(1200)
+        Some(pairs)
     );
 
     handle.shutdown();

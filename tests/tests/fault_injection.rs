@@ -16,7 +16,7 @@ use srl_core::dsl::*;
 use srl_core::{
     faultpoint, Env, EvalError, EvalLimits, EvalStats, Evaluator, ExecBackend, Program, Value,
 };
-use srl_integration_tests::atom_set;
+use srl_integration_tests::{atom_set, root_fold, shard_cardinality};
 use srl_stdlib::derived::map_set;
 
 /// Pool width for the sharded runs (matches `par_differential.rs`).
@@ -30,15 +30,23 @@ fn serialized() -> MutexGuard<'static, ()> {
     guard
 }
 
-/// A projection fold over `n` pairs: proper-hom, `insert-app` class, with
-/// enough static work per element that the pool shards it (the same
-/// workload `par_differential.rs` uses to prove engagement).
+/// A projection fold over `n` pairs: proper-hom, `insert-app` class (the
+/// same workload `par_differential.rs` uses to prove engagement).
 fn projection(n: u64) -> (Program, srl_core::Expr, Env) {
     let program = Program::srl();
     let pairs = Value::set((0..n).map(|i| Value::tuple([Value::atom(i), Value::atom(i + n)])));
     let env = Env::new().bind("S", pairs);
     let expr = map_set(var("S"), lam("x", "t", sel(var("x"), 2)), empty_set());
     (program, expr, env)
+}
+
+/// The projection at the fewest pairs whose fold work reaches
+/// `PAR_WORK_THRESHOLD`, so the pool shards it.
+fn sharded_projection() -> (Program, srl_core::Expr, Env) {
+    let (program, expr, _) = projection(0);
+    projection(shard_cardinality(
+        root_fold(&program, &expr, &["S"]).unit_cost,
+    ))
 }
 
 /// A fresh evaluator over a shared compiled form.
@@ -65,7 +73,7 @@ fn fresh_run(
 #[test]
 fn worker_panic_becomes_internal_and_the_pool_stays_usable() {
     let _g = serialized();
-    let (program, expr, env) = projection(1200);
+    let (program, expr, env) = sharded_projection();
     let mut ev = evaluator(
         &program,
         EvalLimits::benchmark(),
@@ -117,7 +125,7 @@ fn worker_panic_cancels_the_sibling_shards() {
     // Sibling cancellation is best-effort, but the *verdict* must always be
     // the Internal error, never the Cancelled the panicking shard induced
     // in its siblings (the merge ranks Internal first).
-    let (program, expr, env) = projection(4096);
+    let (program, expr, env) = sharded_projection();
     for shard in 0..2u64 {
         faultpoint::arm(faultpoint::WORKER_PANIC, shard);
         let hook = std::panic::take_hook();
@@ -216,7 +224,7 @@ fn deadline_inside_the_product_stops_every_engine_at_that_iteration() {
 #[test]
 fn deadline_mid_fold_under_the_pool_is_still_a_deadline() {
     let _g = serialized();
-    let (program, expr, env) = projection(1200);
+    let (program, expr, env) = sharded_projection();
     let limits = EvalLimits::benchmark().with_deadline_ms(3_600_000);
     faultpoint::arm(faultpoint::DEADLINE_MID_FOLD, 100);
     let err = evaluator(&program, limits, ExecBackend::vm_with_threads(THREADS))
@@ -236,7 +244,7 @@ fn deadline_mid_fold_under_the_pool_is_still_a_deadline() {
 #[test]
 fn merge_delay_changes_nothing_observable() {
     let _g = serialized();
-    let (program, expr, env) = projection(1200);
+    let (program, expr, env) = sharded_projection();
     let baseline = fresh_run(
         &program,
         &expr,
@@ -261,7 +269,7 @@ fn merge_delay_changes_nothing_observable() {
 #[test]
 fn disarmed_registry_keeps_thread_counts_indistinguishable() {
     let _g = serialized();
-    let (program, expr, env) = projection(1200);
+    let (program, expr, env) = sharded_projection();
     let seq = fresh_run(
         &program,
         &expr,
@@ -289,7 +297,7 @@ fn disarmed_registry_keeps_thread_counts_indistinguishable() {
 #[test]
 fn reuse_after_every_error_kind_matches_a_fresh_evaluator() {
     let _g = serialized();
-    let (program, expr, env) = projection(1200);
+    let (program, expr, env) = sharded_projection();
     let healthy = EvalLimits::benchmark();
     let backends = [
         ExecBackend::TreeWalk,

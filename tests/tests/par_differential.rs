@@ -13,13 +13,15 @@
 
 use std::sync::Arc;
 
+use srl_core::bytecode::ReduceKind;
 use srl_core::dsl::*;
+use srl_core::parallel::PAR_WORK_THRESHOLD;
 use srl_core::setrepr::set_atom_tier_enabled;
 use srl_core::{
     Dialect, Env, EvalError, EvalLimits, EvalStats, Evaluator, ExecBackend, Expr, Lambda, Program,
     Value,
 };
-use srl_integration_tests::atom_set;
+use srl_integration_tests::{atom_set, def_fold, expr_folds, root_fold, shard_cardinality};
 use srl_stdlib::derived::{difference, forall, intersection, map_set, select, union};
 
 /// The pool width the parallel side of every differential pair runs with.
@@ -77,14 +79,15 @@ fn assert_expr_identical(program: &Program, expr: &Expr, env: &Env, label: &str)
     })
 }
 
-/// Asserts both thread counts fail with the same error kind.
+/// Asserts both thread counts fail with the same error kind; returns the
+/// pooled evaluator's sharded-fold count.
 fn assert_same_error(
     program: &Program,
     limits: EvalLimits,
     label: &str,
     f: impl FnMut(&mut Evaluator) -> Result<Value, EvalError>,
-) {
-    let (seq, par, _) = both(program, limits, THREADS, f);
+) -> u64 {
+    let (seq, par, par_folds) = both(program, limits, THREADS, f);
     let seq_err = match seq {
         Err(e) => e,
         Ok((v, _)) => panic!("{label}: sequential unexpectedly succeeded with {v}"),
@@ -98,6 +101,7 @@ fn assert_same_error(
         std::mem::discriminant(&par_err),
         "{label}: error kinds differ (seq: {seq_err:?}, par: {par_err:?})"
     );
+    par_folds
 }
 
 // ---------------------------------------------------------------------------
@@ -119,26 +123,37 @@ fn e1_apath_agrees() {
     }
 }
 
+/// The fewest atoms whose powerset runs a sift fold at or above the gate.
+/// Folding in the `k`-th atom sifts the `2^(k-1)` subsets of the atoms
+/// before it, so the last sift traverses `2^(n-1)` subsets.
+fn powerset_shard_atoms(program: &Program) -> u64 {
+    use srl_stdlib::blowup::names;
+
+    let subsets = shard_cardinality(def_fold(program, names::SIFT).unit_cost);
+    1 + u64::from(subsets.next_power_of_two().trailing_zeros())
+}
+
 #[test]
 fn e2_powerset_agrees() {
     use srl_stdlib::blowup::{names, powerset_program};
 
     let program = powerset_program();
-    for n in [0u64, 1, 3, 8] {
+    let sharded = powerset_shard_atoms(&program);
+    for n in [0u64, 1, 3, sharded] {
         let input = atom_set(0..n);
         let (v, par_folds) =
             assert_identical(&program, EvalLimits::default(), "E2 powerset", |ev| {
                 ev.call(names::POWERSET, std::slice::from_ref(&input))
             });
         assert_eq!(v.len(), Some(1 << n));
-        if n == 8 {
+        if n == sharded {
             // The headline assertion of the interprocedural summary: sift's
             // call-threaded fold (through finsert's spine) is proved a
             // proper hom and actually reaches the pool once the inner sets
             // clear the work threshold.
             assert!(
                 par_folds > 0,
-                "E2 n=8 must engage the pool (call-threaded spine proved), got 0 sharded folds"
+                "E2 n={n} must engage the pool (call-threaded spine proved), got 0 sharded folds"
             );
         }
     }
@@ -152,7 +167,7 @@ fn e2_powerset_is_identical_across_pool_widths() {
     // default pair: 2 and 4 threads partition the inner sift folds
     // differently, so each width exercises a different merge shape.
     let program = powerset_program();
-    let input = atom_set(0..8u64);
+    let input = atom_set(0..powerset_shard_atoms(&program));
     let mut outcomes = Vec::new();
     for threads in [1usize, 2, 4] {
         let (seq, par, par_folds) = both(&program, EvalLimits::default(), threads.max(2), |ev| {
@@ -215,8 +230,27 @@ fn e5_tc_dtc_agree_and_shard() {
     use workloads::digraph::Digraph;
 
     let program = Program::new(Dialect::full());
-    for n in [6usize, 14] {
-        let g = Digraph::random(n, 2.0 / n as f64, 23 + n as u64);
+    // Each pivot's join filters the cartesian square of the closure so
+    // far, which holds at least the `n` reflexive pairs. From the `n` whose
+    // square clears the gate, every join shards.
+    let filter_cost = expr_folds(&program, &queries::tc_query(), &["D", "E"])
+        .into_iter()
+        .find(|r| matches!(r.kind, ReduceKind::Filter { .. }))
+        .expect("the pivot join filters its product")
+        .unit_cost;
+    let pairs = shard_cardinality(filter_cost);
+    let sharded = (1..).find(|n| n * n >= pairs).unwrap() as usize;
+    // The report's random graphs (n = 6, 14) check agreement. At the
+    // sharded size a perfect matching keeps the closure, and so the test,
+    // small.
+    let graphs = [6usize, 14]
+        .map(|n| (n, Digraph::random(n, 2.0 / n as f64, 23 + n as u64)))
+        .into_iter()
+        .chain([(
+            sharded,
+            Digraph::new(sharded, (0..sharded / 2).map(|i| (2 * i, 2 * i + 1))),
+        )]);
+    for (n, g) in graphs {
         let env = Env::new()
             .bind("D", g.vertices_value())
             .bind("E", g.edges_value());
@@ -228,11 +262,11 @@ fn e5_tc_dtc_agree_and_shard() {
                 let lowered = ev.lower(&expr, &env);
                 ev.eval_lowered(&lowered, &env)
             });
-            // At the report's largest size the select-over-cartesian folds
-            // clear the work threshold: the headline workload really runs
-            // sharded, it is not quietly falling back to sequential.
-            if n == 14 {
-                assert!(par_folds > 0, "{label}: expected sharded folds at n=14");
+            // The select-over-cartesian folds clear the work threshold at
+            // this size: the pool really engages, it is not quietly falling
+            // back to sequential.
+            if n == sharded {
+                assert!(par_folds > 0, "{label}: expected sharded folds at n={n}");
             }
         }
     }
@@ -317,19 +351,24 @@ fn e9_relational_queries_agree() {
 // ---------------------------------------------------------------------------
 
 /// A set big and expensive enough that every hom kind clears
-/// `PAR_WORK_THRESHOLD` (the membership predicate hides a nested fold, so
-/// the static unit cost is high).
+/// `PAR_WORK_THRESHOLD`: `S` is sized from the cheapest fold of
+/// [`hom_kind_cases`] (each kind's lambda hides a nested membership fold,
+/// so its static unit cost is high).
 fn big_env() -> Env {
+    let program = Program::srl();
+    let cost = hom_kind_cases()
+        .iter()
+        .map(|(_, expr)| root_fold(&program, expr, &["S", "T"]).unit_cost)
+        .min()
+        .expect("cases are listed");
     Env::new()
-        .bind("S", atom_set((0..96).map(|i| i * 3)))
+        .bind("S", atom_set((0..shard_cardinality(cost)).map(|i| i * 3)))
         .bind("T", atom_set((0..48).map(|i| i * 5)))
 }
 
-#[test]
-fn each_hom_kind_shards_and_stays_identical() {
-    let program = Program::srl();
-    let env = big_env();
-    let cases: Vec<(&str, Expr)> = vec![
+/// One fold over `S` per shardable kind, each testing membership in `T`.
+fn hom_kind_cases() -> Vec<(&'static str, Expr)> {
+    vec![
         // Filter: select(S, member(x, T)) — intersection's fused shape.
         ("filter", intersection(var("S"), var("T"))),
         ("filter-negated", difference(var("S"), var("T"))),
@@ -379,8 +418,14 @@ fn each_hom_kind_shards_and_stays_identical() {
                 var("T"),
             ),
         ),
-    ];
-    for (label, expr) in cases {
+    ]
+}
+
+#[test]
+fn each_hom_kind_shards_and_stays_identical() {
+    let program = Program::srl();
+    let env = big_env();
+    for (label, expr) in hom_kind_cases() {
         let (_, par_folds) = assert_expr_identical(&program, &expr, &env, label);
         assert!(par_folds > 0, "{label}: parallel path did not engage");
     }
@@ -390,11 +435,6 @@ fn each_hom_kind_shards_and_stays_identical() {
     // pool width and tier setting. The apps are cheap (no nested member
     // scan) so the tree-walk stays fast at this size.
     let program = Program::srl().define("grow", ["x", "T"], insert(var("x"), var("T")));
-    let cap_env = || {
-        Env::new()
-            .bind("S", atom_set(0..4200))
-            .bind("T", atom_set(4200..4300))
-    };
     let pair_spine = lam(
         "p",
         "acc",
@@ -434,6 +474,20 @@ fn each_hom_kind_shards_and_stays_identical() {
             ),
         ),
     ];
+    // `S` crosses the cap and is large enough that every kind but the
+    // never-sharded union also clears the gate.
+    let n = cap_cases
+        .iter()
+        .filter(|(label, _)| *label != "union")
+        .map(|(_, expr)| shard_cardinality(root_fold(&program, expr, &["S", "T"]).unit_cost))
+        .max()
+        .expect("cases are listed")
+        .max(4200);
+    let cap_env = || {
+        Env::new()
+            .bind("S", atom_set(0..n))
+            .bind("T", atom_set(n..n + 100))
+    };
     for (label, expr) in cap_cases {
         let runs = engine_matrix(&program, |ev| {
             ev.eval(&expr, &cap_env()).map(|v| (v, *ev.stats()))
@@ -543,12 +597,12 @@ fn named_atom_first_wins_survives_shard_merges() {
     // first-wins keeps the copy from the earliest element, and the ordered
     // shard merge must keep exactly the same copy across shard boundaries.
     let program = Program::srl();
+    let expr = map_set(var("S"), lam("x", "t", sel(var("x"), 2)), empty_set());
+    let n = shard_cardinality(root_fold(&program, &expr, &["S"]).unit_cost);
     let pairs = Value::set(
-        (0..1200u64)
-            .map(|i| Value::tuple([Value::atom(i), Value::named_atom(i / 3, format!("v{i}"))])),
+        (0..n).map(|i| Value::tuple([Value::atom(i), Value::named_atom(i / 3, format!("v{i}"))])),
     );
     let env = Env::new().bind("S", pairs);
-    let expr = map_set(var("S"), lam("x", "t", sel(var("x"), 2)), empty_set());
     let compiled = Arc::new(program.compile());
     let mut shown = Vec::new();
     for backend in [ExecBackend::vm(), ExecBackend::vm_with_threads(THREADS)] {
@@ -567,6 +621,44 @@ fn named_atom_first_wins_survives_shard_merges() {
         "displayed copies drifted across the merge"
     );
     assert!(shown[0].contains("v0#0"), "{}", shown[0]);
+}
+
+#[test]
+fn the_gate_shards_from_exactly_par_work_threshold() {
+    // An insert-app fold whose app is four instructions, so its unit cost
+    // (4 + 4) divides the gate and one cardinality lands exactly on it.
+    // One element fewer, `PAR_WORK_THRESHOLD - 8` units, is the most work
+    // below the gate this fold can have: it must stay sequential, and the
+    // gate itself must shard.
+    let program = Program::srl();
+    let expr = map_set(
+        var("S"),
+        lam("x", "t", tuple([var("x"), var("x"), var("t")])),
+        atom(0),
+    );
+    let fold = root_fold(&program, &expr, &["S"]);
+    assert!(
+        matches!(fold.kind, ReduceKind::InsertApp { .. }),
+        "{:?}",
+        fold.kind
+    );
+    let cost = u64::from(fold.unit_cost);
+    let at = shard_cardinality(fold.unit_cost);
+    assert_eq!(at * cost, PAR_WORK_THRESHOLD, "unit cost {cost}");
+    for n in [at - 1, at] {
+        let env = Env::new().bind("S", atom_set(0..n));
+        let (seq, par, par_folds) = both(&program, EvalLimits::benchmark(), 2, |ev| {
+            ev.eval(&expr, &env)
+        });
+        let seq = seq.unwrap_or_else(|e| panic!("n={n}: sequential failed: {e}"));
+        let par = par.unwrap_or_else(|e| panic!("n={n}: pooled failed: {e}"));
+        assert_eq!(seq, par, "n={n}: value or EvalStats differ");
+        if n * cost < PAR_WORK_THRESHOLD {
+            assert_eq!(par_folds, 0, "{} units is below the gate", n * cost);
+        } else {
+            assert!(par_folds > 0, "{} units is at the gate", n * cost);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -697,8 +789,9 @@ fn nested_hom_folds_agree_under_limits() {
         empty_set(),
         var("T"),
     );
+    let n = shard_cardinality(root_fold(&program, &expr, &["S", "T"]).unit_cost);
     let env = Env::new()
-        .bind("S", atom_set(0..64))
+        .bind("S", atom_set(0..n))
         .bind("T", atom_set(0..24));
     let limits = EvalLimits::default();
     let (_, par_folds) =
@@ -742,40 +835,35 @@ fn limit_and_shape_error_kinds_agree() {
         bool_(false),
         var("T"),
     );
-    assert_same_error(
-        &program,
-        EvalLimits::benchmark(),
-        "poisoned bool-acc",
-        |ev| ev.eval(&poisoned, &env),
-    );
-
-    // Step limit crossing inside a sharded filter fold.
-    assert_same_error(
-        &program,
-        EvalLimits::default().with_max_steps(3_000),
-        "sharded step limit",
-        |ev| ev.eval(&intersection(var("S"), var("T")), &env),
-    );
-    // Allocation limit crossing inside a sharded map fold.
-    assert_same_error(
-        &program,
-        EvalLimits::default().with_max_value_weight(64),
-        "sharded size limit",
-        |ev| {
-            ev.eval(
-                &map_set(
-                    var("S"),
-                    lam(
-                        "x",
-                        "t",
-                        tuple([var("x"), srl_stdlib::derived::member(var("x"), var("t"))]),
-                    ),
-                    var("T"),
+    let cases = [
+        ("poisoned bool-acc", EvalLimits::benchmark(), poisoned),
+        // Step limit crossing inside a sharded filter fold.
+        (
+            "sharded step limit",
+            EvalLimits::default().with_max_steps(3_000),
+            intersection(var("S"), var("T")),
+        ),
+        // Allocation limit crossing inside a sharded map fold.
+        (
+            "sharded size limit",
+            EvalLimits::default().with_max_value_weight(64),
+            map_set(
+                var("S"),
+                lam(
+                    "x",
+                    "t",
+                    tuple([var("x"), srl_stdlib::derived::member(var("x"), var("t"))]),
                 ),
-                &env,
-            )
-        },
-    );
+                var("T"),
+            ),
+        ),
+    ];
+    for (label, limits, expr) in cases {
+        let par_folds = assert_same_error(&program, limits, label, |ev| ev.eval(&expr, &env));
+        // The failure must come from inside the pool, not from a fold that
+        // quietly ran sequentially below the gate.
+        assert!(par_folds > 0, "{label}: the failing fold did not shard");
+    }
 }
 
 #[test]
@@ -798,6 +886,9 @@ fn tree_walk_still_matches_the_pooled_vm() {
                 .with_backend(backend);
         let v = ev.eval(&expr, &env).expect("evaluates");
         results.push((v, *ev.stats()));
+        if let ExecBackend::Vm { threads: 2.. } = backend {
+            assert!(ev.parallel_folds() > 0, "the pooled VM must shard");
+        }
     }
     assert_eq!(results[0], results[1]);
     assert_eq!(results[1], results[2]);
