@@ -29,9 +29,18 @@
 //! sequential-VM/pooled-VM, or tier-off/tier-on) regressed by more than the
 //! threshold (`SRL_PERF_REGRESSION_PCT`, default 25). `--check` may repeat:
 //! the probes run once and are gated against every named trajectory point
-//! (probes a file does not record are skipped). Ratios, not milliseconds:
-//! absolute wall clock shifts with the machine, while the engine-vs-engine
-//! ratios on one machine are what a code regression actually moves.
+//! (measured probes a file does not record are skipped). Ratios, not
+//! milliseconds: absolute wall clock shifts with the machine, while the
+//! engine-vs-engine ratios on one machine are what a code regression
+//! actually moves.
+//!
+//! The gate never passes vacuously. Exit 2, before or instead of any
+//! verdict, when `--only` or `--check` has no value, when
+//! `SRL_PERF_REGRESSION_PCT` is set but is not a number in (0, 100), when
+//! an `--only` filter matches no probe, or when a checked file records a
+//! probe that the filter selects but this binary did not measure (a probe
+//! renamed or dropped here would otherwise escape the gate). Exit 1 means
+//! a tracked ratio regressed.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -550,28 +559,46 @@ fn print_json(probes: &[Probe]) {
     println!("{out}");
 }
 
-/// The first object, in document order, whose `"probe"` field is `name`.
-fn recorded_probe<'a>(json: &'a Json, name: &str) -> Option<&'a Json> {
+/// Every object carrying a `"probe"` name, in document order.
+fn recorded_probes<'a>(json: &'a Json, out: &mut Vec<(&'a str, &'a Json)>) {
+    if let Some(name) = json.get("probe").and_then(Json::as_str) {
+        out.push((name, json));
+    }
     match json {
-        Json::Obj(fields) => {
-            if json.get("probe").and_then(Json::as_str) == Some(name) {
-                return Some(json);
-            }
-            fields.iter().find_map(|(_, v)| recorded_probe(v, name))
-        }
-        Json::Arr(items) => items.iter().find_map(|v| recorded_probe(v, name)),
-        _ => None,
+        Json::Obj(fields) => fields.iter().for_each(|(_, v)| recorded_probes(v, out)),
+        Json::Arr(items) => items.iter().for_each(|v| recorded_probes(v, out)),
+        _ => {}
     }
 }
 
 /// The soft regression gate: compares the measured speedup ratios against
 /// the probes recorded in a committed `BENCH_*.json` trajectory point.
-/// Returns the number of regressions beyond the threshold.
-fn check_against(probes: &[Probe], recorded: &Json, threshold_pct: f64) -> usize {
+/// Returns the number of regressions beyond the threshold, or an error
+/// naming the recorded probes that pass the `only` filter but are missing
+/// from `probes`.
+fn check_against(
+    probes: &[Probe],
+    recorded: &Json,
+    only: &[String],
+    threshold_pct: f64,
+) -> Result<usize, String> {
+    let mut entries = Vec::new();
+    recorded_probes(recorded, &mut entries);
+    let unmeasured: Vec<&str> = entries
+        .iter()
+        .map(|&(name, _)| name)
+        .filter(|name| selected(only, name) && !probes.iter().any(|p| p.name == *name))
+        .collect();
+    if !unmeasured.is_empty() {
+        return Err(format!(
+            "recorded probe(s) selected but not measured: {}",
+            unmeasured.join(", ")
+        ));
+    }
     let floor = 1.0 - threshold_pct / 100.0;
     let mut regressions = 0;
     for p in probes {
-        let Some(entry) = recorded_probe(recorded, &p.name) else {
+        let Some(&(_, entry)) = entries.iter().find(|(name, _)| *name == p.name) else {
             println!(
                 "  [gate] {}: not tracked in the recorded trajectory, skipped",
                 p.name
@@ -604,54 +631,86 @@ fn check_against(probes: &[Probe], recorded: &Json, threshold_pct: f64) -> usize
             }
         }
     }
-    regressions
+    Ok(regressions)
+}
+
+/// Every value given to `flag`. A flag with nothing after it, or with
+/// another `--` flag after it, is an error.
+fn flag_values(args: &[String], flag: &str) -> Result<Vec<String>, String> {
+    let mut values = Vec::new();
+    for (i, arg) in args.iter().enumerate() {
+        if arg == flag {
+            match args.get(i + 1) {
+                Some(value) if !value.starts_with("--") => values.push(value.clone()),
+                _ => return Err(format!("{flag} expects a value")),
+            }
+        }
+    }
+    Ok(values)
+}
+
+/// The gate threshold in percent from `SRL_PERF_REGRESSION_PCT`'s value:
+/// 25 when unset, an error unless it parses to a number in (0, 100).
+fn regression_threshold(var: Option<&str>) -> Result<f64, String> {
+    let Some(text) = var else {
+        return Ok(25.0);
+    };
+    match text.trim().parse::<f64>() {
+        Ok(pct) if pct > 0.0 && pct < 100.0 => Ok(pct),
+        _ => Err(format!(
+            "SRL_PERF_REGRESSION_PCT must be a number in (0, 100), got `{text}`"
+        )),
+    }
+}
+
+/// Prints a usage error and exits 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let json = args.iter().any(|a| a == "--json");
-    let checks: Vec<String> = args
+    let (checks, only) = match (flag_values(&args, "--check"), flag_values(&args, "--only")) {
+        (Ok(checks), Ok(only)) => (checks, only),
+        (Err(e), _) | (_, Err(e)) => usage_error(&e),
+    };
+    let threshold =
+        std::env::var_os("SRL_PERF_REGRESSION_PCT").map(|v| v.to_string_lossy().into_owned());
+    let threshold = regression_threshold(threshold.as_deref()).unwrap_or_else(|e| usage_error(&e));
+    // Every checked file is read before the probes run, so a bad path
+    // costs nothing.
+    let recorded: Vec<(&String, Json)> = checks
         .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--check")
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect();
-
-    let only: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--only")
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
+        .map(|path| {
+            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+                usage_error(&format!("cannot read recorded trajectory `{path}`: {e}"))
+            });
+            let parsed = Json::parse(&text).unwrap_or_else(|e| {
+                usage_error(&format!("cannot parse recorded trajectory `{path}`: {e}"))
+            });
+            (path, parsed)
+        })
         .collect();
 
     let probes = run_probes(&only);
+    if let Some(filter) = only
+        .iter()
+        .find(|f| !probes.iter().any(|p| p.name.contains(f.as_str())))
+    {
+        usage_error(&format!("--only {filter:?} matches no probe"));
+    }
     if json {
         print_json(&probes);
     } else {
         print_table(&probes);
     }
     let mut regressions = 0;
-    for path in &checks {
-        let recorded = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("cannot read recorded trajectory `{path}`: {e}");
-                std::process::exit(2);
-            }
-        };
-        let recorded = match Json::parse(&recorded) {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("cannot parse recorded trajectory `{path}`: {e}");
-                std::process::exit(2);
-            }
-        };
-        let threshold = std::env::var("SRL_PERF_REGRESSION_PCT")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(25.0);
+    for (path, recorded) in &recorded {
         println!("perf gate against {path} (threshold {threshold}%):");
-        regressions += check_against(&probes, &recorded, threshold);
+        regressions += check_against(&probes, recorded, &only, threshold)
+            .unwrap_or_else(|e| usage_error(&format!("{path}: {e}")));
         if regressions == 0 {
             println!("perf gate clean");
         }
@@ -659,5 +718,101 @@ fn main() {
     if regressions > 0 {
         eprintln!("{regressions} tracked speedup(s) regressed beyond the threshold");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const NAME: &str = "E2 powerset n=12";
+
+    fn recorded(vm_speedup: f64) -> Json {
+        Json::parse(&format!(
+            r#"{{"probes": [{{"probe": "{NAME}", "vm_speedup": {vm_speedup}, "par_speedup": 1.0, "tier_speedup": 1.0}}]}}"#
+        ))
+        .expect("valid JSON")
+    }
+
+    /// A probe whose VM runs `vm_speedup` times faster than the tree-walk
+    /// and whose par and tier axes read 1.0.
+    fn measured(vm_speedup: u64) -> Probe {
+        let vm = Duration::from_millis(10);
+        Probe {
+            name: NAME.into(),
+            runs: 1,
+            tree: vm * vm_speedup as u32,
+            vm,
+            vm_par: vm,
+            vm_tier_off: vm,
+            par_threads: 1,
+        }
+    }
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn a_recorded_probe_that_was_not_measured_fails_the_gate() {
+        let err = check_against(&[], &recorded(3.0), &[], 40.0).unwrap_err();
+        assert!(err.contains(NAME), "{err}");
+        let only = args(&["E2 powerset"]);
+        assert!(check_against(&[], &recorded(3.0), &only, 40.0).is_err());
+    }
+
+    #[test]
+    fn a_recorded_probe_the_filter_deselects_is_not_required() {
+        let only = args(&["E5"]);
+        assert_eq!(check_against(&[], &recorded(3.0), &only, 40.0), Ok(0));
+    }
+
+    #[test]
+    fn measured_ratios_are_gated_against_the_recorded_floor() {
+        // 40% below a recorded 3.0x leaves a 1.8x floor.
+        assert_eq!(
+            check_against(&[measured(2)], &recorded(3.0), &[], 40.0),
+            Ok(0)
+        );
+        assert_eq!(
+            check_against(&[measured(1)], &recorded(3.0), &[], 40.0),
+            Ok(1)
+        );
+    }
+
+    #[test]
+    fn the_threshold_defaults_to_25_and_rejects_what_does_not_parse() {
+        assert_eq!(regression_threshold(None), Ok(25.0));
+        assert_eq!(regression_threshold(Some("40")), Ok(40.0));
+        assert_eq!(regression_threshold(Some("12.5")), Ok(12.5));
+        for bad in ["40%", "", "abc", "0", "100", "-5", "NaN", "inf"] {
+            let err = regression_threshold(Some(bad)).unwrap_err();
+            assert!(err.contains("SRL_PERF_REGRESSION_PCT"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_flag_without_a_value_is_an_error() {
+        let words = args(&[
+            "perfprobe",
+            "--only",
+            "E2",
+            "--check",
+            "BENCH_9.json",
+            "--only",
+            "E5",
+        ]);
+        assert_eq!(flag_values(&words, "--only"), Ok(args(&["E2", "E5"])));
+        assert_eq!(flag_values(&words, "--check"), Ok(args(&["BENCH_9.json"])));
+        for words in [
+            &["perfprobe", "--only"][..],
+            &["perfprobe", "--check", "--json"],
+        ] {
+            let flag = words[1];
+            assert_eq!(
+                flag_values(&args(words), flag),
+                Err(format!("{flag} expects a value"))
+            );
+        }
     }
 }

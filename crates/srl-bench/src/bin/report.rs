@@ -1,4 +1,5 @@
-//! Prints the experiment tables (E1–E9) recorded in `EXPERIMENTS.md`.
+//! Prints the experiment tables (E1–E9) pinned in `BENCH_1.json` (see
+//! `crates/README.md` for what each experiment measures).
 //!
 //! Usage: `cargo run -p srl-bench --release --bin report [--json]
 //! [--backend vm|tree] [--threads N]`
@@ -45,7 +46,11 @@ fn main() {
             eprintln!("--threads requires the vm backend (the tree-walk has no worker pool)");
             std::process::exit(2);
         }
-        (Some(other), _) => {
+        (Some(None), _) => {
+            eprintln!("--backend expects vm|tree");
+            std::process::exit(2);
+        }
+        (Some(Some(other)), _) => {
             eprintln!("unknown --backend {other:?} (expected vm|tree)");
             std::process::exit(2);
         }

@@ -1,10 +1,14 @@
 //! # srl-bench — the experiment harness
 //!
-//! One experiment per constructive claim of the paper (see `DESIGN.md` for
-//! the index E1–E9). The Criterion benches under `benches/` measure wall
-//! clock; the functions here produce the *semantic* measurements (agreement
-//! with the native baselines, growth of iteration counts, accumulator sizes)
-//! that the `report` binary prints and that `EXPERIMENTS.md` records.
+//! One experiment per constructive claim of the paper: each
+//! `experiment_e1` … `experiment_e9` names the result it reproduces, and
+//! `crates/README.md` maps the crates they draw on. The functions
+//! here produce the *semantic* measurements (agreement with the native
+//! baselines, growth of iteration counts, accumulator sizes) that the
+//! `report` binary prints and that `BENCH_1.json` pins. Wall clock is
+//! measured elsewhere: the `perfprobe` binary gates engine-vs-engine
+//! ratios, and the repository benchmark in `perfbench/` measures end to
+//! end.
 //!
 //! Every experiment pushes its program through the staged compile pipeline
 //! **once** (via [`Harness`], over `srl_core::pipeline::Pipeline`) and
@@ -133,10 +137,10 @@ impl Harness {
     }
 }
 
-/// Query ASTs shared by the experiments, the Criterion benches and the
-/// `perfprobe` binary, so every harness measures exactly the expressions
-/// the semantic report validates (a drifting copy would silently time a
-/// different query than the one checked against the native baselines).
+/// Query ASTs shared by the experiments and the `perfprobe` binary, so
+/// every harness measures exactly the expressions the semantic report
+/// validates (a drifting copy would silently time a different query than
+/// the one checked against the native baselines).
 pub mod queries {
     use srl_core::ast::Expr;
     use srl_core::dsl::{
