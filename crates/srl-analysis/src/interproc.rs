@@ -50,13 +50,6 @@ pub struct FoldRow {
     /// Static per-element cost estimate (the parallel executor multiplies
     /// it by input cardinality to decide whether sharding pays).
     pub unit_cost: u32,
-    /// Storage-tier label of the traversed set (`"atom"` when shape
-    /// inference proved `set(atom)`, so the columnar tier pre-engages;
-    /// `"generic"` otherwise — see `srl_core::bytecode::SetTier`).
-    pub tier: &'static str,
-    /// Storage-tier label of the fold's accumulator, same vocabulary as
-    /// [`FoldRow::tier`]; `"generic"` for list folds.
-    pub acc_tier: &'static str,
     /// Human-readable reason for the verdict, definition names resolved.
     pub reason: String,
 }
@@ -138,8 +131,6 @@ fn fold_rows(program: &CompiledProgram, chunk: &Chunk) -> Vec<FoldRow> {
                 class: r.class,
                 origin: r.origin,
                 unit_cost: r.unit_cost,
-                tier: r.tier.label(),
-                acc_tier: r.acc_tier.label(),
                 reason: render_reason(program, r),
             });
         }

@@ -46,7 +46,7 @@ pub fn analyze_json_with(
         .iter()
         .map(|f| {
             format!(
-                "    {{ \"def\": {}, \"block\": {}, \"kind\": \"{}{}\", \"class\": \"{}\", \"tier\": \"{}\", \"acc_tier\": \"{}\", \"order_independent\": {}, \"unit_cost\": {}, \"reason\": \"{}\" }}",
+                "    {{ \"def\": {}, \"block\": {}, \"kind\": \"{}{}\", \"class\": \"{}\", \"order_independent\": {}, \"unit_cost\": {}, \"reason\": \"{}\" }}",
                 match &f.def {
                     Some(d) => format!("\"{}\"", api::escape(d)),
                     None => "null".to_string(),
@@ -55,8 +55,6 @@ pub fn analyze_json_with(
                 if f.is_list { "list-" } else { "" },
                 f.kind,
                 f.class.label(),
-                f.tier,
-                f.acc_tier,
                 f.order_independent(),
                 f.unit_cost,
                 api::escape(&f.reason),
@@ -109,12 +107,10 @@ pub fn analyze_table(verdict: &Classification, report: &InterprocReport) -> Stri
             None => format!("b{}", f.block),
         };
         out.push_str(&format!(
-            "  [{place}] {}{} class={} tier={}/{} cost={} order-independent={}\n      {}\n",
+            "  [{place}] {}{} class={} cost={} order-independent={}\n      {}\n",
             if f.is_list { "list-" } else { "" },
             f.kind,
             f.class.label(),
-            f.tier,
-            f.acc_tier,
             f.unit_cost,
             if f.order_independent() { "yes" } else { "no" },
             f.reason,

@@ -76,6 +76,23 @@ fn happy_path_is_exit_zero_and_thread_count_invisible() {
     );
 }
 
+/// `srl analyze --json` must reproduce the committed per-fold verdict tables
+/// byte for byte: a codegen or summary change that reclassifies a fold (and
+/// so changes what `--threads N` shards) fails here. Regenerate a golden
+/// with `srl analyze --json examples/srl/<f>.srl >
+/// examples/srl/analysis/<f>.analyze.json`.
+#[test]
+fn analyze_json_matches_the_committed_goldens() {
+    for name in ["powerset", "membership", "apath", "arith", "closure", "tm"] {
+        let file = example(&format!("{name}.srl"));
+        let out = run(&["analyze", "--json", file.to_str().unwrap()]);
+        assert_eq!(exit_code(&out), 0, "{name}: {out:?}");
+        let golden = example(&format!("analysis/{name}.analyze.json"));
+        let golden = std::fs::read_to_string(&golden).expect("golden exists");
+        assert_eq!(stdout(&out), golden, "{name}: analyze --json drifted");
+    }
+}
+
 #[test]
 fn usage_errors_are_exit_two() {
     assert_eq!(exit_code(&run(&["run"])), 2, "missing file");

@@ -35,6 +35,15 @@
 //! the line-protocol server passes bodies through [`compact`] so each
 //! response occupies exactly one line.
 //!
+//! **Removed in v1: the static tier fields.** The `analyze` fold rows no
+//! longer carry their two storage-tier keys (the traversed set's `tier` and
+//! the accumulator's), and `srl disasm` reduce lines no longer print
+//! `tier=<set>/<acc>`. Both reported a compile-time storage stamp that
+//! needed declared `set(atom)` parameters, which surface syntax cannot
+//! write, so no program reaching the CLI or the wire ever read anything
+//! but `generic`. Storage tiers are picked at run time; `run`'s
+//! `tiers` object and its engagement counts are unchanged.
+//!
 //! The module also contains the other half of the wire: a small
 //! dependency-free JSON **parser** ([`Json`]) and the typed [`Request`]
 //! envelope the server accepts (`kind` = `run` / `check` / `analyze` /

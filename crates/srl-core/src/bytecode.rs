@@ -80,8 +80,6 @@
 use crate::analysis::{self, DefSummaries, SpineBlock};
 use crate::bignat::BigNat;
 use crate::lower::{CompiledProgram, LExpr, LId, LLambda, LoweredExpr};
-use crate::tier::{ReturnMemo, ShapeCtx};
-use crate::types::Type;
 use crate::value::Value;
 
 /// A register index within the current frame.
@@ -419,59 +417,8 @@ pub struct ReduceInsn {
     /// cardinality and shards only when the product reaches
     /// [`crate::parallel::PAR_WORK_THRESHOLD`].
     pub unit_cost: u32,
-    /// Statically-proved storage tier of the **traversed set** (see
-    /// [`SetTier`]): [`SetTier::Atom`] when shape inference
-    /// ([`crate::tier`]) proved it `set(atom)`, so the columnar small-atom
-    /// representation covers the traversal. Advisory — the representation
-    /// chooses adaptively at run time regardless; this records the static
-    /// proof for diagnostics and lets the VM trust the tier without
-    /// probing.
-    pub tier: SetTier,
-    /// Statically-proved storage tier of the fold's **result** (the
-    /// accumulator for set-building kinds): [`SetTier::Atom`] lets the VM
-    /// and the parallel workers start accumulators directly in columnar
-    /// storage instead of promoting on the first inserts. Equally
-    /// advisory — a wrong stamp widens itself on first contact with a
-    /// non-atom element.
-    pub acc_tier: SetTier,
     /// The fold strategy.
     pub kind: ReduceKind,
-}
-
-/// The statically-proved storage tier of a fused fold's set operand — the
-/// compile-time face of [`crate::setrepr`]'s columnar tiers.
-/// Stamped on every [`ReduceInsn`] by codegen from the shape inference in
-/// [`crate::tier`]; reported by the disassembler and `srl analyze` next to
-/// the fold class.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SetTier {
-    /// Proved `set(atom)`: the sorted-`u32`/bitset columnar representation
-    /// applies to every value this operand can hold.
-    Atom,
-    /// Shape unknown or not `set(atom)` (sets of tuples included): generic
-    /// inline/sorted-`Vec<Value>` storage, which may still promote to the
-    /// columnar tier adaptively at run time.
-    Generic,
-}
-
-impl SetTier {
-    /// The tier a statically-inferred shape proves: [`SetTier::Atom`]
-    /// exactly for `set(atom)` (not for polymorphic or unknown shapes).
-    pub(crate) fn of(ty: Option<&Type>) -> SetTier {
-        match ty {
-            Some(Type::Set(inner)) if **inner == Type::Atom => SetTier::Atom,
-            _ => SetTier::Generic,
-        }
-    }
-
-    /// Short lowercase label (`atom` / `generic`) for the disassembler and
-    /// diagnostics.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SetTier::Atom => "atom",
-            SetTier::Generic => "generic",
-        }
-    }
 }
 
 /// The compile-time algebraic classification of a fold — `srl-analysis`'s
@@ -760,12 +707,9 @@ pub(crate) fn codegen_program(program: &CompiledProgram) -> Chunk {
         nodes: program.nodes(),
         summaries: DefSummaries::compute(program),
         chunk: Chunk::default(),
-        tier_env: Vec::new(),
-        tier_memo: ReturnMemo::default(),
     };
     for def in program.defs() {
         let arity = def.params.len() as u16;
-        cg.tier_env = def.param_types.clone();
         let (block, frame_size) = cg.gen_frame(def.body, arity);
         cg.chunk.defs.push(DefCode { block, frame_size });
     }
@@ -780,10 +724,6 @@ pub(crate) fn codegen_expr(program: &CompiledProgram, lowered: &LoweredExpr) -> 
         nodes: lowered.nodes(),
         summaries: DefSummaries::compute(program),
         chunk: Chunk::default(),
-        // Expression scopes bind run-time environment values whose shapes
-        // are unknown statically; the adaptive tier still applies.
-        tier_env: vec![None; lowered.scope_names().len()],
-        tier_memo: ReturnMemo::default(),
     };
     let (main, main_frame) = cg.gen_frame(lowered.root(), lowered.scope_names().len() as u16);
     cg.chunk.main = main;
@@ -834,13 +774,6 @@ struct Codegen<'a> {
     nodes: &'a [LExpr],
     summaries: DefSummaries,
     chunk: Chunk,
-    /// Statically-inferred shapes of the lexical slots currently in scope,
-    /// indexed like [`LExpr::Local`] (length tracks `FrameState::height`):
-    /// parameters from the declared types, `let` bindings and lambda
-    /// parameters from inference. Feeds the [`SetTier`] stamps.
-    tier_env: Vec<Option<Type>>,
-    /// Memoized callee return shapes shared across the whole codegen run.
-    tier_memo: ReturnMemo,
 }
 
 /// The recognized `app` lambda shapes.
@@ -916,34 +849,15 @@ impl<'a> Codegen<'a> {
     }
 
     /// Compiles a reduce-lambda body into its own block sharing the frame.
-    /// `ptys` are the statically-inferred shapes of the lambda's two
-    /// parameters (they occupy the next two lexical slots, so the tier env
-    /// mirrors them).
-    fn gen_lambda_block(
-        &mut self,
-        fs: &mut FrameState,
-        lambda: &LLambda,
-        ptys: [Option<Type>; 2],
-    ) -> BlockId {
+    fn gen_lambda_block(&mut self, fs: &mut FrameState, lambda: &LLambda) -> BlockId {
         let floor = fs.height;
         fs.height += 2;
-        debug_assert_eq!(self.tier_env.len() + 2, fs.height as usize);
-        let [xt, yt] = ptys;
-        self.tier_env.push(xt);
-        self.tier_env.push(yt);
         let result = fs.alloc();
         let mut code = Vec::new();
         self.gen(fs, &mut code, floor, lambda.body, 0, result, true);
         fs.free(1);
-        self.tier_env.pop();
-        self.tier_env.pop();
         fs.height -= 2;
         self.push_block(code, result)
-    }
-
-    /// Shape inference for one node under the current lexical tier env.
-    fn shape_of(&mut self, id: LId) -> Option<Type> {
-        ShapeCtx::new(self.program, self.nodes).infer(id, &mut self.tier_env, &mut self.tier_memo)
     }
 
     /// The main codegen recursion. Emits instructions computing node `id`
@@ -1131,12 +1045,9 @@ impl<'a> Codegen<'a> {
                 let slot = fs.height;
                 debug_assert!(slot < fs.next_temp, "let slot below the temp base");
                 self.gen(fs, code, floor, *value, d + 1, slot, false);
-                let vt = self.shape_of(*value);
-                self.tier_env.push(vt);
                 fs.height += 1;
                 self.gen(fs, code, floor, *body, d + 1, dst, tail);
                 fs.height -= 1;
-                self.tier_env.pop();
             }
             LExpr::New(e) => {
                 code.push(Insn::Guard {
@@ -1367,49 +1278,18 @@ impl<'a> Codegen<'a> {
         let rextra = fs.alloc();
         self.gen(fs, code, floor, extra, d + 1, rextra, false);
         let x_slot = fs.height;
-        // Static tier selection: prove the traversed set's and the fold
-        // result's shapes before compiling the lambda blocks, so the lambda
-        // parameters carry their inferred shapes into any nested folds.
-        let ctx = ShapeCtx::new(self.program, self.nodes);
-        let set_ty = if is_list { None } else { self.shape_of(set) };
-        let extra_ty = self.shape_of(extra);
-        let elem_ty = ShapeCtx::elem_of(set_ty.as_ref());
-        let app_ty = ctx.app_result(
-            elem_ty.clone(),
-            extra_ty.clone(),
-            app,
-            &mut self.tier_env,
-            &mut self.tier_memo,
-        );
-        let result_ty = ctx.reduce_result(
-            set_ty.as_ref(),
-            app,
-            acc,
-            base,
-            extra,
-            &mut self.tier_env,
-            &mut self.tier_memo,
-        );
-        let tier = SetTier::of(set_ty.as_ref());
-        let acc_tier = if is_list {
-            SetTier::Generic
-        } else {
-            SetTier::of(result_ty.as_ref())
-        };
-        let app_ptys = [elem_ty, extra_ty];
-        let acc_ptys = [app_ty, result_ty];
         let (kind, origin) = if is_list {
             // List folds are rare (LRL experiments only); generic execution
             // keeps duplicates/stored-order semantics in one code path.
             (
                 ReduceKind::Generic {
-                    app: self.gen_lambda_block(fs, app, app_ptys),
-                    acc: self.gen_lambda_block(fs, acc, acc_ptys),
+                    app: self.gen_lambda_block(fs, app),
+                    acc: self.gen_lambda_block(fs, acc),
                 },
                 FoldOrigin::List,
             )
         } else {
-            self.fuse_set_fold(fs, app, acc, base, x_slot, app_ptys, acc_ptys)
+            self.fuse_set_fold(fs, app, acc, base, x_slot)
         };
         let class = FoldClass::with_origin(&kind, is_list, &origin);
         let unit_cost = self.unit_cost(&kind);
@@ -1424,8 +1304,6 @@ impl<'a> Codegen<'a> {
             class,
             origin,
             unit_cost,
-            tier,
-            acc_tier,
             kind,
         })));
         fs.free(3);
@@ -1468,7 +1346,6 @@ impl<'a> Codegen<'a> {
 
     /// Matches the fold lambdas against the fused shapes (module docs) and
     /// records where the classification came from.
-    #[allow(clippy::too_many_arguments)]
     fn fuse_set_fold(
         &mut self,
         fs: &mut FrameState,
@@ -1476,8 +1353,6 @@ impl<'a> Codegen<'a> {
         acc: &LLambda,
         base: LId,
         x: u16,
-        app_ptys: [Option<Type>; 2],
-        acc_ptys: [Option<Type>; 2],
     ) -> (ReduceKind, FoldOrigin) {
         if self.is_product(app, acc, base, x) {
             return (ReduceKind::Product, FoldOrigin::Shape);
@@ -1489,7 +1364,7 @@ impl<'a> Codegen<'a> {
             (AppShape::EqXY, AccShape::OrXY) => ReduceKind::Member,
             (AppShape::Identity, AccShape::InsertXY) => ReduceKind::Union,
             (_, AccShape::InsertXY) => ReduceKind::InsertApp {
-                app: self.gen_lambda_block(fs, app, app_ptys),
+                app: self.gen_lambda_block(fs, app),
             },
             (
                 _,
@@ -1499,7 +1374,7 @@ impl<'a> Codegen<'a> {
                     value_index,
                 },
             ) => ReduceKind::Filter {
-                app: self.gen_lambda_block(fs, app, app_ptys),
+                app: self.gen_lambda_block(fs, app),
                 keep_on_true,
                 cond_index,
                 value_index,
@@ -1511,31 +1386,31 @@ impl<'a> Codegen<'a> {
                     value_index,
                 },
             ) => ReduceKind::Scan {
-                app: self.gen_lambda_block(fs, app, app_ptys),
+                app: self.gen_lambda_block(fs, app),
                 cond_index,
                 value_index,
             },
             (_, AccShape::OrXY) => ReduceKind::BoolAcc {
-                app: self.gen_lambda_block(fs, app, app_ptys),
+                app: self.gen_lambda_block(fs, app),
                 is_or: true,
             },
             (_, AccShape::AndXY) => ReduceKind::BoolAcc {
-                app: self.gen_lambda_block(fs, app, app_ptys),
+                app: self.gen_lambda_block(fs, app),
                 is_or: false,
             },
             // A spine, local or call-threaded, runs as `Generic`: the proof
             // upgrades the *class*, which is what gates sharding.
             (_, AccShape::Spine { via }) => {
                 let kind = ReduceKind::Generic {
-                    app: self.gen_lambda_block(fs, app, app_ptys),
-                    acc: self.gen_lambda_block(fs, acc, acc_ptys),
+                    app: self.gen_lambda_block(fs, app),
+                    acc: self.gen_lambda_block(fs, acc),
                 };
                 return (kind, FoldOrigin::Spine { via });
             }
             (_, AccShape::Other(block)) => {
                 let kind = ReduceKind::Generic {
-                    app: self.gen_lambda_block(fs, app, app_ptys),
-                    acc: self.gen_lambda_block(fs, acc, acc_ptys),
+                    app: self.gen_lambda_block(fs, app),
+                    acc: self.gen_lambda_block(fs, acc),
                 };
                 return (kind, FoldOrigin::Unproven(block));
             }

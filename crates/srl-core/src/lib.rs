@@ -84,7 +84,6 @@ pub mod parallel;
 pub mod pipeline;
 pub mod program;
 pub mod setrepr;
-pub mod tier;
 pub mod typecheck;
 pub mod types;
 pub mod value;

@@ -42,7 +42,6 @@ use crate::bytecode::{codegen_expr, codegen_program, Chunk};
 use crate::dialect::Dialect;
 use crate::intern::{Symbol, SymbolTable};
 use crate::program::Program;
-use crate::types::Type;
 use crate::value::Value;
 
 /// The id of a lowered node: an index into its arena (the
@@ -168,13 +167,6 @@ pub struct CompiledDef {
     pub name: Symbol,
     /// Interned parameter names, in slot order.
     pub params: Vec<Symbol>,
-    /// Declared parameter types, in slot order (`None` for untyped
-    /// parameters). Carried down from [`crate::program::Param::ty`] so
-    /// codegen's shape inference ([`crate::tier`]) can prove `set(atom)`
-    /// operands and stamp the columnar storage tier on fused folds. Purely
-    /// advisory: a wrong declaration can only cost the tier fast path,
-    /// never correctness (the representation widens itself at run time).
-    pub param_types: Vec<Option<Type>>,
     /// Root of the lowered body in the program's node arena; its frame is
     /// exactly the parameter slots.
     pub body: LId,
@@ -337,16 +329,9 @@ impl CompiledProgram {
                 let name = symbols.intern(&def.name);
                 let params: Vec<Symbol> =
                     def.params.iter().map(|p| symbols.intern(&p.name)).collect();
-                let param_types: Vec<Option<Type>> =
-                    def.params.iter().map(|p| p.ty.clone()).collect();
                 let mut scope: Vec<&str> = def.params.iter().map(|p| p.name.as_str()).collect();
                 let body = lower(&def.body, &mut scope, &def_index, &mut nodes);
-                CompiledDef {
-                    name,
-                    params,
-                    param_types,
-                    body,
-                }
+                CompiledDef { name, params, body }
             })
             .collect();
         CompiledProgram {

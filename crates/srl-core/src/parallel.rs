@@ -104,7 +104,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread;
 
-use crate::bytecode::{Chunk, FoldClass, ReduceInsn, ReduceKind, SetTier};
+use crate::bytecode::{Chunk, FoldClass, ReduceInsn, ReduceKind};
 use crate::error::EvalError;
 use crate::eval::{weight_capped, EvalCore, TierEngagements, ACCUMULATOR_WEIGHT_CAP, POLL_STRIDE};
 use crate::faultpoint;
@@ -356,17 +356,6 @@ fn run_sharded(
     merge(core, r, &bounds, runs, base_v)
 }
 
-/// The empty accumulator a shard starts from: the columnar atoms tier when
-/// codegen proved the fold result is a `set(atom)`, the generic tier
-/// otherwise. Stats-neutral (every empty set weighs zero), mirroring
-/// `run_reduce`'s static pre-promotion of the sequential base.
-fn shard_seed(r: &ReduceInsn) -> Value {
-    match r.acc_tier {
-        SetTier::Atom => Value::Set(Arc::new(SetRepr::new_atoms())),
-        SetTier::Generic => Value::empty_set(),
-    }
-}
-
 /// Folds one contiguous shard on a worker core, charging exactly what the
 /// sequential loop charges for the same elements.
 fn run_shard(
@@ -395,7 +384,7 @@ fn run_shard(
             Ok(ShardData::Flip(first_flip))
         }
         ReduceKind::InsertApp { app } => {
-            let mut acc = shard_seed(r);
+            let mut acc = Value::empty_set();
             for elem in shard {
                 let applied = insertapp_element(core, ctx, chunk, *app, x, elem, extra_v, lb, d)?;
                 acc = core.insert_value(applied, acc)?;
@@ -408,7 +397,7 @@ fn run_shard(
             cond_index,
             value_index,
         } => {
-            let mut acc = shard_seed(r);
+            let mut acc = Value::empty_set();
             for elem in shard {
                 let kept = filter_element(
                     core,
@@ -436,7 +425,7 @@ fn run_shard(
             // from the empty set, and the sequential loop's per-iteration
             // weight observation (growing along a spine) collapses to the
             // final weight the merge notes.
-            let mut accumulator = shard_seed(r);
+            let mut accumulator = Value::empty_set();
             for elem in shard {
                 accumulator = generic_element(
                     core,

@@ -35,11 +35,10 @@
 //! Selection is **adaptive at construction**: `FromIterator`, the merge ops
 //! and clone re-tier through [`SetRepr::from_sorted_vec`], which promotes to
 //! the columnar tier whenever every element qualifies; `insert` past the
-//! inline cap promotes instead of spilling when it can. The bytecode
-//! compiler additionally selects the tier **statically** (see
-//! `srl-core/src/tier.rs`): folds whose element shape the type policy proves
-//! to be `set(atom)` pre-promote their accumulators via
-//! [`SetRepr::new_atoms`]. A thread-local toggle
+//! inline cap promotes instead of spilling when it can. This is the only
+//! tier decision: codegen and the VM never pick a representation, so a
+//! fold accumulator that starts as the generic empty set promotes on the
+//! insert that takes it past the inline cap. A thread-local toggle
 //! ([`set_atom_tier_enabled`]) disables the columnar tier entirely so the
 //! differential suites can pit the tiers against each other honestly.
 //!
@@ -661,24 +660,6 @@ impl SetRepr {
                 len: 0,
                 slots: [PAD; INLINE_CAP],
             },
-        }
-    }
-
-    /// An empty set pre-promoted to the columnar atom tier — used by the VM
-    /// when the static tier analysis proves a fold accumulates `set(atom)`,
-    /// so the ascending rebuild pushes `u32`s from the first insert. Falls
-    /// back to the generic empty set when the tier is disabled; every
-    /// operation tolerates a columnar store at or below the inline cap.
-    pub fn new_atoms() -> Self {
-        if atom_tier_enabled() {
-            SetRepr {
-                store: Store::Atoms {
-                    ids: Vec::new(),
-                    start: 0,
-                },
-            }
-        } else {
-            SetRepr::new()
         }
     }
 
@@ -1799,7 +1780,6 @@ mod tests {
         let _guard = TierGuard::off();
         assert_eq!(atoms(0..10).tier_label(), "spilled");
         assert_eq!(atoms(0..100).tier_label(), "spilled");
-        assert_eq!(SetRepr::new_atoms().tier_label(), "inline");
         let mut s = atoms(0..INLINE_CAP as u64);
         s.insert(Value::atom(99));
         assert_eq!(s.tier_label(), "spilled");
@@ -2042,9 +2022,17 @@ mod tests {
         assert_eq!(hash(&named), hash(&mid));
     }
 
+    /// An empty `Atoms` store: eight atoms popped until none is left.
+    fn drained_atoms() -> SetRepr {
+        let mut s = atoms(0..8);
+        assert_eq!(s.tier_label(), "atoms");
+        while s.pop_first().is_some() {}
+        s
+    }
+
     #[test]
-    fn new_atoms_is_a_working_empty_set() {
-        let mut s = SetRepr::new_atoms();
+    fn a_drained_columnar_store_is_a_working_empty_set() {
+        let mut s = drained_atoms();
         assert_eq!(s.tier_label(), "atoms");
         assert!(s.is_empty());
         assert_eq!(s.first(), None);
@@ -2056,7 +2044,7 @@ mod tests {
         assert_eq!(s.first(), Some(Value::atom(1)));
         assert_eq!(s, atoms([1, 2]));
         // Widening works from the empty columnar store too.
-        let mut s = SetRepr::new_atoms();
+        let mut s = drained_atoms();
         assert!(s.insert(Value::nat(7)));
         assert_eq!(s.tier_label(), "inline");
     }

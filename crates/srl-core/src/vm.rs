@@ -37,7 +37,7 @@
 
 use std::sync::Arc;
 
-use crate::bytecode::{BlockId, Chunk, DialectOp, Insn, Operand, ReduceInsn, ReduceKind, SetTier};
+use crate::bytecode::{BlockId, Chunk, DialectOp, Insn, Operand, ReduceInsn, ReduceKind};
 use crate::error::EvalError;
 use crate::eval::{
     choose_min, head_value, next_fresh_index, require_dialect, rest_value, sel_component_ref,
@@ -600,7 +600,7 @@ fn run_reduce(
         core.bump_step(d)?;
     }
     let set_v = core.take_reg(r.set);
-    let mut base_v = core.take_reg(r.base);
+    let base_v = core.take_reg(r.base);
     let extra_v = core.take_reg(r.extra);
     let x = r.x_slot;
     // Lambda bodies run two levels below the reduce node: apply() at d+1,
@@ -649,21 +649,6 @@ fn run_reduce(
         }
     };
     let n = items.len();
-
-    // Static tier pre-promotion: when codegen proved the fold's result is a
-    // `set(atom)` and the base is the empty generic set, start the
-    // accumulator on the columnar atoms tier so inserts stay u32-columnar
-    // from the first element.
-    // Stats-neutral: all representations of the empty set weigh zero and
-    // charge nothing. A wrong (advisory) stamp only costs the fast path —
-    // the first non-conforming insert demotes in place.
-    if r.acc_tier == SetTier::Atom {
-        if let Value::Set(b) = &base_v {
-            if b.is_empty() && !b.is_columnar() {
-                base_v = Value::Set(Arc::new(crate::setrepr::SetRepr::new_atoms()));
-            }
-        }
-    }
 
     // Proper-hom folds with enough per-element work shard across the worker
     // pool; `try_run` declines (returning `None`) whenever sequential

@@ -14,14 +14,11 @@
 //! above). Jump targets are instruction indices within the block. Every
 //! reduce line also names its [`FoldClass`](srl_core::bytecode::FoldClass)
 //! (`class=proper-hom` — shard-splittable across the worker pool — or
-//! `class=ordered`), the statically proved storage tier of the traversed
-//! set and of the fold's accumulator (`tier=<set>/<acc>`, where `atom`
-//! means shape inference proved `set(atom)`, `tuple(k)` means it proved
-//! `set(tuple(atom^k))` — an arity-k atom-tuple relation — and the
-//! columnar fast path pre-engages either way; see
-//! `srl_core::bytecode::SetTier`), and its static per-element cost
-//! estimate, so the compile-time decisions of both the parallel executor
-//! and the columnar tiers are auditable here.
+//! `class=ordered`), where that class came from (`origin=`), and its static
+//! per-element cost estimate, so the compile-time decisions of the parallel
+//! executor are auditable here. Storage tiers are not a compile-time
+//! decision: `srl_core::setrepr` picks them from a set's contents at run
+//! time, so no reduce line names one.
 
 use srl_core::bytecode::{Block, Chunk, FoldOrigin, Insn, Operand, ReduceKind};
 use srl_core::lower::{CompiledProgram, LoweredExpr};
@@ -229,12 +226,10 @@ fn render_insn(chunk: &Chunk, insn: &Insn) -> String {
                 FoldOrigin::List => " origin=list".to_string(),
             };
             format!(
-                "r{} <- {}reduce[{kind}] class={}{origin} tier={}/{} cost={} set=r{} base=r{} extra=r{} x=r{}  @{}",
+                "r{} <- {}reduce[{kind}] class={}{origin} cost={} set=r{} base=r{} extra=r{} x=r{}  @{}",
                 r.dst,
                 if r.is_list { "list-" } else { "" },
                 r.class.label(),
-                r.tier.label(),
-                r.acc_tier.label(),
                 r.unit_cost,
                 r.set,
                 r.base,
@@ -358,61 +353,24 @@ mod tests {
     }
 
     #[test]
-    fn typed_folds_disassemble_with_the_atom_tier() {
-        use srl_core::types::Type;
-        let p = Program::srl().define_typed(
-            "copy",
-            [("S", Type::set_of(Type::Atom))],
-            set_reduce(
-                var("S"),
-                Lambda::identity(),
-                lam("x", "acc", insert(var("x"), var("acc"))),
-                empty_set(),
-                empty_set(),
-            ),
-        );
-        let c = p.compile();
-        let text = disasm_program(&c);
-        assert!(text.contains("tier=atom/atom"), "{text}");
-
-        // Without the declaration, shape inference has nothing to stand on.
-        let p = Program::srl().define(
-            "copy",
-            ["S"],
-            set_reduce(
-                var("S"),
-                Lambda::identity(),
-                lam("x", "acc", insert(var("x"), var("acc"))),
-                empty_set(),
-                empty_set(),
-            ),
-        );
-        let c = p.compile();
-        let text = disasm_program(&c);
-        assert!(text.contains("tier=generic/generic"), "{text}");
-    }
-
-    #[test]
     fn relation_folds_disassemble_generic() {
         use srl_core::types::Type;
-        // A declared arity-2 relation: shape inference proves
-        // set(tuple(atom, atom)) for both the traversed set and the
-        // insert-spine accumulator, and sets of tuples live in the generic
-        // tier, so the stamp prints as generic.
-        let p = Program::srl().define_typed(
-            "copy",
-            [("E", Type::relation(2))],
+        // Declared parameter types do not reach codegen: a fold over a
+        // declared arity-2 relation compiles exactly like the untyped one.
+        let copy = || {
             set_reduce(
                 var("E"),
                 Lambda::identity(),
                 lam("x", "acc", insert(var("x"), var("acc"))),
                 empty_set(),
                 empty_set(),
-            ),
-        );
-        let c = p.compile();
-        let text = disasm_program(&c);
-        assert!(text.contains("tier=generic/generic"), "{text}");
+            )
+        };
+        let typed = Program::srl().define_typed("copy", [("E", Type::relation(2))], copy());
+        let untyped = Program::srl().define("copy", ["E"], copy());
+        let text = disasm_program(&typed.compile());
+        assert_eq!(text, disasm_program(&untyped.compile()));
+        assert!(text.contains("reduce[union"), "{text}");
     }
 
     /// `derived::cartesian(A, B)` spelled out with its parts exposed, so

@@ -556,6 +556,52 @@ fn storage_threshold_edges_agree() {
     }
 }
 
+#[test]
+fn declared_set_of_atom_folds_agree_with_untyped_ones() {
+    use srl_core::setrepr::INLINE_CAP;
+    use srl_core::types::Type;
+    use srl_core::Lambda;
+
+    // A `set(atom)` declaration is not a tier decision: the copy fold's
+    // accumulator starts generic either way and the adaptive storage
+    // promotes it, so the typed fold and the untyped one must agree with
+    // each other and across the whole matrix.
+    let copy = || {
+        set_reduce(
+            var("S"),
+            Lambda::identity(),
+            lam("x", "acc", insert(var("x"), var("acc"))),
+            empty_set(),
+            empty_set(),
+        )
+    };
+    let typed = Program::srl().define_typed("copy", [("S", Type::set_of(Type::Atom))], copy());
+    let untyped = Program::srl().define("copy", ["S"], copy());
+    for n in [3u64, 5, 100] {
+        let inputs = [atom_set(0..n)];
+        let mut seen = Vec::new();
+        for (label, program) in [("typed", &typed), ("untyped", &untyped)] {
+            let outcomes = run_matrix(program, EvalLimits::default(), &inputs, |ev, vals| {
+                ev.call("copy", vals)
+            });
+            let (v, on_min) = assert_tier_identical(&format!("{label} copy n={n}"), &outcomes);
+            assert_eq!(v.len(), Some(n as usize));
+            if n as usize > INLINE_CAP {
+                assert!(
+                    on_min > 0,
+                    "{label} copy n={n}: tier did not engage on some backend"
+                );
+            }
+            let stats = outcomes[0].result.as_ref().map(|(_, s)| *s).ok();
+            seen.push((format!("{v}"), v, stats));
+        }
+        assert_eq!(
+            seen[0], seen[1],
+            "copy n={n}: typed and untyped folds differ"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Property tests: random id sets across densities, the full matrix.
 // ---------------------------------------------------------------------------
@@ -710,10 +756,15 @@ fn cached_set_weights_survive_every_mutation_and_tier_move() {
             Shape::Pairs,
             Shape::Mixed,
         ][g.below(4) as usize];
+        // Half the episodes start from an empty columnar store: eight
+        // atoms drained back to nothing.
         let mut s = if g.below(2) == 0 {
             SetRepr::new()
         } else {
-            SetRepr::new_atoms()
+            let mut drained: SetRepr = (0..8).map(Value::atom).collect();
+            assert_eq!(drained.tier_label(), "atoms", "episode {episode}");
+            while drained.pop_first().is_some() {}
+            drained
         };
         // The reference: `BTreeSet::insert` keeps the stored copy of an
         // equal element, the first-wins rule every set operation follows.
