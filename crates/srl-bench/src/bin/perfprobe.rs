@@ -50,6 +50,7 @@ use srl_core::eval::Evaluator;
 use srl_core::limits::EvalLimits;
 use srl_core::lower::LoweredExpr;
 use srl_core::program::{Env, Program};
+use srl_core::setrepr::with_atom_tier;
 use srl_core::value::Value;
 use srl_core::ExecBackend;
 
@@ -142,8 +143,7 @@ fn probe_call(
         times[i] = t.elapsed();
     }
     let [tree, vm, vm_par] = times;
-    let vm_tier_off = {
-        let prev = srl_core::setrepr::set_atom_tier_enabled(false);
+    let vm_tier_off = with_atom_tier(false, || {
         let off_args: Vec<Value> = args.iter().map(rebuild).collect();
         let mut ev = Evaluator::with_compiled(program, Arc::clone(&compiled), limits)
             .expect("compiled from this program")
@@ -155,10 +155,8 @@ fn probe_call(
             ev.reset_stats();
             ev.call(name, &off_args).expect("probe evaluates");
         }
-        let elapsed = t.elapsed();
-        srl_core::setrepr::set_atom_tier_enabled(prev);
-        elapsed
-    };
+        t.elapsed()
+    });
     Probe {
         name: probe.to_string(),
         runs,
@@ -201,8 +199,7 @@ fn probe_lowered(
         times[i] = t.elapsed();
     }
     let [tree, vm, vm_par] = times;
-    let vm_tier_off = {
-        let prev = srl_core::setrepr::set_atom_tier_enabled(false);
+    let vm_tier_off = with_atom_tier(false, || {
         let mut off_env = Env::new();
         for (name, value) in env.iter() {
             off_env.insert(name.to_string(), rebuild(value));
@@ -222,10 +219,8 @@ fn probe_lowered(
                 ev.eval_lowered(l, &off_env).expect("probe evaluates");
             }
         }
-        let elapsed = t.elapsed();
-        srl_core::setrepr::set_atom_tier_enabled(prev);
-        elapsed
-    };
+        t.elapsed()
+    });
     Probe {
         name: probe.to_string(),
         runs,

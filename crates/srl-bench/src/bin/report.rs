@@ -12,6 +12,7 @@
 //! report (CI diffs all three against `BENCH_1.json`).
 
 use srl_bench::*;
+use srl_core::ExecBackend;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -33,15 +34,11 @@ fn main() {
         },
         None => None,
     };
-    match (backend_word, threads) {
-        (None, None) => {}
-        (None | Some(Some("vm")), Some(n)) => {
-            set_backend(srl_core::ExecBackend::vm_with_threads(n))
-        }
-        (Some(Some("vm")), None) => set_backend(srl_core::ExecBackend::vm()),
-        (Some(Some("tree")) | Some(Some("tree-walk")), None) => {
-            set_backend(srl_core::ExecBackend::TreeWalk)
-        }
+    let backend = match (backend_word, threads) {
+        (None, None) => ExecBackend::default(),
+        (None | Some(Some("vm")), Some(n)) => ExecBackend::vm_with_threads(n),
+        (Some(Some("vm")), None) => ExecBackend::vm(),
+        (Some(Some("tree")) | Some(Some("tree-walk")), None) => ExecBackend::TreeWalk,
         (Some(Some("tree")) | Some(Some("tree-walk")), Some(_)) => {
             eprintln!("--threads requires the vm backend (the tree-walk has no worker pool)");
             std::process::exit(2);
@@ -54,17 +51,17 @@ fn main() {
             eprintln!("unknown --backend {other:?} (expected vm|tree)");
             std::process::exit(2);
         }
-    }
+    };
     let mut all = Vec::new();
-    all.extend(experiment_e1(&[4, 6, 8]));
-    all.extend(experiment_e2(&[2, 4, 8, 12]));
-    all.extend(experiment_e3(&[8, 16, 32]));
-    all.extend(experiment_e4(&[4, 6, 8]));
-    all.extend(experiment_e5(&[6, 10, 14]));
-    all.extend(experiment_e6(&[2, 4, 8]));
-    all.extend(experiment_e7(&[4, 8, 16, 32]));
+    all.extend(experiment_e1(backend, &[4, 6, 8]));
+    all.extend(experiment_e2(backend, &[2, 4, 8, 12]));
+    all.extend(experiment_e3(backend, &[8, 16, 32]));
+    all.extend(experiment_e4(backend, &[4, 6, 8]));
+    all.extend(experiment_e5(backend, &[6, 10, 14]));
+    all.extend(experiment_e6(backend, &[2, 4, 8]));
+    all.extend(experiment_e7(backend, &[4, 8, 16, 32]));
     all.extend(experiment_e8(&[4, 5, 6]));
-    all.extend(experiment_e9(&[8, 16, 32]));
+    all.extend(experiment_e9(backend, &[8, 16, 32]));
     if json {
         println!("{}", to_json(&all));
     } else {

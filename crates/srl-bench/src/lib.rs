@@ -18,11 +18,16 @@
 //! (what the original `run_program`-per-measurement harnesses did) charges
 //! lowering to every reported number; the statistics are unaffected (they
 //! only count evaluation work) but wall-clock comparisons are skewed.
+//!
+//! Each experiment that evaluates through a [`Harness`] takes the
+//! [`ExecBackend`] to run on (the benchmark's **backend axis**, extended
+//! with the **par axis** — the VM's worker-pool width). The semantic rows
+//! are invariant along both axes, so `report --json` must diff clean
+//! against `BENCH_1.json` under any setting (CI checks the default, the
+//! tree-walk and a multi-threaded pool).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use srl_core::api::escape;
 use srl_core::ast::Expr;
@@ -35,43 +40,6 @@ use srl_core::program::{Env, Program};
 use srl_core::value::Value;
 use srl_core::ExecBackend;
 
-/// The execution backend every experiment harness uses (the benchmark's
-/// **backend axis**, extended with the **par axis** — the VM's worker-pool
-/// width). Follows [`ExecBackend::default`] (the sequential bytecode VM)
-/// until `report --backend tree|vm` / `report --threads N` pins one
-/// explicitly. The semantic rows are invariant along both axes — every
-/// engine configuration produces byte-identical `EvalStats` — so
-/// `report --json` must diff clean against the pinned trajectory point
-/// under any setting (CI checks the default, the tree-walk, and a
-/// multi-threaded pool).
-///
-/// Encoding: `usize::MAX` = follow the default, `0` = tree-walk,
-/// `t ≥ 1` = VM with a pool of `t`.
-static BACKEND: AtomicUsize = AtomicUsize::new(FOLLOW_DEFAULT);
-
-const FOLLOW_DEFAULT: usize = usize::MAX;
-const TREE_WALK: usize = 0;
-
-/// Selects the execution backend for subsequently-constructed harnesses.
-pub fn set_backend(backend: ExecBackend) {
-    BACKEND.store(
-        match backend {
-            ExecBackend::TreeWalk => TREE_WALK,
-            ExecBackend::Vm { threads } => threads.clamp(1, FOLLOW_DEFAULT - 1),
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The currently selected harness backend.
-pub fn backend() -> ExecBackend {
-    match BACKEND.load(Ordering::Relaxed) {
-        FOLLOW_DEFAULT => ExecBackend::default(),
-        TREE_WALK => ExecBackend::TreeWalk,
-        threads => ExecBackend::Vm { threads },
-    }
-}
-
 /// A program pushed once through the staged compile pipeline
 /// ([`srl_core::pipeline::Pipeline`]) per experiment, with one long-lived
 /// [`Evaluator`] shared by every measured run.
@@ -79,18 +47,18 @@ pub fn backend() -> ExecBackend {
 /// Statistics are reset before each run (so they cover exactly one
 /// evaluation, as `run_program` reported them), but nothing is re-lowered,
 /// re-validated or re-fingerprinted per measurement — the construction cost
-/// is paid exactly once. The evaluator runs on the module-level backend
-/// (see [`set_backend`]).
+/// is paid exactly once. The evaluator runs on the backend the experiment
+/// was given.
 struct Harness {
     artifact: Compiled,
     evaluator: Evaluator,
 }
 
 impl Harness {
-    fn new(program: Program, limits: EvalLimits) -> Self {
+    fn new(program: Program, limits: EvalLimits, backend: ExecBackend) -> Self {
         let artifact = PipelineConfig::new()
             .with_limits(limits)
-            .with_backend(backend())
+            .with_backend(backend)
             .with_type_policy(TypePolicy::Skip)
             .pipeline()
             .prepare(program)
@@ -403,11 +371,11 @@ pub fn to_markdown(rows: &[Row]) -> String {
 
 /// E1 — Lemma 3.6 / Theorem 3.10: APATH in SRL vs. the native alternating
 /// reachability solver and the FO+LFP baseline.
-pub fn experiment_e1(sizes: &[usize]) -> Vec<Row> {
+pub fn experiment_e1(backend: ExecBackend, sizes: &[usize]) -> Vec<Row> {
     use srl_stdlib::agap::{apath_program, names};
     use workloads::altgraph::AlternatingGraph;
 
-    let mut harness = Harness::new(apath_program(), EvalLimits::benchmark());
+    let mut harness = Harness::new(apath_program(), EvalLimits::benchmark(), backend);
     let mut rows = Vec::new();
     for &n in sizes {
         let graph = AlternatingGraph::random(n, 0.25, 7 + n as u64);
@@ -434,10 +402,10 @@ pub fn experiment_e1(sizes: &[usize]) -> Vec<Row> {
 }
 
 /// E2 — Example 3.12: powerset blow-up at set-height 2.
-pub fn experiment_e2(sizes: &[usize]) -> Vec<Row> {
+pub fn experiment_e2(backend: ExecBackend, sizes: &[usize]) -> Vec<Row> {
     use srl_stdlib::blowup::{names, powerset_program};
 
-    let mut harness = Harness::new(powerset_program(), EvalLimits::default());
+    let mut harness = Harness::new(powerset_program(), EvalLimits::default(), backend);
     let mut rows = Vec::new();
     for &n in sizes {
         let input = Value::set((0..n as u64).map(Value::atom));
@@ -461,10 +429,10 @@ pub fn experiment_e2(sizes: &[usize]) -> Vec<Row> {
 
 /// E3 — Proposition 4.5 / Lemma 4.6: BASRL arithmetic vs. native arithmetic,
 /// with the accumulator-size evidence for Theorem 4.13.
-pub fn experiment_e3(sizes: &[usize]) -> Vec<Row> {
+pub fn experiment_e3(backend: ExecBackend, sizes: &[usize]) -> Vec<Row> {
     use srl_stdlib::arith::{arithmetic_program, domain, names};
 
-    let mut harness = Harness::new(arithmetic_program(), EvalLimits::benchmark());
+    let mut harness = Harness::new(arithmetic_program(), EvalLimits::benchmark(), backend);
     let mut rows = Vec::new();
     for &n in sizes {
         let d = domain(n as u64);
@@ -495,11 +463,11 @@ pub fn experiment_e3(sizes: &[usize]) -> Vec<Row> {
 }
 
 /// E4 — Lemma 4.10 / Theorem 4.13: iterated permutation product in BASRL.
-pub fn experiment_e4(sizes: &[usize]) -> Vec<Row> {
+pub fn experiment_e4(backend: ExecBackend, sizes: &[usize]) -> Vec<Row> {
     use srl_stdlib::perm::{names, padded_domain, perm_program};
     use workloads::permutation::IteratedProductInstance;
 
-    let mut harness = Harness::new(perm_program(), EvalLimits::benchmark());
+    let mut harness = Harness::new(perm_program(), EvalLimits::benchmark(), backend);
     let mut rows = Vec::new();
     for &n in sizes {
         let instance = IteratedProductInstance::random(n, n, 11 + n as u64);
@@ -531,7 +499,7 @@ pub fn experiment_e4(sizes: &[usize]) -> Vec<Row> {
 
 /// E5 — Corollaries 4.2 / 4.4: TC and DTC in SRL vs. native closures and the
 /// FO+TC / FO+DTC formulas.
-pub fn experiment_e5(sizes: &[usize]) -> Vec<Row> {
+pub fn experiment_e5(backend: ExecBackend, sizes: &[usize]) -> Vec<Row> {
     use workloads::digraph::Digraph;
 
     // The queries are fixed expressions over inputs named D and E: lower them
@@ -539,6 +507,7 @@ pub fn experiment_e5(sizes: &[usize]) -> Vec<Row> {
     let mut harness = Harness::new(
         Program::new(srl_core::Dialect::full()),
         EvalLimits::benchmark(),
+        backend,
     );
     let tc_lowered = harness.lower(&queries::tc_query(), &["D", "E"]);
     let dtc_lowered = harness.lower(&queries::dtc_query(), &["D", "E"]);
@@ -568,7 +537,7 @@ pub fn experiment_e5(sizes: &[usize]) -> Vec<Row> {
 
 /// E6 — Theorem 5.2 / Corollary 5.5: primitive recursion compiled to SRL+new,
 /// and the LRL blow-up.
-pub fn experiment_e6(sizes: &[usize]) -> Vec<Row> {
+pub fn experiment_e6(backend: ExecBackend, sizes: &[usize]) -> Vec<Row> {
     use machines::primrec::library;
     use srl_stdlib::blowup::{lrl_doubling_program, names as blow_names};
     use srl_stdlib::primrec_compile::{compile, decode_nat, encode_nat};
@@ -577,9 +546,9 @@ pub fn experiment_e6(sizes: &[usize]) -> Vec<Row> {
     let mul = compile(&library::mul()).expect("mul compiles");
     let add_entry = add.entry.clone();
     let mul_entry = mul.entry.clone();
-    let mut add_harness = Harness::new(add.program, EvalLimits::benchmark());
-    let mut mul_harness = Harness::new(mul.program, EvalLimits::benchmark());
-    let mut doubling_harness = Harness::new(lrl_doubling_program(), EvalLimits::default());
+    let mut add_harness = Harness::new(add.program, EvalLimits::benchmark(), backend);
+    let mut mul_harness = Harness::new(mul.program, EvalLimits::benchmark(), backend);
+    let mut doubling_harness = Harness::new(lrl_doubling_program(), EvalLimits::default(), backend);
     // `eval_compiled` re-lowers the compiled-PR program per call; run the
     // entry point through the shared compiled form instead.
     let pr_eval = |harness: &mut Harness, entry: &str, args: &[u64]| -> Option<u64> {
@@ -616,12 +585,12 @@ pub fn experiment_e6(sizes: &[usize]) -> Vec<Row> {
 
 /// E7 — Proposition 6.2 / Corollary 6.3: the compiled Turing-machine
 /// simulation vs. the native runner.
-pub fn experiment_e7(sizes: &[usize]) -> Vec<Row> {
+pub fn experiment_e7(backend: ExecBackend, sizes: &[usize]) -> Vec<Row> {
     use machines::tm::library::{even_parity, SYM_A, SYM_B};
     use srl_stdlib::tm_sim::{compile, encode_input, names, position_domain};
 
     let machine = even_parity();
-    let mut harness = Harness::new(compile(&machine), EvalLimits::benchmark());
+    let mut harness = Harness::new(compile(&machine), EvalLimits::benchmark(), backend);
     let mut rows = Vec::new();
     for &n in sizes {
         let input: Vec<u8> = (0..n)
@@ -640,7 +609,8 @@ pub fn experiment_e7(sizes: &[usize]) -> Vec<Row> {
 }
 
 /// E8 — Section 7: order-dependence of `Purple(First(S))`, order-independence
-/// of count/EVEN, and the CFI pairs' WL-indistinguishability.
+/// of count/EVEN, and the CFI pairs' WL-indistinguishability. Takes no
+/// backend: `srl-analysis`'s order-dependence search runs its own evaluator.
 pub fn experiment_e8(sizes: &[usize]) -> Vec<Row> {
     use srl_analysis::{analyze_order_dependence, OrderVerdict};
     use srl_core::dsl::var;
@@ -680,7 +650,7 @@ pub fn experiment_e8(sizes: &[usize]) -> Vec<Row> {
 
 /// E9 — Fact 2.4 / Proposition 3.3: relational operators in SRL on the
 /// company workload, and closure under a first-order interpretation.
-pub fn experiment_e9(sizes: &[usize]) -> Vec<Row> {
+pub fn experiment_e9(backend: ExecBackend, sizes: &[usize]) -> Vec<Row> {
     use fo_logic::interpretation::library::graph_square;
     use workloads::tables::CompanyDatabase;
 
@@ -690,6 +660,7 @@ pub fn experiment_e9(sizes: &[usize]) -> Vec<Row> {
     let mut harness = Harness::new(
         Program::new(srl_core::Dialect::full()),
         EvalLimits::benchmark(),
+        backend,
     );
     let joined_lowered = harness.lower(&queries::company_join(), &["EMP", "DEPT"]);
     let mut rows = Vec::new();

@@ -3,7 +3,7 @@
 //! The constructors follow the grammar of Section 2 of the paper, rules 1–10,
 //! plus the extensions the paper studies:
 //!
-//! * `choose` / `rest` — the primitives the formal specification ([35] in the
+//! * `choose` / `rest` — the primitives the formal specification (\[35\] in the
 //!   paper) uses to give `set-reduce` its semantics;
 //! * `new` — invented values (Section 5);
 //! * lists with `cons` / `list-reduce` — the LRL variant (Sections 3 and 5);

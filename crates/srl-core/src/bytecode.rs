@@ -33,7 +33,7 @@
 //! a monotone limit is crossed; nodes whose tree-walk arm can fail *before*
 //! evaluating children (dialect guards, static arity mismatches) keep their
 //! pre-order position via explicit [`Insn::Guard`]/fail instructions. The
-//! result: on every successful evaluation the VM's [`EvalStats`] are
+//! result: on every successful evaluation the VM's [`EvalStats`](crate::limits::EvalStats) are
 //! **byte-identical** to the tree-walk's (`tests/tests/vm_differential.rs`
 //! enforces this across the whole benchmark suite). On error paths the error
 //! *kind* matches but the partial counters may differ by the reordering.

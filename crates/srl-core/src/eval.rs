@@ -69,12 +69,11 @@ pub(crate) const ACCUMULATOR_WEIGHT_CAP: usize = 4_096;
 /// Per-tier breakdown of the columnar engagement diagnostic: how many
 /// `set-reduce` folds traversed or produced a set on each columnar tier
 /// (see [`crate::setrepr`]). A fold counts **once**, under the traversed
-/// set's tier when that is columnar, else under the produced set's — so
-/// [`TierEngagements::total`] is exactly the engagement count the
-/// aggregate [`Evaluator::tier_engagements`] diagnostic has always
-/// reported. Deliberately **not** part of [`EvalStats`]: the statistics
-/// are byte-identical whether or not any tier engages, while this reports
-/// the storage strategy.
+/// set's tier when that is columnar, else under the produced set's, and
+/// [`TierEngagements::total`] is the number of engaged folds. Deliberately
+/// **not** part of [`EvalStats`]: the statistics are byte-identical
+/// whether or not any tier engages, while this reports the storage
+/// strategy.
 ///
 /// A fused VM fold counts as the one fold it executes: the
 /// [`ReduceKind::Product`](crate::bytecode::ReduceKind::Product) that
@@ -324,23 +323,15 @@ impl Evaluator {
         self.core.parallel_folds
     }
 
-    /// Diagnostic counter: how many `set-reduce` folds traversed a columnar
-    /// input or produced a columnar accumulator (the sorted-`u32` atoms
-    /// tier or the dense bitset tier, see [`crate::setrepr`]). Like
-    /// [`Evaluator::parallel_folds`], deliberately **not** part of
-    /// [`EvalStats`]: the statistics are byte-identical whether or not the
-    /// tier engages, while this counter reports the storage strategy
-    /// (and, unlike the statistics, may
-    /// differ between backends on a fused product; see
-    /// [`TierEngagements`]). The per-tier breakdown is
-    /// [`Evaluator::tier_engagement_breakdown`].
-    pub fn tier_engagements(&self) -> u64 {
-        self.core.tier_engagements.total()
-    }
-
-    /// Per-tier breakdown of [`Evaluator::tier_engagements`]: which
-    /// columnar tier each engaged fold ran on (the traversed set's tier
-    /// when columnar, else the produced set's).
+    /// Diagnostic counters: how many `set-reduce` folds traversed a
+    /// columnar input or produced a columnar accumulator, per columnar tier
+    /// (the sorted-`u32` atoms tier or the dense bitset tier, see
+    /// [`crate::setrepr`]) — the traversed set's tier when columnar, else
+    /// the produced set's. Like [`Evaluator::parallel_folds`], deliberately
+    /// **not** part of [`EvalStats`]: the statistics are byte-identical
+    /// whether or not the tier engages, while these counters report the
+    /// storage strategy (and, unlike the statistics, may differ between
+    /// backends on a fused product; see [`TierEngagements`]).
     pub fn tier_engagement_breakdown(&self) -> TierEngagements {
         self.core.tier_engagements
     }

@@ -384,11 +384,6 @@ impl CompiledProgram {
         self.def_index.get(name).copied()
     }
 
-    /// The compiled definition for `name`.
-    pub fn def_by_name(&self, name: &str) -> Option<&CompiledDef> {
-        self.def_id(name).map(|i| &self.defs[i as usize])
-    }
-
     /// The spelling of a definition's name.
     pub fn def_name(&self, def: &CompiledDef) -> &str {
         self.symbols.resolve(def.name)

@@ -122,12 +122,6 @@ impl Program {
         self
     }
 
-    /// Adds an already-built definition.
-    pub fn with_def(mut self, def: FunDef) -> Self {
-        self.defs.push(Arc::new(def));
-        self
-    }
-
     /// Appends every definition of `other` (used to splice stdlib prologues
     /// in front of paper programs). Sharing, not copying: each appended
     /// definition is an `Arc` clone.

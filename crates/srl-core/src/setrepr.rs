@@ -26,7 +26,7 @@
 //! * **Dense bitset** (`bits`): an atoms set that is large
 //!   (≥ [`BITS_MIN_LEN`]) and dense (max id < [`BITS_MAX_SPREAD`] × len)
 //!   is stored as a bit vector — O(1)-word membership, word-parallel
-//!   union/difference. This is the membership-heavy-fold mode for dense
+//!   union. This is the membership-heavy-fold mode for dense
 //!   atom universes (alphabet-indexed unions).
 //!
 //! Sets of tuples, sets of sets and mixed contents live in the two generic
@@ -39,8 +39,9 @@
 //! tier decision: codegen and the VM never pick a representation, so a
 //! fold accumulator that starts as the generic empty set promotes on the
 //! insert that takes it past the inline cap. A thread-local toggle
-//! ([`set_atom_tier_enabled`]) disables the columnar tier entirely so the
-//! differential suites can pit the tiers against each other honestly.
+//! ([`set_atom_tier_enabled`], scoped by [`with_atom_tier`]) disables the
+//! columnar tier entirely so the differential suites can pit the tiers
+//! against each other honestly.
 //!
 //! ## Widening is observationally free
 //!
@@ -55,8 +56,7 @@
 //! identical across tiers. `tests/tests/set_tier_differential.rs` pins this
 //! byte-for-byte across backends and thread counts.
 //!
-//! The bulk operations [`SetRepr::merge_union`] and
-//! [`SetRepr::merge_sorted_difference`] are two-pointer merges over the
+//! The bulk union [`SetRepr::merge_union`] is a two-pointer merge over the
 //! sorted representations, with a **galloping** (exponentially probing) fast
 //! path when one operand is much smaller than the other, id-space merges
 //! when both operands are columnar, and word-parallel bit ops when both are
@@ -136,6 +136,20 @@ pub fn atom_tier_enabled() -> bool {
 /// merge). Returns the previous value so callers can restore it.
 pub fn set_atom_tier_enabled(on: bool) -> bool {
     ATOM_TIER_ENABLED.with(|c| c.replace(on))
+}
+
+/// Runs `f` with the columnar tier switched `on` for this thread, then
+/// restores the previous setting — also when `f` unwinds, so a thread that
+/// outlives a caught panic (a pooled session thread) keeps its own setting.
+pub fn with_atom_tier<R>(on: bool, f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_atom_tier_enabled(self.0);
+        }
+    }
+    let _restore = Restore(set_atom_tier_enabled(on));
+    f()
 }
 
 /// A finite set of [`Value`]s: inline array when small, sorted vector with a
@@ -504,31 +518,6 @@ fn merge_into<T: Ord + Clone>(
     }
 }
 
-/// Sorted `a \ b` over sorted-dedup slices, with the same galloping runs.
-fn merge_difference_sorted<T: Ord + Clone>(a: &[T], b: &[T], gallop: bool) -> Vec<T> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            Ordering::Less => {
-                let run = if gallop { gallop_lt(&a[i..], &b[j]) } else { 1 };
-                out.extend_from_slice(&a[i..i + run]);
-                i += run;
-            }
-            Ordering::Greater => {
-                let run = if gallop { gallop_lt(&b[j..], &a[i]) } else { 1 };
-                j += run;
-            }
-            Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out
-}
-
 /// Union of two columnar views in id space, into a fresh set.
 fn union_cols(a: &ColView<'_>, b: &ColView<'_>) -> SetRepr {
     match (a.id_slice(), b.id_slice()) {
@@ -571,37 +560,6 @@ fn bits_with_ids(words: &[u64], ids: &[u32]) -> SetRepr {
     SetRepr::from_bits(out)
 }
 
-/// Difference `a \ b` of two columnar views in id space.
-fn diff_cols(a: &ColView<'_>, b: &ColView<'_>) -> SetRepr {
-    match (a.id_slice(), b.id_slice()) {
-        (Some(x), Some(y)) => {
-            SetRepr::from_sorted_ids(merge_difference_sorted(x, y, skewed(x.len(), y.len())))
-        }
-        (Some(x), None) => {
-            let wb = b.bits().unwrap();
-            SetRepr::from_sorted_ids(x.iter().copied().filter(|&id| !bit_test(wb, id)).collect())
-        }
-        (None, Some(y)) => {
-            let mut words = a.bits().unwrap().to_vec();
-            for &id in y {
-                let w = id as usize / 64;
-                if w < words.len() {
-                    words[w] &= !(1u64 << (id % 64));
-                }
-            }
-            SetRepr::from_bits(words)
-        }
-        (None, None) => {
-            let (wa, wb) = (a.bits().unwrap(), b.bits().unwrap());
-            let mut words = wa.to_vec();
-            for (w, s) in words.iter_mut().zip(wb.iter()) {
-                *w &= !s;
-            }
-            SetRepr::from_bits(words)
-        }
-    }
-}
-
 /// Cursor-merge union across mixed tiers, in the total value order; ties
 /// keep `a`'s copy.
 fn merge_union_elems(a: &SetRepr, b: &SetRepr) -> Vec<Value> {
@@ -620,31 +578,6 @@ fn merge_union_elems(a: &SetRepr, b: &SetRepr) -> Vec<Value> {
             Ordering::Greater => out.push(y.next().unwrap().to_value()),
             Ordering::Equal => {
                 out.push(x.next().unwrap().to_value());
-                y.next();
-            }
-        }
-    }
-    out
-}
-
-/// Cursor-merge difference `a \ b` across mixed tiers.
-fn merge_difference_elems(a: &SetRepr, b: &SetRepr) -> Vec<Value> {
-    let mut out = Vec::new();
-    let mut x = a.elems().peekable();
-    let mut y = b.elems().peekable();
-    loop {
-        let ord = match (x.peek(), y.peek()) {
-            (Some(e), Some(f)) => cmp_elem(e, f),
-            (Some(_), None) => Ordering::Less,
-            (None, _) => break,
-        };
-        match ord {
-            Ordering::Less => out.push(x.next().unwrap().to_value()),
-            Ordering::Greater => {
-                y.next();
-            }
-            Ordering::Equal => {
-                x.next();
                 y.next();
             }
         }
@@ -808,13 +741,6 @@ impl SetRepr {
             }
             _ => None,
         }
-    }
-
-    /// True if the elements live in a columnar tier (atom ids or a dense
-    /// bitset).
-    #[inline]
-    pub fn is_columnar(&self) -> bool {
-        matches!(self.store, Store::Atoms { .. } | Store::Bits { .. })
     }
 
     /// The storage tier currently backing the set, for diagnostics.
@@ -1226,27 +1152,6 @@ impl SetRepr {
         }
     }
 
-    /// `self \ other` as a bulk sweep over the two sorted representations —
-    /// the bulk form of testing each element of `self` for membership in
-    /// `other` and keeping the misses. Same tier dispatch as
-    /// [`SetRepr::merge_union`].
-    pub fn merge_sorted_difference(&self, other: &SetRepr) -> SetRepr {
-        if self.is_empty() || other.is_empty() {
-            return self.clone();
-        }
-        if self.is_columnar() || other.is_columnar() {
-            if let (Some(a), Some(b)) = (self.col_view(), other.col_view()) {
-                return diff_cols(&a, &b);
-            }
-            return SetRepr::from_sorted_vec(merge_difference_elems(self, other), None);
-        }
-        let (a, b) = (self.value_slice().unwrap(), other.value_slice().unwrap());
-        SetRepr::from_sorted_vec(
-            merge_difference_sorted(a, b, skewed(a.len(), b.len())),
-            None,
-        )
-    }
-
     /// Number of backing slots currently held (live + dead). Exposed for
     /// tests that pin the amortized-compaction guarantee.
     #[doc(hidden)]
@@ -1448,21 +1353,6 @@ mod tests {
         u
     }
 
-    /// RAII guard: disables the columnar tier on this thread, restoring the
-    /// previous value on drop. Thread-local, so concurrent tests on other
-    /// threads are unaffected.
-    struct TierGuard(bool);
-    impl TierGuard {
-        fn off() -> Self {
-            TierGuard(set_atom_tier_enabled(false))
-        }
-    }
-    impl Drop for TierGuard {
-        fn drop(&mut self) {
-            set_atom_tier_enabled(self.0);
-        }
-    }
-
     #[test]
     fn from_iter_sorts_and_dedups_first_wins() {
         let s: SetRepr = [
@@ -1650,27 +1540,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_sorted_difference_matches_per_element_membership() {
-        let a = atoms([1, 2, 3, 5, 8, 13]);
-        let b = atoms([2, 4, 8, 9]);
-        let d = a.merge_sorted_difference(&b);
-        let got: Vec<_> = d.iter().collect();
-        assert_eq!(got, [1u64, 3, 5, 13].map(Value::atom).to_vec());
-        let expected: SetRepr = a.iter().filter(|v| !b.contains(v)).collect();
-        assert_eq!(d, expected);
-        assert_eq!(a.merge_sorted_difference(&SetRepr::new()), a);
-        assert!(SetRepr::new().merge_sorted_difference(&b).is_empty());
-        assert!(a.merge_sorted_difference(&a).is_empty());
-    }
-
-    #[test]
     fn merge_results_fit_inline_when_small() {
         let a = atoms([1, 2]);
         let b = atoms([2, 3]);
         assert!(union(&a, &b).is_inline());
         let big = atoms(0..10);
         assert!(!union(&big, &a).is_inline());
-        assert!(big.merge_sorted_difference(&atoms(0..7)).is_inline());
     }
 
     #[test]
@@ -1684,7 +1559,7 @@ mod tests {
     fn all_atom_growth_promotes_to_the_columnar_tier() {
         let s = atoms(0..10);
         assert_eq!(s.tier_label(), "atoms");
-        assert!(s.is_columnar());
+        assert!(s.columnar_kind().is_some());
         assert_eq!(s.weight_sum(), 10);
         // Small all-atom sets stay inline; the tier engages past the cap.
         assert_eq!(atoms(0..3).tier_label(), "inline");
@@ -1777,21 +1652,34 @@ mod tests {
 
     #[test]
     fn toggle_off_keeps_every_set_generic() {
-        let _guard = TierGuard::off();
-        assert_eq!(atoms(0..10).tier_label(), "spilled");
-        assert_eq!(atoms(0..100).tier_label(), "spilled");
-        let mut s = atoms(0..INLINE_CAP as u64);
-        s.insert(Value::atom(99));
-        assert_eq!(s.tier_label(), "spilled");
-        // A columnar set built while the tier was on widens on clone.
-        let columnar = {
-            let _on = set_atom_tier_enabled(true);
-            let s = atoms(0..10);
-            set_atom_tier_enabled(false);
-            s
-        };
-        assert_eq!(columnar.tier_label(), "atoms");
-        assert_eq!(columnar.clone().tier_label(), "spilled");
+        with_atom_tier(false, || {
+            assert_eq!(atoms(0..10).tier_label(), "spilled");
+            assert_eq!(atoms(0..100).tier_label(), "spilled");
+            let mut s = atoms(0..INLINE_CAP as u64);
+            s.insert(Value::atom(99));
+            assert_eq!(s.tier_label(), "spilled");
+            // A columnar set built while the tier was on widens on clone.
+            let columnar = with_atom_tier(true, || atoms(0..10));
+            assert_eq!(columnar.tier_label(), "atoms");
+            assert_eq!(columnar.clone().tier_label(), "spilled");
+        });
+    }
+
+    #[test]
+    fn with_atom_tier_restores_the_setting_when_the_closure_panics() {
+        for prior in [true, false] {
+            with_atom_tier(prior, || {
+                let caught = std::panic::catch_unwind(|| {
+                    with_atom_tier(!prior, || {
+                        assert_eq!(atom_tier_enabled(), !prior);
+                        panic!("unwinds through with_atom_tier");
+                    })
+                });
+                assert!(caught.is_err());
+                assert_eq!(atom_tier_enabled(), prior);
+            });
+        }
+        assert!(atom_tier_enabled(), "the thread's default is back");
     }
 
     #[test]
@@ -1806,29 +1694,14 @@ mod tests {
         ];
         for (xa, xb) in cases {
             let (ca, cb) = (atoms(xa.iter().copied()), atoms(xb.iter().copied()));
-            let (ga, gb) = {
-                let _guard = TierGuard::off();
-                let ga: SetRepr = mk(&xa).into_iter().collect();
-                let gb: SetRepr = mk(&xb).into_iter().collect();
-                (ga, gb)
-            };
-            let (u_c, u_g) = (union(&ca, &cb), {
-                let _guard = TierGuard::off();
-                union(&ga, &gb)
+            let (ga, gb): (SetRepr, SetRepr) = with_atom_tier(false, || {
+                (mk(&xa).into_iter().collect(), mk(&xb).into_iter().collect())
             });
+            let (u_c, u_g) = (union(&ca, &cb), with_atom_tier(false, || union(&ga, &gb)));
             assert_eq!(u_c, u_g, "union {xa:?} ∪ {xb:?}");
             assert_eq!(
                 u_c.iter().collect::<Vec<_>>(),
                 u_g.iter().collect::<Vec<_>>()
-            );
-            let (d_c, d_g) = (ca.merge_sorted_difference(&cb), {
-                let _guard = TierGuard::off();
-                ga.merge_sorted_difference(&gb)
-            });
-            assert_eq!(d_c, d_g, "difference {xa:?} \\ {xb:?}");
-            assert_eq!(
-                d_c.iter().collect::<Vec<_>>(),
-                d_g.iter().collect::<Vec<_>>()
             );
         }
     }
@@ -1856,12 +1729,6 @@ mod tests {
         assert_eq!(format!("{five}"), "d5", "self's copy won the tie");
         let ten = u.iter().nth(10).unwrap();
         assert_eq!(format!("{ten}"), "n#10", "other's tail is kept verbatim");
-        // Difference across tiers.
-        let d = col.merge_sorted_difference(&named);
-        assert_eq!(
-            d.iter().collect::<Vec<_>>(),
-            (0..5).map(Value::atom).collect::<Vec<_>>()
-        );
     }
 
     #[test]
@@ -1882,14 +1749,9 @@ mod tests {
             folded.insert(v);
         }
         assert_eq!(u, folded);
-        let d = big.merge_sorted_difference(&small);
-        assert_eq!(d.len(), 297);
-        let expected: SetRepr = big.iter().filter(|v| !small.contains(v)).collect();
-        assert_eq!(d, expected);
         // And the reverse skew.
         let u2 = union(&small, &big);
         assert_eq!(u2, u);
-        assert!(small.merge_sorted_difference(&big).is_empty());
     }
 
     #[test]
@@ -1996,20 +1858,14 @@ mod tests {
         // The same element sequence in columnar and generic clothing.
         let col = atoms(0..100);
         assert_eq!(col.tier_label(), "bits");
-        let gen: SetRepr = {
-            let _guard = TierGuard::off();
-            (0..100).map(Value::atom).collect()
-        };
+        let gen: SetRepr = with_atom_tier(false, || (0..100).map(Value::atom).collect());
         assert_eq!(gen.tier_label(), "spilled");
         assert_eq!(col, gen);
         assert_eq!(col.cmp(&gen), Ordering::Equal);
         assert_eq!(hash(&col), hash(&gen));
         // Sorted-id tier against both.
         let mid = atoms(0..10);
-        let gen10: SetRepr = {
-            let _guard = TierGuard::off();
-            (0..10).map(Value::atom).collect()
-        };
+        let gen10: SetRepr = with_atom_tier(false, || (0..10).map(Value::atom).collect());
         assert_eq!(mid, gen10);
         assert_eq!(hash(&mid), hash(&gen10));
         // Order across tiers follows the element order.

@@ -141,8 +141,9 @@ impl ProgramCache {
         Ok((fp, false))
     }
 
-    /// The entry for a fingerprint returned by [`lookup_or_compile`]
-    /// (`Self::lookup_or_compile`) this query — present by construction.
+    /// The entry for a fingerprint returned by
+    /// [`lookup_or_compile`](Self::lookup_or_compile) this query — present
+    /// by construction.
     pub fn entry_mut(&mut self, fingerprint: u64) -> &mut CacheEntry {
         self.entries
             .get_mut(&fingerprint)

@@ -38,7 +38,7 @@ use std::time::Duration;
 
 use srl_core::api::{self, Json, Request, RequestKind};
 use srl_core::pipeline::{PipelineConfig, Source};
-use srl_core::setrepr::set_atom_tier_enabled;
+use srl_core::setrepr::with_atom_tier;
 use srl_core::{EvalStats, Expr, Value};
 use srl_syntax::frontend::{FrontendError, TextFrontend};
 
@@ -420,16 +420,14 @@ fn handle_line(ctx: &Ctx, line: &str) -> String {
             t.stats.queries += 1;
             // The columnar-tier toggle is thread-local state; apply the
             // tenant's setting around this query only, restoring the
-            // session thread for whichever tenant it serves next.
-            let previous = set_atom_tier_enabled(t.config.tiers);
-            let body = match kind {
+            // session thread for whichever tenant it serves next — also
+            // when the query panics and `accept_loop` keeps the thread.
+            with_atom_tier(t.config.tiers, || match kind {
                 RequestKind::Run => run(&mut t, &request, &extras),
                 RequestKind::Check => check(&mut t, &request, &extras),
                 RequestKind::Analyze => analyze(&mut t, &request, &extras),
                 _ => unreachable!("bind/stats handled above"),
-            };
-            set_atom_tier_enabled(previous);
-            body
+            })
         }
     }
 }

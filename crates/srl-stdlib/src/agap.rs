@@ -27,7 +27,7 @@ use srl_core::dialect::Dialect;
 use srl_core::dsl::*;
 use srl_core::program::Program;
 
-use crate::derived::{forall, forsome, map_set, member, project, select, union};
+use crate::derived::{forall, forsome, map_set, member, project, select};
 
 /// Names of the definitions produced by [`apath_program`].
 pub mod names {
@@ -237,12 +237,6 @@ fn project_from(labelled: Expr) -> Expr {
 /// The plain `[from, to]` edge set from the labelled encoding.
 pub fn edges_from_labelled(labelled_edges: Expr) -> Expr {
     project(labelled_edges, 1)
-}
-
-/// Convenience: the union of two APATH relations (used by tests that compare
-/// the incremental and literal iteration strategies).
-pub fn relation_union(a: Expr, b: Expr) -> Expr {
-    union(a, b)
 }
 
 #[cfg(test)]

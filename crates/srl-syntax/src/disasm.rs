@@ -1,11 +1,10 @@
 //! Disassembler for the bytecode VM's chunks (`srl_core::bytecode`).
 //!
-//! The third member of the printer family: [`crate::printer`] shows the
-//! paper's surface notation, [`crate::compiled`] shows the slot-indexed
-//! lowered form, and this module shows what the **VM backend** actually
-//! executes — register instructions with their static depth offsets, the
-//! fused superinstructions a fold compiled to, and the block structure of
-//! the reduce lambdas. Read it when auditing which folds fused (a `reduce`
+//! The second member of the printer family: [`crate::printer`] shows the
+//! paper's surface notation, and this module shows what the **VM backend**
+//! actually executes — register instructions with their static depth
+//! offsets, the fused superinstructions a fold compiled to, and the block
+//! structure of the reduce lambdas. Read it when auditing which folds fused (a `reduce`
 //! line names its kind: `member`, `union/merge`, `product`, `insert-app`,
 //! `filter`, `bool-acc`, `scan`, or `generic`) or when debugging codegen.
 //!
@@ -55,11 +54,6 @@ pub fn disasm_lowered(program: &CompiledProgram, lowered: &LoweredExpr) -> Strin
     );
     out.push_str(&disasm_blocks(chunk));
     out
-}
-
-/// Disassembles every block of an already-generated chunk.
-pub fn disasm_chunk(chunk: &Chunk) -> String {
-    disasm_blocks(chunk)
 }
 
 fn disasm_blocks(chunk: &Chunk) -> String {

@@ -6,12 +6,10 @@
 //! reads the same notation back, so `parse_program(print_program(p))` is
 //! structurally equal to `p` for every program in the repository.
 //!
-//! Also here: a printer for the *compiled* form ([`srl_core::CompiledProgram`])
-//! that resolves interned symbols back to names and shows frame slots (`@0`)
-//! and definition indices (`f#3`) — what the tree-walk evaluator runs — a
-//! [`disasm`] printer for the bytecode chunks the VM backend runs, and the
-//! [`frontend`] glue that feeds parsed text into the staged
-//! [`srl_core::pipeline::Pipeline`] (the path the `srl` CLI drives).
+//! Also here: a [`disasm`] printer for the bytecode chunks the VM backend
+//! runs (what `srl disasm` prints), and the [`frontend`] glue that feeds
+//! parsed text into the staged [`srl_core::pipeline::Pipeline`] (the path
+//! the `srl` CLI drives).
 //!
 //! ## Grammar
 //!
@@ -65,7 +63,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compiled;
 pub mod disasm;
 pub mod frontend;
 pub mod lexer;
@@ -74,10 +71,7 @@ pub mod printer;
 pub mod span;
 pub mod token;
 
-pub use compiled::{
-    print_compiled_def, print_compiled_expr, print_compiled_program, print_lowered_expr,
-};
-pub use disasm::{disasm_chunk, disasm_lowered, disasm_program};
+pub use disasm::{disasm_lowered, disasm_program};
 pub use frontend::{FrontendError, TextFrontend};
 pub use parser::{
     parse_expr, parse_lambda, parse_program, parse_program_in, parse_value, Diagnostic, ParseError,

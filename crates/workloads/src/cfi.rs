@@ -1,7 +1,7 @@
 //! Cai–Fürer–Immerman construction.
 //!
 //! Theorem 7.7 of the paper appeals to the structures of Cai, Fürer and
-//! Immerman [11]: a sequence of pairs Gₙ, Hₙ of graphs that (i) are **not**
+//! Immerman \[11\]: a sequence of pairs Gₙ, Hₙ of graphs that (i) are **not**
 //! isomorphic, (ii) can be told apart in polynomial (indeed linear) time once
 //! an ordering of the vertices is available, but (iii) agree on all sentences
 //! of counting logic with a bounded number of variables — equivalently, are

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use srl_core::bytecode::ReduceKind;
 use srl_core::dsl::*;
 use srl_core::parallel::PAR_WORK_THRESHOLD;
-use srl_core::setrepr::set_atom_tier_enabled;
+use srl_core::setrepr::with_atom_tier;
 use srl_core::{
     Dialect, Env, EvalError, EvalLimits, EvalStats, Evaluator, ExecBackend, Expr, Lambda, Program,
     Value,
@@ -521,25 +521,28 @@ fn engine_matrix<R>(
     let compiled = Arc::new(program.compile());
     let mut runs = Vec::new();
     for tier_on in [true, false] {
-        let was = set_atom_tier_enabled(tier_on);
-        for (name, backend) in [
-            ("tree", ExecBackend::TreeWalk),
-            ("vm[1]", ExecBackend::vm()),
-            ("vm[2]", ExecBackend::vm_with_threads(2)),
-            ("vm[4]", ExecBackend::vm_with_threads(4)),
-        ] {
-            let mut ev =
-                Evaluator::with_compiled(program, Arc::clone(&compiled), EvalLimits::benchmark())
-                    .expect("compiled from this program")
-                    .with_backend(backend);
-            let result = f(&mut ev);
-            runs.push((
-                format!("{name} tier={tier_on}"),
-                result,
-                ev.parallel_folds(),
-            ));
-        }
-        set_atom_tier_enabled(was);
+        with_atom_tier(tier_on, || {
+            for (name, backend) in [
+                ("tree", ExecBackend::TreeWalk),
+                ("vm[1]", ExecBackend::vm()),
+                ("vm[2]", ExecBackend::vm_with_threads(2)),
+                ("vm[4]", ExecBackend::vm_with_threads(4)),
+            ] {
+                let mut ev = Evaluator::with_compiled(
+                    program,
+                    Arc::clone(&compiled),
+                    EvalLimits::benchmark(),
+                )
+                .expect("compiled from this program")
+                .with_backend(backend);
+                let result = f(&mut ev);
+                runs.push((
+                    format!("{name} tier={tier_on}"),
+                    result,
+                    ev.parallel_folds(),
+                ));
+            }
+        });
     }
     runs
 }

@@ -8,39 +8,23 @@
 //! sequential VM, pooled VM at 2 and 4 threads). This suite drives the
 //! full 2×4 matrix — tier {on, off} × backend — over every srl-bench
 //! query workload (E1–E9), proves the tier actually *engages* where it
-//! should (via the `Evaluator::tier_engagements` diagnostic) and provably
+//! should (via the `Evaluator::tier_engagement_breakdown` diagnostic) and provably
 //! stays out when disabled, and stresses the promotion/demotion edges and
 //! mixed-tier adversaries the adaptive storage decisions hinge on.
 //!
-//! The toggle (`set_atom_tier_enabled`) is thread-local; inputs are
+//! The toggle (scoped by `with_atom_tier`) is thread-local; inputs are
 //! rebuilt under each configuration's toggle so the "off" runs really
 //! evaluate generic-tier values, not columnar values built earlier.
 
 use std::sync::Arc;
 
 use srl_core::dsl::*;
-use srl_core::setrepr::set_atom_tier_enabled;
+use srl_core::setrepr::with_atom_tier;
 use srl_core::{
     Dialect, Env, EvalError, EvalLimits, EvalStats, Evaluator, ExecBackend, Expr, Program, Value,
 };
 use srl_integration_tests::atom_set;
 use srl_stdlib::derived::{difference, intersection, member, union};
-
-/// Restores the ambient tier toggle when dropped, so a failing assertion
-/// in one test cannot leak a disabled tier into the rest of its thread.
-struct TierGuard(bool);
-
-impl TierGuard {
-    fn set(on: bool) -> Self {
-        TierGuard(set_atom_tier_enabled(on))
-    }
-}
-
-impl Drop for TierGuard {
-    fn drop(&mut self) {
-        set_atom_tier_enabled(self.0);
-    }
-}
 
 /// Deep structural rebuild: every set in the result is re-constructed
 /// under the *current* toggle, so the value's storage tiers reflect the
@@ -82,20 +66,21 @@ fn run_matrix(
     let compiled = Arc::new(program.compile());
     let mut out = Vec::new();
     for tier_on in [true, false] {
-        let _guard = TierGuard::set(tier_on);
-        let rebuilt: Vec<Value> = inputs.iter().map(rebuild).collect();
-        for (name, backend) in backends() {
-            let mut ev = Evaluator::with_compiled(program, Arc::clone(&compiled), limits)
-                .expect("compiled from this program")
-                .with_backend(backend);
-            let result = f(&mut ev, &rebuilt).map(|v| (v, *ev.stats()));
-            out.push(Outcome {
-                config: format!("tier-{} {name}", if tier_on { "on" } else { "off" }),
-                tier_on,
-                result,
-                engagements: ev.tier_engagements(),
-            });
-        }
+        with_atom_tier(tier_on, || {
+            let rebuilt: Vec<Value> = inputs.iter().map(rebuild).collect();
+            for (name, backend) in backends() {
+                let mut ev = Evaluator::with_compiled(program, Arc::clone(&compiled), limits)
+                    .expect("compiled from this program")
+                    .with_backend(backend);
+                let result = f(&mut ev, &rebuilt).map(|v| (v, *ev.stats()));
+                out.push(Outcome {
+                    config: format!("tier-{} {name}", if tier_on { "on" } else { "off" }),
+                    tier_on,
+                    result,
+                    engagements: ev.tier_engagement_breakdown().total(),
+                });
+            }
+        });
     }
     out
 }
@@ -746,97 +731,97 @@ fn cached_set_weights_survive_every_mutation_and_tier_move() {
     use srl_core::SetRepr;
     use std::collections::{BTreeSet, HashSet};
 
-    let _guard = TierGuard::set(true);
-    let mut g = Gen::new(29);
-    let mut tiers_seen = HashSet::new();
-    for episode in 0..60 {
-        let shape = [
-            Shape::DenseAtoms,
-            Shape::SparseAtoms,
-            Shape::Pairs,
-            Shape::Mixed,
-        ][g.below(4) as usize];
-        // Half the episodes start from an empty columnar store: eight
-        // atoms drained back to nothing.
-        let mut s = if g.below(2) == 0 {
-            SetRepr::new()
-        } else {
-            let mut drained: SetRepr = (0..8).map(Value::atom).collect();
-            assert_eq!(drained.tier_label(), "atoms", "episode {episode}");
-            while drained.pop_first().is_some() {}
-            drained
-        };
-        // The reference: `BTreeSet::insert` keeps the stored copy of an
-        // equal element, the first-wins rule every set operation follows.
-        let mut model: BTreeSet<Value> = BTreeSet::new();
-        for step in 0..40 {
-            let at = format!("episode {episode} ({shape:?}) step {step}");
-            match g.below(6) {
-                0 | 1 => {
-                    let v = {
-                        let shape = g.shape_or_foreign(shape, 8);
-                        g.element(shape)
-                    };
-                    assert_eq!(s.insert(v.clone()), model.insert(v), "{at}: insert");
-                }
-                2 => assert_eq!(s.pop_first(), model.pop_first(), "{at}: pop_first"),
-                3 | 4 => {
-                    // Union through a shared handle (copy-on-write), then
-                    // the same union in place on the uniquely held base.
-                    let other = g.set_of(shape, 90);
-                    let novel: usize = other
-                        .iter()
-                        .filter(|v| !model.contains(v))
-                        .map(|v| walked_weight(&v))
-                        .sum();
-                    let before = format!("{:?}", s);
-                    let before_weight = s.weight_sum();
-                    let base = Arc::new(s);
-                    let mut shared = Arc::clone(&base);
-                    Arc::make_mut(&mut shared).merge_union(&other);
-                    assert_eq!(format!("{base:?}"), before, "{at}: shared base changed");
-                    let mut unique = Arc::try_unwrap(base).expect("the copy made it unique");
-                    unique.merge_union(&other);
-                    assert_eq!(
-                        (unique.weight_sum(), shared.weight_sum()),
-                        (before_weight + novel, before_weight + novel),
-                        "{at}: novel weight"
-                    );
-                    assert_eq!(
-                        format!("{unique:?}"),
-                        format!("{shared:?}"),
-                        "{at}: in-place and copying unions differ"
-                    );
-                    s = unique;
-                    for v in other.iter() {
-                        model.insert(v);
+    with_atom_tier(true, || {
+        let mut g = Gen::new(29);
+        let mut tiers_seen = HashSet::new();
+        for episode in 0..60 {
+            let shape = [
+                Shape::DenseAtoms,
+                Shape::SparseAtoms,
+                Shape::Pairs,
+                Shape::Mixed,
+            ][g.below(4) as usize];
+            // Half the episodes start from an empty columnar store: eight
+            // atoms drained back to nothing.
+            let mut s = if g.below(2) == 0 {
+                SetRepr::new()
+            } else {
+                let mut drained: SetRepr = (0..8).map(Value::atom).collect();
+                assert_eq!(drained.tier_label(), "atoms", "episode {episode}");
+                while drained.pop_first().is_some() {}
+                drained
+            };
+            // The reference: `BTreeSet::insert` keeps the stored copy of an
+            // equal element, the first-wins rule every set operation follows.
+            let mut model: BTreeSet<Value> = BTreeSet::new();
+            for step in 0..40 {
+                let at = format!("episode {episode} ({shape:?}) step {step}");
+                match g.below(6) {
+                    0 | 1 => {
+                        let v = {
+                            let shape = g.shape_or_foreign(shape, 8);
+                            g.element(shape)
+                        };
+                        assert_eq!(s.insert(v.clone()), model.insert(v), "{at}: insert");
+                    }
+                    2 => assert_eq!(s.pop_first(), model.pop_first(), "{at}: pop_first"),
+                    3 | 4 => {
+                        // Union through a shared handle (copy-on-write), then
+                        // the same union in place on the uniquely held base.
+                        let other = g.set_of(shape, 90);
+                        let novel: usize = other
+                            .iter()
+                            .filter(|v| !model.contains(v))
+                            .map(|v| walked_weight(&v))
+                            .sum();
+                        let before = format!("{:?}", s);
+                        let before_weight = s.weight_sum();
+                        let base = Arc::new(s);
+                        let mut shared = Arc::clone(&base);
+                        Arc::make_mut(&mut shared).merge_union(&other);
+                        assert_eq!(format!("{base:?}"), before, "{at}: shared base changed");
+                        let mut unique = Arc::try_unwrap(base).expect("the copy made it unique");
+                        unique.merge_union(&other);
+                        assert_eq!(
+                            (unique.weight_sum(), shared.weight_sum()),
+                            (before_weight + novel, before_weight + novel),
+                            "{at}: novel weight"
+                        );
+                        assert_eq!(
+                            format!("{unique:?}"),
+                            format!("{shared:?}"),
+                            "{at}: in-place and copying unions differ"
+                        );
+                        s = unique;
+                        for v in other.iter() {
+                            model.insert(v);
+                        }
+                    }
+                    _ => {
+                        // Promote or demote: a clone re-tiers under the current
+                        // toggle, so flipping it moves the set between tiers.
+                        let on = g.below(2) == 0;
+                        s = with_atom_tier(on, || s.clone());
                     }
                 }
-                _ => {
-                    // Promote or demote: a clone re-tiers under the current
-                    // toggle, so flipping it moves the set between tiers.
-                    let on = g.below(2) == 0;
-                    let _flip = TierGuard::set(on);
-                    s = s.clone();
-                }
+                tiers_seen.insert(s.tier_label());
+                let walked = model.iter().map(walked_weight).sum::<usize>();
+                assert_eq!(s.weight_sum(), walked, "{at}: cached weight");
+                let set = Value::Set(Arc::new(s.clone()));
+                assert_eq!(set.weight(), 1 + walked, "{at}: Value::weight");
+                let cap = g.below(walked as u64 + 4) as usize;
+                assert_eq!(
+                    weight_capped(&set, cap),
+                    (1 + walked).min(cap + 1),
+                    "{at}: weight_capped at cap {cap}"
+                );
+                // Same elements, and the same printed copies of equal ones.
+                let expect = format!("{:?}", model.iter().cloned().collect::<SetRepr>());
+                assert_eq!(format!("{s:?}"), expect, "{at}: contents");
             }
-            tiers_seen.insert(s.tier_label());
-            let walked = model.iter().map(walked_weight).sum::<usize>();
-            assert_eq!(s.weight_sum(), walked, "{at}: cached weight");
-            let set = Value::Set(Arc::new(s.clone()));
-            assert_eq!(set.weight(), 1 + walked, "{at}: Value::weight");
-            let cap = g.below(walked as u64 + 4) as usize;
-            assert_eq!(
-                weight_capped(&set, cap),
-                (1 + walked).min(cap + 1),
-                "{at}: weight_capped at cap {cap}"
-            );
-            // Same elements, and the same printed copies of equal ones.
-            let expect = format!("{:?}", model.iter().cloned().collect::<SetRepr>());
-            assert_eq!(format!("{s:?}"), expect, "{at}: contents");
         }
-    }
-    for tier in ["inline", "spilled", "atoms", "bits"] {
-        assert!(tiers_seen.contains(tier), "never reached the {tier} tier");
-    }
+        for tier in ["inline", "spilled", "atoms", "bits"] {
+            assert!(tiers_seen.contains(tier), "never reached the {tier} tier");
+        }
+    });
 }

@@ -15,36 +15,20 @@
 //! storage decisions (arity changes mid-fold, non-atom components, named
 //! duplicates, the inline-capacity threshold, tuple ∪ atom mixes).
 //!
-//! The toggle (`set_atom_tier_enabled`) gates every columnar tier; inputs
+//! The toggle (scoped by `with_atom_tier`) gates every columnar tier; inputs
 //! are rebuilt under each configuration's toggle so the "off" runs really
 //! evaluate generic-tier values.
 
 use std::sync::Arc;
 
 use srl_core::dsl::*;
-use srl_core::setrepr::set_atom_tier_enabled;
+use srl_core::setrepr::with_atom_tier;
 use srl_core::{
     Dialect, Env, EvalError, EvalLimits, EvalStats, Evaluator, ExecBackend, Expr, Program,
     TierEngagements, Value,
 };
 use srl_integration_tests::atom_set;
 use srl_stdlib::derived::{difference, intersection, member, union};
-
-/// Restores the ambient tier toggle when dropped, so a failing assertion
-/// in one test cannot leak a disabled tier into the rest of its thread.
-struct TierGuard(bool);
-
-impl TierGuard {
-    fn set(on: bool) -> Self {
-        TierGuard(set_atom_tier_enabled(on))
-    }
-}
-
-impl Drop for TierGuard {
-    fn drop(&mut self) {
-        set_atom_tier_enabled(self.0);
-    }
-}
 
 /// Deep structural rebuild: every set in the result is re-constructed
 /// under the *current* toggle, so the value's storage tiers reflect the
@@ -97,21 +81,22 @@ fn run_matrix(
     let compiled = Arc::new(program.compile());
     let mut out = Vec::new();
     for tier_on in [true, false] {
-        let _guard = TierGuard::set(tier_on);
-        let rebuilt: Vec<Value> = inputs.iter().map(rebuild).collect();
-        for (name, backend) in backends() {
-            let mut ev = Evaluator::with_compiled(program, Arc::clone(&compiled), limits)
-                .expect("compiled from this program")
-                .with_backend(backend);
-            let result = f(&mut ev, &rebuilt).map(|v| (v, *ev.stats()));
-            out.push(Outcome {
-                config: format!("tier-{} {name}", if tier_on { "on" } else { "off" }),
-                tier_on,
-                result,
-                partial: ev.last_error_stats().copied(),
-                engagements: ev.tier_engagement_breakdown(),
-            });
-        }
+        with_atom_tier(tier_on, || {
+            let rebuilt: Vec<Value> = inputs.iter().map(rebuild).collect();
+            for (name, backend) in backends() {
+                let mut ev = Evaluator::with_compiled(program, Arc::clone(&compiled), limits)
+                    .expect("compiled from this program")
+                    .with_backend(backend);
+                let result = f(&mut ev, &rebuilt).map(|v| (v, *ev.stats()));
+                out.push(Outcome {
+                    config: format!("tier-{} {name}", if tier_on { "on" } else { "off" }),
+                    tier_on,
+                    result,
+                    partial: ev.last_error_stats().copied(),
+                    engagements: ev.tier_engagement_breakdown(),
+                });
+            }
+        });
     }
     out
 }

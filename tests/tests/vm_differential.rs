@@ -301,10 +301,10 @@ fn derived_operators_agree_on_random_sets() {
             ("cartesian", cartesian(var("A"), var("B"))),
         ] {
             let v = assert_expr_identical(&program, &expr, &env, &format!("{label} (case {case})"));
-            // The bulk SetRepr merges must stay in semantic lock-step with
-            // the evaluated Fact 2.4 operators (the VM's fused union fold
-            // runs on merge_union; merge_sorted_difference is the bulk form
-            // native callers get instead of driving member() per element).
+            // The evaluated Fact 2.4 operators must agree with direct set
+            // computations: the VM's fused union fold runs on merge_union,
+            // and the derived difference keeps exactly the elements of A
+            // that are not members of B.
             let (a, b) = (
                 env.get("A").unwrap().as_set().unwrap(),
                 env.get("B").unwrap().as_set().unwrap(),
@@ -321,8 +321,8 @@ fn derived_operators_agree_on_random_sets() {
                 }
                 "difference" => assert_eq!(
                     v,
-                    Value::Set(Arc::new(a.merge_sorted_difference(b))),
-                    "merge_sorted_difference drifted from the evaluated difference (case {case})"
+                    Value::set(a.iter().filter(|v| !b.contains(v))),
+                    "the evaluated difference drifted from the element-wise filter (case {case})"
                 ),
                 _ => {}
             }
