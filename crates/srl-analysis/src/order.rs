@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 
 use srl_core::ast::{Expr, Lambda};
 use srl_core::dialect::Dialect;
-use srl_core::eval::Evaluator;
+use srl_core::eval::{Evaluator, ExecBackend};
 use srl_core::limits::EvalLimits;
 use srl_core::program::{Env, Program};
 use srl_core::value::Value;
@@ -218,9 +218,10 @@ pub fn combiner_seems_commutative_associative(acc: &Lambda, samples: u32, seed: 
 }
 
 /// Permutation testing: evaluate the query on the original environment and on
-/// `trials` randomly renamed presentations of it; report a dependence witness
-/// if any result fails to correspond.
+/// `trials` randomly renamed presentations of it, on `backend`; report a
+/// dependence witness if any result fails to correspond.
 pub fn permutation_test(
+    backend: ExecBackend,
     program: &Program,
     expr: &Expr,
     env: &Env,
@@ -232,9 +233,11 @@ pub fn permutation_test(
     // query (a renamed env binds the same names in the same order, which is
     // what `eval_lowered` requires).
     let compiled = Arc::new(program.compile());
-    let mut evaluator =
-        Evaluator::with_compiled(program, Arc::clone(&compiled), EvalLimits::default_budget())
-            .expect("compiled from this program");
+    let mint = || {
+        Evaluator::from_compiled(Arc::clone(&compiled), EvalLimits::default_budget())
+            .with_backend(backend)
+    };
+    let mut evaluator = mint();
     let lowered = evaluator.lower(expr, env);
     let original = match evaluator.eval_lowered(&lowered, env) {
         Ok(v) => v,
@@ -243,9 +246,7 @@ pub fn permutation_test(
     for seed in 0..trials {
         let renaming = DomainRenaming::random(domain_size, seed);
         let renamed_env = renaming.apply_env(env);
-        let mut evaluator =
-            Evaluator::with_compiled(program, Arc::clone(&compiled), EvalLimits::default_budget())
-                .expect("compiled from this program");
+        let mut evaluator = mint();
         match evaluator.eval_lowered(&lowered, &renamed_env) {
             Ok(renamed_result) => {
                 if renaming.apply(&original) != renamed_result {
@@ -258,9 +259,10 @@ pub fn permutation_test(
     OrderVerdict::Unknown
 }
 
-/// The combined analysis: syntactic proof first, then permutation testing for
-/// a counterexample.
+/// The combined analysis: syntactic proof first, then permutation testing (on
+/// `backend`) for a counterexample.
 pub fn analyze_order_dependence(
+    backend: ExecBackend,
     program: &Program,
     expr: &Expr,
     env: &Env,
@@ -270,7 +272,7 @@ pub fn analyze_order_dependence(
     if provably_order_independent(program, expr) {
         return OrderVerdict::ProvedIndependent;
     }
-    permutation_test(program, expr, env, domain_size, trials)
+    permutation_test(backend, program, expr, env, domain_size, trials)
 }
 
 #[cfg(test)]
@@ -360,7 +362,7 @@ mod tests {
         );
         assert!(!provably_order_independent(&p, &expr));
         let env = Env::new().bind("S", Value::set([atoms([1]), atoms([2, 3])]));
-        let verdict = analyze_order_dependence(&p, &expr, &env, 12, 16);
+        let verdict = analyze_order_dependence(ExecBackend::default(), &p, &expr, &env, 12, 16);
         assert!(matches!(verdict, OrderVerdict::ProvedDependent { .. }));
     }
 
@@ -408,8 +410,14 @@ mod tests {
     fn permutation_test_finds_purple_first_witness() {
         let p = Program::srl();
         let env = Env::new().bind("S", atoms([2, 9])).bind("P", atoms([9]));
-        let verdict =
-            analyze_order_dependence(&p, &hom::purple_first(var("S"), var("P")), &env, 12, 16);
+        let verdict = analyze_order_dependence(
+            ExecBackend::default(),
+            &p,
+            &hom::purple_first(var("S"), var("P")),
+            &env,
+            12,
+            16,
+        );
         assert!(matches!(verdict, OrderVerdict::ProvedDependent { .. }));
     }
 
@@ -417,13 +425,21 @@ mod tests {
     fn permutation_test_cannot_refute_independent_queries() {
         let p = Program::srl();
         let env = Env::new().bind("S", atoms([2, 5, 9]));
-        let verdict = analyze_order_dependence(&p, &hom::even(var("S")), &env, 12, 8);
+        let verdict = analyze_order_dependence(
+            ExecBackend::default(),
+            &p,
+            &hom::even(var("S")),
+            &env,
+            12,
+            8,
+        );
         assert_eq!(verdict, OrderVerdict::ProvedIndependent);
         // A query that is order-independent but not syntactically proper
         // (it uses choose twice in a way that cancels) stays Unknown rather
         // than being wrongly condemned.
         let cancelling = eq(choose(var("S")), choose(var("S")));
-        let verdict = analyze_order_dependence(&p, &cancelling, &env, 12, 8);
+        let verdict =
+            analyze_order_dependence(ExecBackend::default(), &p, &cancelling, &env, 12, 8);
         assert_eq!(verdict, OrderVerdict::Unknown);
     }
 }

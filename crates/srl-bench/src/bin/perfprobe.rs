@@ -128,9 +128,7 @@ fn probe_call(
     let compiled = Arc::new(program.compile());
     let mut times = [Duration::ZERO; 3];
     for (i, (backend, _)) in backends().iter().enumerate() {
-        let mut ev = Evaluator::with_compiled(program, Arc::clone(&compiled), limits)
-            .expect("compiled from this program")
-            .with_backend(*backend);
+        let mut ev = Evaluator::from_compiled(Arc::clone(&compiled), limits).with_backend(*backend);
         // Warm the lazily-generated bytecode outside the timed region, like
         // the compile step itself.
         ev.reset_stats();
@@ -145,9 +143,8 @@ fn probe_call(
     let [tree, vm, vm_par] = times;
     let vm_tier_off = with_atom_tier(false, || {
         let off_args: Vec<Value> = args.iter().map(rebuild).collect();
-        let mut ev = Evaluator::with_compiled(program, Arc::clone(&compiled), limits)
-            .expect("compiled from this program")
-            .with_backend(ExecBackend::vm());
+        let mut ev =
+            Evaluator::from_compiled(Arc::clone(&compiled), limits).with_backend(ExecBackend::vm());
         ev.reset_stats();
         ev.call(name, &off_args).expect("probe evaluates");
         let t = Instant::now();
@@ -181,9 +178,7 @@ fn probe_lowered(
     let compiled = Arc::new(program.compile());
     let mut times = [Duration::ZERO; 3];
     for (i, (backend, _)) in backends().iter().enumerate() {
-        let mut ev = Evaluator::with_compiled(program, Arc::clone(&compiled), limits)
-            .expect("compiled from this program")
-            .with_backend(*backend);
+        let mut ev = Evaluator::from_compiled(Arc::clone(&compiled), limits).with_backend(*backend);
         let lowered: Vec<LoweredExpr> = exprs.iter().map(|e| ev.lower(e, env)).collect();
         for l in &lowered {
             ev.reset_stats();
@@ -204,9 +199,8 @@ fn probe_lowered(
         for (name, value) in env.iter() {
             off_env.insert(name.to_string(), rebuild(value));
         }
-        let mut ev = Evaluator::with_compiled(program, Arc::clone(&compiled), limits)
-            .expect("compiled from this program")
-            .with_backend(ExecBackend::vm());
+        let mut ev =
+            Evaluator::from_compiled(Arc::clone(&compiled), limits).with_backend(ExecBackend::vm());
         let lowered: Vec<LoweredExpr> = exprs.iter().map(|e| ev.lower(e, &off_env)).collect();
         for l in &lowered {
             ev.reset_stats();

@@ -60,7 +60,7 @@ fn main() {
     all.extend(experiment_e5(backend, &[6, 10, 14]));
     all.extend(experiment_e6(backend, &[2, 4, 8]));
     all.extend(experiment_e7(backend, &[4, 8, 16, 32]));
-    all.extend(experiment_e8(&[4, 5, 6]));
+    all.extend(experiment_e8(backend, &[4, 5, 6]));
     all.extend(experiment_e9(backend, &[8, 16, 32]));
     if json {
         println!("{}", to_json(&all));

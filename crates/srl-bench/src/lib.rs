@@ -19,9 +19,10 @@
 //! lowering to every reported number; the statistics are unaffected (they
 //! only count evaluation work) but wall-clock comparisons are skewed.
 //!
-//! Each experiment that evaluates through a [`Harness`] takes the
-//! [`ExecBackend`] to run on (the benchmark's **backend axis**, extended
-//! with the **par axis** — the VM's worker-pool width). The semantic rows
+//! Each experiment that evaluates SRL takes the [`ExecBackend`] to run on
+//! (the benchmark's **backend axis**, extended with the **par axis** — the
+//! VM's worker-pool width; E8 hands it to `srl-analysis`'s permutation
+//! test). The semantic rows
 //! are invariant along both axes, so `report --json` must diff clean
 //! against `BENCH_1.json` under any setting (CI checks the default, the
 //! tree-walk and a multi-threaded pool).
@@ -609,9 +610,9 @@ pub fn experiment_e7(backend: ExecBackend, sizes: &[usize]) -> Vec<Row> {
 }
 
 /// E8 — Section 7: order-dependence of `Purple(First(S))`, order-independence
-/// of count/EVEN, and the CFI pairs' WL-indistinguishability. Takes no
-/// backend: `srl-analysis`'s order-dependence search runs its own evaluator.
-pub fn experiment_e8(sizes: &[usize]) -> Vec<Row> {
+/// of count/EVEN, and the CFI pairs' WL-indistinguishability. The
+/// order-dependence search's permutation test runs on `backend`.
+pub fn experiment_e8(backend: ExecBackend, sizes: &[usize]) -> Vec<Row> {
     use srl_analysis::{analyze_order_dependence, OrderVerdict};
     use srl_core::dsl::var;
     use srl_stdlib::hom;
@@ -625,13 +626,15 @@ pub fn experiment_e8(sizes: &[usize]) -> Vec<Row> {
         let purple = Value::set([Value::atom((n as u64 - 1) * 2)]);
         let env = Env::new().bind("S", s).bind("P", purple);
         let dependent = analyze_order_dependence(
+            backend,
             &program,
             &hom::purple_first(var("S"), var("P")),
             &env,
             2 * n,
             16,
         );
-        let independent = analyze_order_dependence(&program, &hom::even(var("S")), &env, 2 * n, 8);
+        let independent =
+            analyze_order_dependence(backend, &program, &hom::even(var("S")), &env, 2 * n, 8);
         let (g, h) = cfi_pair(&BaseGraph::cycle(n.max(3)));
         let wl_blind = wl1_equivalent(&g.graph, &h.graph);
         let components_differ = g.connected_components() != h.connected_components();

@@ -109,7 +109,7 @@ a fingerprint-keyed compiled-program cache, and load shedding past
 EXIT CODES:
   0  success                       5  runtime evaluation error
   2  usage or I/O error            6  resource limit exceeded
-  3  parse error                   7  timeout or cancellation
+  3  parse error                   7  wall-clock timeout
   4  check (validation) error      8  internal error
 ";
 
@@ -652,7 +652,13 @@ mod tests {
             steps: 9,
             ..EvalStats::default()
         };
-        let json = api::error_json("cancelled", "stop", api::EXIT_TIMEOUT, Some(&stats), &[]);
+        let json = api::error_json(
+            "deadline_exceeded",
+            "stop",
+            api::EXIT_TIMEOUT,
+            Some(&stats),
+            &[],
+        );
         assert!(json.contains("\"stats\""));
         assert!(json.contains("\"steps\": 9"));
         assert!(json.find("\"error\"").unwrap() < json.find("\"stats\"").unwrap());

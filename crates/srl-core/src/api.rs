@@ -76,7 +76,7 @@ pub const EXIT_CHECK: u8 = 4;
 pub const EXIT_RUNTIME: u8 = 5;
 /// A deterministic resource budget ([`EvalLimits`]) was exhausted.
 pub const EXIT_LIMIT: u8 = 6;
-/// The wall-clock deadline fired or the query was cancelled.
+/// The wall-clock deadline ([`EvalLimits::deadline`]) fired.
 pub const EXIT_TIMEOUT: u8 = 7;
 /// An internal error (e.g. a panicked worker, isolated at the pool).
 pub const EXIT_INTERNAL: u8 = 8;
@@ -86,10 +86,10 @@ pub const EXIT_INTERNAL: u8 = 8;
 pub const EXIT_OVERLOADED: u8 = 9;
 
 /// The exit code of an evaluation error, per the documented contract
-/// (timeout family 7, internal 8, deterministic limits 6, the rest 5).
+/// (deadline 7, internal 8, deterministic limits 6, the rest 5).
 pub fn exit_code(e: &EvalError) -> u8 {
     match e {
-        EvalError::Cancelled | EvalError::DeadlineExceeded { .. } => EXIT_TIMEOUT,
+        EvalError::DeadlineExceeded { .. } => EXIT_TIMEOUT,
         EvalError::Internal { .. } => EXIT_INTERNAL,
         e if e.is_limit() => EXIT_LIMIT,
         _ => EXIT_RUNTIME,
@@ -871,14 +871,13 @@ mod tests {
             steps: 9,
             ..EvalStats::default()
         };
-        let body = error_json("cancelled", "stop", EXIT_TIMEOUT, Some(&stats), &[]);
+        let body = error_json("deadline_exceeded", "stop", EXIT_TIMEOUT, Some(&stats), &[]);
         assert!(body.contains("\"steps\": 9"));
         assert!(body.find("\"error\"").unwrap() < body.find("\"stats\"").unwrap());
     }
 
     #[test]
     fn exit_codes_follow_the_documented_contract() {
-        assert_eq!(exit_code(&EvalError::Cancelled), EXIT_TIMEOUT);
         assert_eq!(
             exit_code(&EvalError::DeadlineExceeded { limit_ms: 10 }),
             EXIT_TIMEOUT

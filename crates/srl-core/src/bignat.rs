@@ -305,11 +305,6 @@ impl BigNat {
         r
     }
 
-    /// Parity: true iff odd.
-    pub fn is_odd(&self) -> bool {
-        self.bit(0)
-    }
-
     /// Renders the value in binary (most significant bit first), mainly for
     /// debugging the Gödel codings of Theorem 5.2.
     pub fn to_binary_string(&self) -> String {

@@ -121,11 +121,6 @@ pub fn nat(n: u64) -> Expr {
     Expr::NatConst(BigNat::from_u64(n))
 }
 
-/// A natural-number constant from a [`BigNat`].
-pub fn nat_big(n: BigNat) -> Expr {
-    Expr::NatConst(n)
-}
-
 /// `succ(e)` on naturals.
 pub fn succ(e: Expr) -> Expr {
     Expr::Succ(Box::new(e))

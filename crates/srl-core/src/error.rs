@@ -159,16 +159,6 @@ pub enum EvalError {
     },
     /// `choose`/`rest` was applied to an empty set.
     ChooseFromEmptySet,
-    /// [`Evaluator::with_compiled`](crate::eval::Evaluator::with_compiled)
-    /// was handed a [`CompiledProgram`](crate::lower::CompiledProgram) that is
-    /// not the compiled form of the accompanying program: evaluation would
-    /// silently resolve calls against the wrong definitions.
-    CompiledProgramMismatch {
-        /// Fingerprint of the program the caller supplied.
-        expected: u64,
-        /// Fingerprint recorded in the compiled program.
-        found: u64,
-    },
     /// An operator forbidden by the dialect was reached at run time (only
     /// possible when evaluation is run without a prior check).
     DialectViolation {
@@ -177,9 +167,6 @@ pub enum EvalError {
         /// The dialect's name.
         dialect: String,
     },
-    /// The evaluation was cancelled via its
-    /// [`CancelToken`](crate::cancel::CancelToken).
-    Cancelled,
     /// The wall-clock deadline configured in
     /// [`EvalLimits::deadline`](crate::limits::EvalLimits::deadline) expired.
     DeadlineExceeded {
@@ -210,9 +197,7 @@ impl EvalError {
             EvalError::DepthLimitExceeded { .. } => "depth_limit_exceeded",
             EvalError::NatWidthExceeded { .. } => "nat_width_exceeded",
             EvalError::ChooseFromEmptySet => "choose_from_empty_set",
-            EvalError::CompiledProgramMismatch { .. } => "compiled_program_mismatch",
             EvalError::DialectViolation { .. } => "dialect_violation",
-            EvalError::Cancelled => "cancelled",
             EvalError::DeadlineExceeded { .. } => "deadline_exceeded",
             EvalError::Internal { .. } => "internal",
         }
@@ -267,18 +252,12 @@ impl fmt::Display for EvalError {
                 )
             }
             EvalError::ChooseFromEmptySet => write!(f, "choose/rest applied to the empty set"),
-            EvalError::CompiledProgramMismatch { expected, found } => write!(
-                f,
-                "compiled program is not the compiled form of this program \
-                 (program fingerprint {expected:#018x}, compiled fingerprint {found:#018x})"
-            ),
             EvalError::DialectViolation { operator, dialect } => {
                 write!(
                     f,
                     "operator `{operator}` is not allowed in dialect {dialect}"
                 )
             }
-            EvalError::Cancelled => write!(f, "evaluation was cancelled"),
             EvalError::DeadlineExceeded { limit_ms } => {
                 write!(
                     f,
@@ -357,12 +336,10 @@ mod tests {
             detail: "shard 1 panicked".into(),
         };
         assert!(e.to_string().contains("shard 1 panicked"));
-        assert!(EvalError::Cancelled.to_string().contains("cancelled"));
     }
 
     #[test]
     fn kinds_are_stable_and_limits_are_classified() {
-        assert_eq!(EvalError::Cancelled.kind(), "cancelled");
         assert_eq!(
             EvalError::DeadlineExceeded { limit_ms: 1 }.kind(),
             "deadline_exceeded"
@@ -378,7 +355,6 @@ mod tests {
         assert!(EvalError::StepLimitExceeded { limit: 1 }.is_limit());
         assert!(EvalError::SizeLimitExceeded { limit: 1 }.is_limit());
         assert!(!EvalError::DeadlineExceeded { limit_ms: 1 }.is_limit());
-        assert!(!EvalError::Cancelled.is_limit());
         assert!(!EvalError::ChooseFromEmptySet.is_limit());
     }
 

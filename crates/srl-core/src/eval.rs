@@ -52,7 +52,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::ast::Expr;
-use crate::cancel::{CancelState, CancelToken};
 use crate::dialect::Dialect;
 use crate::error::EvalError;
 use crate::limits::{EvalLimits, EvalStats};
@@ -178,7 +177,7 @@ impl ExecBackend {
 /// Construction lowers the program to the slot-indexed IR once; evaluation
 /// then never touches names or clones definition bodies — the evaluator
 /// runs entirely off the compiled form, which can be shared between
-/// evaluators via [`Evaluator::with_compiled`]. The execution engine is
+/// evaluators via [`Evaluator::from_compiled`]. The execution engine is
 /// selected by [`ExecBackend`] (the bytecode VM by default; see
 /// [`Evaluator::with_backend`]).
 pub struct Evaluator {
@@ -214,25 +213,22 @@ pub(crate) struct EvalCore {
     /// actually engaged on a workload without perturbing the
     /// byte-identical stats.
     pub(crate) tier_engagements: TierEngagements,
-    /// The shared stop flag polled at the amortized cancellation points.
-    /// Reset to `Running` when a root evaluation starts; cloned into every
-    /// parallel shard worker so a stop reaches all siblings.
-    pub(crate) cancel: CancelToken,
     /// The armed wall-clock deadline of the in-flight root evaluation
-    /// ([`EvalLimits::deadline`] resolved to an instant at entry).
+    /// ([`EvalLimits::deadline`] resolved to an instant at entry). Parallel
+    /// shard workers inherit it, so each shard stops on the same clock.
     pub(crate) deadline_at: Option<Instant>,
-    /// Step count at which the next cancellation/deadline poll fires — the
-    /// hot loop pays one integer compare per step; the atomic load and the
-    /// clock read happen once per [`POLL_STRIDE`] steps.
+    /// Step count at which the next deadline poll fires — the hot loop pays
+    /// one integer compare per step; the clock read happens once per
+    /// [`POLL_STRIDE`] steps.
     pub(crate) next_poll: u64,
     /// Snapshot of the statistics at the moment the last evaluation failed
-    /// (cancelled, deadline, limit, or any other error). The public stats
+    /// (deadline, limit, or any other error). The public stats
     /// roll back on failure so the evaluator stays reusable; this keeps the
     /// partial counters observable for logging and `--json` output.
     pub(crate) last_error_stats: Option<EvalStats>,
 }
 
-/// How many steps pass between cancellation/deadline polls. Small enough
+/// How many steps pass between deadline polls. Small enough
 /// that a deadline overshoots by microseconds on ordinary programs, large
 /// enough that the per-step cost is one predictable branch.
 pub(crate) const POLL_STRIDE: u64 = 4_096;
@@ -244,30 +240,11 @@ impl Evaluator {
         Self::from_compiled(Arc::new(CompiledProgram::compile(program)), limits)
     }
 
-    /// Creates an evaluator reusing an already-compiled program (see
-    /// [`Program::compile`]). **Contract:** `compiled` must be the compiled
-    /// form of `program` — evaluation resolves calls through `compiled`
-    /// alone, so a mismatched pair would evaluate the wrong bodies. The
-    /// pairing is validated in every build profile by comparing the
-    /// structural fingerprint recorded at compile time (see
-    /// [`crate::lower::program_fingerprint`]); a mismatch is
-    /// [`EvalError::CompiledProgramMismatch`].
-    pub fn with_compiled(
-        program: &Program,
-        compiled: Arc<CompiledProgram>,
-        limits: EvalLimits,
-    ) -> Result<Self, EvalError> {
-        let expected = crate::lower::program_fingerprint(program);
-        let found = compiled.fingerprint();
-        if expected != found {
-            return Err(EvalError::CompiledProgramMismatch { expected, found });
-        }
-        Ok(Self::from_compiled(compiled, limits))
-    }
-
-    /// Builds the evaluator around a compiled program whose provenance is
-    /// already trusted (freshly compiled, or fingerprint-checked).
-    fn from_compiled(compiled: Arc<CompiledProgram>, limits: EvalLimits) -> Self {
+    /// Creates an evaluator over an already-compiled program (see
+    /// [`Program::compile`]), so one compile serves many evaluators. The
+    /// evaluator reads nothing but `compiled`: calls resolve through its
+    /// definition table.
+    pub fn from_compiled(compiled: Arc<CompiledProgram>, limits: EvalLimits) -> Self {
         Evaluator {
             compiled,
             core: EvalCore {
@@ -278,7 +255,6 @@ impl Evaluator {
                 frame_base: 0,
                 parallel_folds: 0,
                 tier_engagements: TierEngagements::default(),
-                cancel: CancelToken::new(),
                 deadline_at: None,
                 next_poll: POLL_STRIDE,
                 last_error_stats: None,
@@ -343,15 +319,6 @@ impl Evaluator {
         self.core.parallel_folds = 0;
         self.core.tier_engagements = TierEngagements::default();
         self.core.last_error_stats = None;
-    }
-
-    /// A clone of this evaluator's [`CancelToken`]. Call
-    /// [`CancelToken::cancel`] from any thread to abort the in-flight
-    /// query at its next cancellation point; the evaluation returns
-    /// [`EvalError::Cancelled`] and the evaluator stays reusable (each new
-    /// root evaluation rearms the token).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.core.cancel.clone()
     }
 
     /// The statistics at the moment the most recent evaluation failed, if
@@ -497,12 +464,12 @@ impl EvalCore {
     /// the inputs' payloads, and stale references would force needless
     /// copy-on-write later.
     ///
-    /// It is also the hardening boundary: entry rearms the [`CancelToken`]
-    /// and resolves [`EvalLimits::deadline`] to a concrete instant; on
-    /// failure the statistics and allocation counters roll back to their
-    /// entry values (the partial counters are preserved in
-    /// `last_error_stats`), so an evaluator that was cancelled, timed out,
-    /// or hit a budget answers its next query exactly like a fresh one.
+    /// It is also the hardening boundary: entry resolves
+    /// [`EvalLimits::deadline`] to a concrete instant; on failure the
+    /// statistics and allocation counters roll back to their entry values
+    /// (the partial counters are preserved in `last_error_stats`), so an
+    /// evaluator that timed out or hit a budget answers its next query
+    /// exactly like a fresh one.
     fn in_root_frame(
         &mut self,
         inputs: impl Iterator<Item = Value>,
@@ -510,7 +477,6 @@ impl EvalCore {
     ) -> Result<Value, EvalError> {
         self.locals.clear();
         self.frame_base = 0;
-        self.cancel.reset();
         self.deadline_at = self.limits.deadline.map(|d| Instant::now() + d);
         self.next_poll = self.stats.steps.saturating_add(POLL_STRIDE);
         let entry_stats = self.stats;
@@ -543,7 +509,7 @@ impl EvalCore {
         }
         self.stats.max_depth = self.stats.max_depth.max(depth);
         if self.stats.steps >= self.next_poll {
-            self.poll_cancellation()?;
+            self.poll_deadline()?;
         }
         Ok(())
     }
@@ -572,31 +538,20 @@ impl EvalCore {
         }
         self.stats.max_depth = self.stats.max_depth.max(max_depth);
         if self.stats.steps >= self.next_poll {
-            self.poll_cancellation()?;
+            self.poll_deadline()?;
         }
         Ok(())
     }
 
-    /// The amortized cancellation point: consulted every [`POLL_STRIDE`]
-    /// steps by [`EvalCore::bump_step`] / [`EvalCore::bump_batch`]. Checks
-    /// the shared token first (one relaxed load), then — only when a
-    /// deadline is armed — the wall clock. A worker that observes its own
-    /// deadline expiry flips the shared token so sibling shards stop too.
+    /// The amortized deadline poll: consulted every [`POLL_STRIDE`] steps by
+    /// [`EvalCore::bump_step`] / [`EvalCore::bump_batch`], it reads the wall
+    /// clock only when a deadline is armed.
     #[cold]
-    fn poll_cancellation(&mut self) -> Result<(), EvalError> {
+    fn poll_deadline(&mut self) -> Result<(), EvalError> {
         self.next_poll = self.stats.steps.saturating_add(POLL_STRIDE);
-        match self.cancel.state() {
-            CancelState::Cancelled => Err(EvalError::Cancelled),
-            CancelState::DeadlineExpired => Err(self.deadline_error()),
-            CancelState::Running => {
-                if let Some(at) = self.deadline_at {
-                    if Instant::now() >= at {
-                        self.cancel.mark_deadline();
-                        return Err(self.deadline_error());
-                    }
-                }
-                Ok(())
-            }
+        match self.deadline_at {
+            Some(at) if Instant::now() >= at => Err(self.deadline_error()),
+            _ => Ok(()),
         }
     }
 
@@ -620,7 +575,6 @@ impl EvalCore {
         if crate::faultpoint::armed(crate::faultpoint::DEADLINE_MID_FOLD)
             .is_some_and(|k| self.stats.reduce_iterations >= k)
         {
-            self.cancel.mark_deadline();
             return Err(self.deadline_error());
         }
         Ok(())

@@ -71,7 +71,6 @@ pub mod api;
 pub mod ast;
 pub mod bignat;
 pub mod bytecode;
-pub mod cancel;
 pub mod dialect;
 pub mod dsl;
 pub mod error;
@@ -93,7 +92,6 @@ pub use analysis::{spine_verdict, DefSummaries, SpineBlock};
 pub use ast::{Expr, Lambda};
 pub use bignat::BigNat;
 pub use bytecode::{Chunk, FoldClass, FoldOrigin};
-pub use cancel::{CancelState, CancelToken};
 pub use dialect::Dialect;
 pub use error::{CheckError, EvalError, SrlError};
 pub use eval::{
@@ -101,12 +99,10 @@ pub use eval::{
 };
 pub use intern::{Symbol, SymbolTable};
 pub use limits::{EvalLimits, EvalStats};
-pub use lower::{program_fingerprint, CompiledDef, CompiledProgram, LExpr, LLambda, LoweredExpr};
+pub use lower::{CompiledDef, CompiledProgram, LExpr, LLambda, LoweredExpr};
 pub use pipeline::{Pipeline, PipelineConfig, Source, TypePolicy};
 pub use program::{Env, FunDef, Param, Program};
 pub use setrepr::SetRepr;
-pub use typecheck::{
-    check_and_compile, check_expr, check_program, CheckedProgram, FunSig, TypeChecker,
-};
+pub use typecheck::{check_expr, check_program, CheckedProgram, FunSig, TypeChecker};
 pub use types::Type;
 pub use value::{domain_set, leq_relation, Atom, Value, ValueSet};

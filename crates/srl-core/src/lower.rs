@@ -240,14 +240,13 @@ pub struct CompiledProgram {
 
 /// A structural fingerprint of a [`Program`]: dialect, definition names,
 /// parameter names and bodies, hashed with a fixed (process-independent)
-/// FNV-1a hasher. Two programs that fingerprint differently are structurally
-/// different; `Evaluator::with_compiled` uses this to reject a mispaired
-/// program/compiled pair in every build profile, not just under
-/// `debug_assert`.
-pub fn program_fingerprint(program: &Program) -> u64 {
+/// FNV-1a hasher, computed once per compile. Two programs that fingerprint
+/// differently are structurally different; the serving layer keys its
+/// compiled-program cache on it.
+fn program_fingerprint(program: &Program) -> u64 {
     // Destructured without `..` on purpose: a new `Dialect` field must show
     // up here (compile error) rather than be silently excluded from the
-    // mismatch check.
+    // fingerprint.
     let Dialect {
         name,
         allow_new,
@@ -352,8 +351,9 @@ impl CompiledProgram {
         self.code.get_or_init(|| codegen_program(self))
     }
 
-    /// The fingerprint of the [`Program`] this was compiled from (see
-    /// [`program_fingerprint`]).
+    /// The structural fingerprint of the [`Program`] this was compiled from:
+    /// dialect, definition names, parameter names and bodies, hashed with a
+    /// fixed (process-independent) FNV-1a hasher.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }

@@ -69,14 +69,12 @@
 //! Each worker body runs inside `catch_unwind` (the per-element helpers are
 //! the only code that executes there, so the unwind boundary is one
 //! closure). A panicking shard is converted into
-//! [`EvalError::Internal`] instead of poisoning the join, and the worker
-//! flips the fold's shared [`CancelToken`](crate::cancel::CancelToken) so
-//! sibling shards stop at their next poll (best-effort — they may also run
-//! to completion). The merge reports the `Internal` error in preference to
-//! the `Cancelled` errors it induced in siblings, so the root cause is
-//! never masked by its own fallout. The process, the pool and the
-//! evaluator all survive: the caller's stats roll back at the root frame
-//! and the next query runs clean.
+//! [`EvalError::Internal`] instead of poisoning the join. Sibling shards
+//! run to completion or to their own error (each polls the fold's inherited
+//! deadline on its own clock); the merge reports the `Internal` error in
+//! preference to every sibling outcome, so the root cause is never masked.
+//! The process, the pool and the evaluator all survive: the caller's stats
+//! roll back at the root frame and the next query runs clean.
 //!
 //! ## What is sharded
 //!
@@ -264,9 +262,8 @@ fn run_sharded(
         max_nat_bits: core.limits.max_nat_bits,
         deadline: core.limits.deadline,
     };
-    // Workers share the fold's stop flag and armed deadline: a cancel (or a
-    // panic, below) in any shard reaches every sibling at its next poll.
-    let cancel = core.cancel.clone();
+    // Workers inherit the armed deadline, so each shard stops at its own
+    // next poll once it passes.
     let deadline_at = core.deadline_at;
     // The columnar-tier toggle is thread-local; scoped workers start from
     // its default, so the caller's setting is captured here and re-applied
@@ -275,10 +272,9 @@ fn run_sharded(
     let tier_on = crate::setrepr::atom_tier_enabled();
     let worker = |shard: usize, range: Range<usize>| -> ShardRun {
         // The unwind boundary: everything a shard executes — including the
-        // injected `worker_panic` fault — is caught here, converted into a
-        // structured `Internal` error, and the shared token is flipped so
-        // sibling shards stop early (best-effort). The join below can then
-        // never see a poisoned handle.
+        // injected `worker_panic` fault — is caught here and converted into
+        // a structured `Internal` error. The join below can then never see
+        // a poisoned handle.
         let caught = catch_unwind(AssertUnwindSafe(|| {
             if faultpoint::armed(faultpoint::WORKER_PANIC) == Some(shard as u64) {
                 panic!("fault injection: worker_panic@shard_{shard}");
@@ -292,7 +288,6 @@ fn run_sharded(
                 frame_base: 0,
                 parallel_folds: 0,
                 tier_engagements: TierEngagements::default(),
-                cancel: cancel.clone(),
                 deadline_at,
                 next_poll: POLL_STRIDE,
                 last_error_stats: None,
@@ -314,19 +309,16 @@ fn run_sharded(
                 outcome,
             }
         }));
-        caught.unwrap_or_else(|payload| {
-            cancel.cancel();
-            ShardRun {
-                stats: EvalStats::default(),
-                allocated: 0,
-                tier_engagements: TierEngagements::default(),
-                outcome: Err(EvalError::Internal {
-                    detail: format!(
-                        "shard {shard} worker panicked: {}",
-                        panic_detail(payload.as_ref())
-                    ),
-                }),
-            }
+        caught.unwrap_or_else(|payload| ShardRun {
+            stats: EvalStats::default(),
+            allocated: 0,
+            tier_engagements: TierEngagements::default(),
+            outcome: Err(EvalError::Internal {
+                detail: format!(
+                    "shard {shard} worker panicked: {}",
+                    panic_detail(payload.as_ref())
+                ),
+            }),
         })
     };
     let runs: Vec<ShardRun> = thread::scope(|scope| {
@@ -469,9 +461,8 @@ fn merge(
     if let Some(ms) = faultpoint::armed(faultpoint::MERGE_DELAY) {
         thread::sleep(std::time::Duration::from_millis(ms));
     }
-    // A worker panic outranks every sibling error: the panicking shard
-    // cancelled the others through the shared token, so an earlier shard
-    // may well report `Cancelled` — the fallout must not mask the cause.
+    // A worker panic outranks every sibling outcome: an earlier shard's
+    // limit or deadline error must not mask the panic, the root cause.
     if let Some(detail) = runs.iter().find_map(|run| match &run.outcome {
         Err(EvalError::Internal { detail }) => Some(detail.clone()),
         _ => None,

@@ -2,7 +2,7 @@
 //!
 //! Before this module, every consumer wired the stages together by hand —
 //! `Program::validate` here, `check_program` there, `Program::compile` plus
-//! `Evaluator::with_compiled` somewhere else — and each harness picked its
+//! `Evaluator::from_compiled` somewhere else — and each harness picked its
 //! own subset. A [`PipelineConfig`] owns the cross-cutting choices (dialect
 //! override, type-checking policy, [`EvalLimits`] budget, [`ExecBackend`])
 //! and drives every program through the same audited sequence:
@@ -10,8 +10,8 @@
 //! ```text
 //! Source ──parse──▶ Program ──check──▶ Checked ──compile──▶ Compiled
 //!  (text)           (AST)              (validated,          (lowered arena,
-//!                                       signatures)          interner, lazy
-//!                                                            bytecode chunks)
+//!                                       type-checked         interner, lazy
+//!                                       per policy)          bytecode chunks)
 //! ```
 //!
 //! The *parse* stage lives in the `srl-syntax` crate (this crate has no
@@ -23,10 +23,8 @@
 //! A [`Compiled`] artifact owns the shared [`CompiledProgram`] (which holds
 //! the symbol interner and lazily caches the VM's bytecode chunks) together
 //! with the limits and backend the pipeline chose, so
-//! [`Compiled::evaluator`] hands out correctly-configured evaluators — the
-//! program↔compiled pairing is guaranteed by construction. The previous
-//! entry point, [`check_and_compile`](crate::typecheck::check_and_compile),
-//! now delegates here.
+//! [`Compiled::evaluator`] hands out correctly-configured evaluators over
+//! the one compiled form.
 
 use std::sync::Arc;
 
@@ -37,7 +35,7 @@ use crate::eval::{Evaluator, ExecBackend};
 use crate::limits::{EvalLimits, EvalStats};
 use crate::lower::{CompiledProgram, LoweredExpr};
 use crate::program::{Env, Program};
-use crate::typecheck::{check_program, CheckedProgram};
+use crate::typecheck::check_program;
 use crate::value::Value;
 
 /// A named piece of source text — the entry stage of the pipeline. Parsing
@@ -205,8 +203,8 @@ impl PipelineConfig {
             program.dialect = dialect;
         }
         program.validate()?;
-        let signatures = match self.type_policy {
-            TypePolicy::Require => Some(check_program(&program)?),
+        let typed = match self.type_policy {
+            TypePolicy::Require => true,
             TypePolicy::IfTyped => {
                 // Opting in requires at least one declared parameter type:
                 // a program of zero-parameter definitions carries no
@@ -220,18 +218,14 @@ impl PipelineConfig {
                         None => saw_untyped = true,
                     }
                 }
-                if saw_typed && !saw_untyped {
-                    Some(check_program(&program)?)
-                } else {
-                    None
-                }
+                saw_typed && !saw_untyped
             }
-            TypePolicy::Skip => None,
+            TypePolicy::Skip => false,
         };
-        Ok(Checked {
-            program,
-            signatures,
-        })
+        if typed {
+            check_program(&program)?;
+        }
+        Ok(Checked { program })
     }
 
     /// The compile stage: lowers a checked program once into the shared
@@ -242,7 +236,6 @@ impl PipelineConfig {
         let compiled = Arc::new(checked.program.compile());
         Compiled {
             program: checked.program,
-            signatures: checked.signatures,
             compiled,
             limits: self.limits,
             backend: self.backend,
@@ -256,12 +249,10 @@ impl PipelineConfig {
 }
 
 /// A program that has passed the check stage: structurally valid, dialect
-/// recorded, and — when the [`TypePolicy`] ran the checker — carrying the
-/// inferred signatures.
+/// recorded, and well-typed whenever the [`TypePolicy`] ran the checker.
 #[derive(Clone, Debug)]
 pub struct Checked {
     program: Program,
-    signatures: Option<CheckedProgram>,
 }
 
 impl Checked {
@@ -269,25 +260,13 @@ impl Checked {
     pub fn program(&self) -> &Program {
         &self.program
     }
-
-    /// Inferred definition signatures, when the type checker ran.
-    pub fn signatures(&self) -> Option<&CheckedProgram> {
-        self.signatures.as_ref()
-    }
-
-    /// Decomposes the stage into its parts.
-    pub fn into_parts(self) -> (Program, Option<CheckedProgram>) {
-        (self.program, self.signatures)
-    }
 }
 
 /// The end of the pipeline: a validated program plus its shared compiled
-/// form, limits, and backend — everything needed to mint evaluators whose
-/// program↔compiled pairing is correct by construction.
+/// form, limits, and backend — everything needed to mint evaluators.
 #[derive(Clone, Debug)]
 pub struct Compiled {
     program: Program,
-    signatures: Option<CheckedProgram>,
     compiled: Arc<CompiledProgram>,
     limits: EvalLimits,
     backend: ExecBackend,
@@ -297,11 +276,6 @@ impl Compiled {
     /// The validated program.
     pub fn program(&self) -> &Program {
         &self.program
-    }
-
-    /// Inferred definition signatures, when the type checker ran.
-    pub fn signatures(&self) -> Option<&CheckedProgram> {
-        self.signatures.as_ref()
     }
 
     /// The shared compiled form (lowered arena, interner, lazy chunks).
@@ -323,9 +297,7 @@ impl Compiled {
     /// pipeline's limits and backend. Compilation cost is amortised: every
     /// evaluator from this artifact borrows the same arena and bytecode.
     pub fn evaluator(&self) -> Evaluator {
-        Evaluator::with_compiled(&self.program, Arc::clone(&self.compiled), self.limits)
-            .expect("a Compiled artifact pairs a program with its own compiled form")
-            .with_backend(self.backend)
+        Evaluator::from_compiled(Arc::clone(&self.compiled), self.limits).with_backend(self.backend)
     }
 
     /// One-shot convenience: calls a named definition on argument values
@@ -398,10 +370,32 @@ mod tests {
         assert_eq!(checked.program().dialect, Dialect::basrl());
     }
 
+    /// `f(x) = {x, d1, 5}`: dynamically fine, but the static rules reject
+    /// the heterogeneous set whatever `x`'s type.
+    fn heterogeneous_set_program(param_ty: Option<Type>) -> Program {
+        let body = insert(var("x"), insert(atom(1), insert(nat(5), empty_set())));
+        let program = Program::new(Dialect::full());
+        match param_ty {
+            Some(ty) => program.define_typed("f", [("x", ty)], body),
+            None => program.define("f", ["x"], body),
+        }
+    }
+
     #[test]
     fn untyped_programs_skip_type_checking_under_if_typed() {
-        let checked = Pipeline::new().check(member_program()).unwrap();
-        assert!(checked.signatures().is_none());
+        let untyped = heterogeneous_set_program(None);
+        assert!(matches!(
+            Pipeline::new()
+                .with_type_policy(TypePolicy::Require)
+                .check(untyped.clone()),
+            Err(CheckError::TypeMismatch { .. })
+        ));
+        let artifact = Pipeline::new().prepare(untyped).unwrap();
+        let (v, _) = artifact.call("f", &[Value::atom(2)]).unwrap();
+        assert_eq!(
+            v,
+            Value::set([Value::atom(1), Value::atom(2), Value::nat(5)])
+        );
     }
 
     #[test]
@@ -421,16 +415,21 @@ mod tests {
 
     #[test]
     fn typed_programs_are_checked_under_if_typed() {
-        let program = Program::srl().define_typed(
+        let typed = heterogeneous_set_program(Some(Type::Atom));
+        assert!(matches!(
+            Pipeline::new().check(typed.clone()),
+            Err(CheckError::TypeMismatch { .. })
+        ));
+        assert!(Pipeline::new()
+            .with_type_policy(TypePolicy::Skip)
+            .check(typed)
+            .is_ok());
+        let well_typed = Program::srl().define_typed(
             "first",
             [("t", Type::tuple_of([Type::Atom, Type::Atom]))],
             sel(var("t"), 1),
         );
-        let checked = Pipeline::new().check(program).unwrap();
-        let sigs = checked
-            .signatures()
-            .expect("fully typed program is checked");
-        assert_eq!(sigs.signatures["first"].ret, Type::Atom);
+        assert!(Pipeline::new().check(well_typed).is_ok());
     }
 
     #[test]

@@ -143,7 +143,7 @@ impl Program {
     /// and parameter names, slot-indexed variables, definition-indexed calls.
     /// Infallible — dangling names become poison nodes that only error if
     /// evaluated (see [`crate::lower`]). Use with
-    /// [`Evaluator::with_compiled`](crate::eval::Evaluator::with_compiled) to
+    /// [`Evaluator::from_compiled`](crate::eval::Evaluator::from_compiled) to
     /// amortise lowering across many evaluations.
     pub fn compile(&self) -> CompiledProgram {
         CompiledProgram::compile(self)

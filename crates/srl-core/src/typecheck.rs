@@ -21,7 +21,6 @@ use std::collections::BTreeMap;
 use crate::ast::{Expr, Lambda};
 use crate::dialect::Dialect;
 use crate::error::CheckError;
-use crate::lower::CompiledProgram;
 use crate::program::Program;
 use crate::types::Type;
 use crate::value::Value;
@@ -484,27 +483,6 @@ impl<'p> TypeChecker<'p> {
 /// Convenience: type-checks a whole program.
 pub fn check_program(program: &Program) -> Result<CheckedProgram, CheckError> {
     TypeChecker::new(program).check_program()
-}
-
-/// Type-checks a program and, on success, lowers it to its compiled form
-/// (interned symbols, slot-indexed variables) in one step.
-///
-/// This is a thin compatibility wrapper over the staged
-/// [`Pipeline`](crate::pipeline::Pipeline) (with
-/// [`TypePolicy::Require`](crate::pipeline::TypePolicy)), which is the
-/// intended entry point for new code: it additionally owns the evaluation
-/// budget and backend choice, and hands out evaluators whose
-/// program↔compiled pairing is correct by construction.
-pub fn check_and_compile(
-    program: &Program,
-) -> Result<(CheckedProgram, CompiledProgram), CheckError> {
-    use crate::pipeline::{Pipeline, TypePolicy};
-    let checked = Pipeline::new()
-        .with_type_policy(TypePolicy::Require)
-        .check(program.clone())?;
-    let (program, signatures) = checked.into_parts();
-    let signatures = signatures.expect("TypePolicy::Require always runs the checker");
-    Ok((signatures, program.compile()))
 }
 
 /// Convenience: type-checks a stand-alone expression against typed inputs.

@@ -2,8 +2,10 @@
 //!
 //! The serving front end sees the same program text over and over (clients
 //! re-send their query library on every request), so each tenant keeps a
-//! bounded cache of compiled artifacts, conceptually keyed by
-//! [`program_fingerprint`] — the structural FNV hash of the parsed program.
+//! bounded cache of compiled artifacts, keyed by
+//! [`CompiledProgram::fingerprint`](srl_core::CompiledProgram::fingerprint) —
+//! the structural FNV hash of the parsed program, computed once when it
+//! compiles.
 //! Two texts that parse to the same structure (whitespace, comments,
 //! definition formatting) share one entry.
 //!
@@ -28,7 +30,6 @@ use std::collections::HashMap;
 
 use srl_core::eval::Evaluator;
 use srl_core::pipeline::{Compiled, Pipeline, Source};
-use srl_core::program_fingerprint;
 use srl_syntax::frontend::{FrontendError, TextFrontend};
 
 /// One cached compiled program with its pooled evaluator.
@@ -116,7 +117,7 @@ impl ProgramCache {
         }
         let source = Source::new("<request>", text.to_string());
         let artifact = pipeline.compile_source(&source)?;
-        let fp = program_fingerprint(artifact.program());
+        let fp = artifact.compiled().fingerprint();
         self.by_text.insert(th, fp);
         if let Some(entry) = self.entries.get_mut(&fp) {
             // Same structure under different formatting: still a hit (the

@@ -13,14 +13,13 @@
 //!
 //! * a [`PipelineConfig`](srl_core::PipelineConfig) — dialect, type policy,
 //!   [`EvalLimits`](srl_core::EvalLimits) and the wall-clock deadline that
-//!   acts as per-tenant admission control (wired to cooperative
-//!   cancellation inside the evaluator);
+//!   acts as per-tenant admission control (polled inside the evaluator);
 //! * an input-binding environment — the REPL's `S := {…}` binding model
 //!   promoted to the wire (`bind` requests), persisting across queries
 //!   *and* connections;
 //! * a [`ProgramCache`](cache::ProgramCache) of compiled artifacts keyed by
-//!   `program_fingerprint`, with pooled evaluators and hit/miss/eviction
-//!   counters surfaced in every `run` response;
+//!   the compiled program's structural fingerprint, with pooled evaluators
+//!   and hit/miss/eviction counters surfaced in every `run` response;
 //! * its own request counters (`stats` requests).
 //!
 //! Tenants are the server's shards: one mutex each, so queries of one

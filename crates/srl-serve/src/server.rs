@@ -17,10 +17,10 @@
 //! — the client decides whether to back off or retry. `bind` and `stats`
 //! are constant-time and are always served, so an operator can inspect a
 //! saturated server. The second admission lever is per-tenant: the tenant
-//! config's `deadline_ms` arms a wall-clock deadline wired to cooperative
-//! cancellation, so one tenant's runaway query returns `deadline_exceeded`
-//! (with the partial stats of the interrupted run) instead of holding a
-//! session thread forever.
+//! config's `deadline_ms` arms a wall-clock deadline that the evaluator
+//! polls every few thousand steps, so one tenant's runaway query returns
+//! `deadline_exceeded` (with the partial stats of the interrupted run)
+//! instead of holding a session thread forever.
 //!
 //! ## Fault isolation
 //!

@@ -5,7 +5,7 @@
 
 use srl_analysis::{analyze_order_dependence, OrderVerdict};
 use srl_core::dsl::var;
-use srl_core::{Env, Program, Value};
+use srl_core::{Env, ExecBackend, Program, Value};
 use srl_examples::print_header;
 use srl_stdlib::hom;
 use workloads::cfi::{cfi_pair, BaseGraph};
@@ -19,6 +19,7 @@ fn main() {
 
     print_header("Purple(First(S)) — the paper's order-dependent query");
     let verdict = analyze_order_dependence(
+        ExecBackend::default(),
         &program,
         &hom::purple_first(var("S"), var("P")),
         &env,
@@ -33,7 +34,14 @@ fn main() {
     }
 
     print_header("EVEN via a proper hom — order-independent");
-    let verdict = analyze_order_dependence(&program, &hom::even(var("S")), &env, 12, 8);
+    let verdict = analyze_order_dependence(
+        ExecBackend::default(),
+        &program,
+        &hom::even(var("S")),
+        &env,
+        12,
+        8,
+    );
     println!("verdict: {verdict:?}");
 
     print_header("Cai–Fürer–Immerman pairs (Theorem 7.7)");

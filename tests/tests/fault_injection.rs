@@ -52,9 +52,7 @@ fn sharded_projection() -> (Program, srl_core::Expr, Env) {
 /// A fresh evaluator over a shared compiled form.
 fn evaluator(program: &Program, limits: EvalLimits, backend: ExecBackend) -> Evaluator {
     let compiled = Arc::new(program.compile());
-    Evaluator::with_compiled(program, compiled, limits)
-        .expect("compiled from this program")
-        .with_backend(backend)
+    Evaluator::from_compiled(compiled, limits).with_backend(backend)
 }
 
 /// Runs `expr` on a fresh evaluator and returns the outcome with stats.
@@ -122,9 +120,9 @@ fn worker_panic_becomes_internal_and_the_pool_stays_usable() {
 #[test]
 fn worker_panic_cancels_the_sibling_shards() {
     let _g = serialized();
-    // Sibling cancellation is best-effort, but the *verdict* must always be
-    // the Internal error, never the Cancelled the panicking shard induced
-    // in its siblings (the merge ranks Internal first).
+    // Nothing stops the siblings early: they run to completion or to their
+    // own error. Whatever they report, the *verdict* must be the panic's
+    // Internal error (the merge ranks Internal above every sibling outcome).
     let (program, expr, env) = sharded_projection();
     for shard in 0..2u64 {
         faultpoint::arm(faultpoint::WORKER_PANIC, shard);

@@ -154,27 +154,38 @@ fn section_6_classifier_places_the_paper_programs_in_their_fragments() {
 fn section_7_order_verdicts_match_renaming_behaviour() {
     use srl_analysis::{analyze_order_dependence, OrderVerdict};
     use srl_core::dsl::var;
-    use srl_core::{Env, Program};
+    use srl_core::{Env, ExecBackend, Program};
     use srl_stdlib::hom;
 
     let program = Program::srl();
     let env = Env::new()
         .bind("S", atom_set([1, 6, 11]))
         .bind("P", atom_set([11]));
-    assert_eq!(
-        analyze_order_dependence(&program, &hom::even(var("S")), &env, 16, 8),
-        OrderVerdict::ProvedIndependent
-    );
-    assert!(matches!(
-        analyze_order_dependence(
-            &program,
-            &hom::purple_first(var("S"), var("P")),
-            &env,
-            16,
-            16
-        ),
-        OrderVerdict::ProvedDependent { .. }
-    ));
+    for backend in [
+        ExecBackend::TreeWalk,
+        ExecBackend::vm(),
+        ExecBackend::vm_with_threads(2),
+    ] {
+        assert_eq!(
+            analyze_order_dependence(backend, &program, &hom::even(var("S")), &env, 16, 8),
+            OrderVerdict::ProvedIndependent,
+            "{backend:?}"
+        );
+        assert!(
+            matches!(
+                analyze_order_dependence(
+                    backend,
+                    &program,
+                    &hom::purple_first(var("S"), var("P")),
+                    &env,
+                    16,
+                    16
+                ),
+                OrderVerdict::ProvedDependent { .. }
+            ),
+            "{backend:?}"
+        );
+    }
 }
 
 #[test]

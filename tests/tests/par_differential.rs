@@ -45,9 +45,7 @@ fn both(
 ) {
     let compiled = Arc::new(program.compile());
     let mut run = |backend: ExecBackend| {
-        let mut ev = Evaluator::with_compiled(program, Arc::clone(&compiled), limits)
-            .expect("compiled from this program")
-            .with_backend(backend);
+        let mut ev = Evaluator::from_compiled(Arc::clone(&compiled), limits).with_backend(backend);
         let result = f(&mut ev).map(|v| (v, *ev.stats()));
         (result, ev.parallel_folds())
     };
@@ -528,13 +526,9 @@ fn engine_matrix<R>(
                 ("vm[2]", ExecBackend::vm_with_threads(2)),
                 ("vm[4]", ExecBackend::vm_with_threads(4)),
             ] {
-                let mut ev = Evaluator::with_compiled(
-                    program,
-                    Arc::clone(&compiled),
-                    EvalLimits::benchmark(),
-                )
-                .expect("compiled from this program")
-                .with_backend(backend);
+                let mut ev =
+                    Evaluator::from_compiled(Arc::clone(&compiled), EvalLimits::benchmark())
+                        .with_backend(backend);
                 let result = f(&mut ev);
                 runs.push((
                     format!("{name} tier={tier_on}"),
@@ -609,10 +603,8 @@ fn named_atom_first_wins_survives_shard_merges() {
     let compiled = Arc::new(program.compile());
     let mut shown = Vec::new();
     for backend in [ExecBackend::vm(), ExecBackend::vm_with_threads(THREADS)] {
-        let mut ev =
-            Evaluator::with_compiled(&program, Arc::clone(&compiled), EvalLimits::benchmark())
-                .expect("compiled from this program")
-                .with_backend(backend);
+        let mut ev = Evaluator::from_compiled(Arc::clone(&compiled), EvalLimits::benchmark())
+            .with_backend(backend);
         let v = ev.eval(&expr, &env).expect("projection evaluates");
         if backend != ExecBackend::vm() {
             assert!(ev.parallel_folds() > 0, "projection fold should shard");
@@ -883,10 +875,8 @@ fn tree_walk_still_matches_the_pooled_vm() {
         ExecBackend::vm(),
         ExecBackend::vm_with_threads(THREADS),
     ] {
-        let mut ev =
-            Evaluator::with_compiled(&program, Arc::clone(&compiled), EvalLimits::benchmark())
-                .expect("compiled from this program")
-                .with_backend(backend);
+        let mut ev = Evaluator::from_compiled(Arc::clone(&compiled), EvalLimits::benchmark())
+            .with_backend(backend);
         let v = ev.eval(&expr, &env).expect("evaluates");
         results.push((v, *ev.stats()));
         if let ExecBackend::Vm { threads: 2.. } = backend {

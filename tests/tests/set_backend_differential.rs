@@ -8,17 +8,13 @@
 //! (deterministic SplitMix64 streams, like `property_tests.rs`) and demand
 //! exact agreement, including on partially-drained sets whose slice window
 //! has advanced.
-//!
-//! The last test is the golden for the `with_compiled` fingerprint check:
-//! a mispaired program/compiled pair must fail with
-//! `EvalError::CompiledProgramMismatch` in every build profile.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use srl_core::dsl::*;
-use srl_core::eval::{eval_expr_with_stats, Evaluator};
-use srl_core::{Env, EvalError, EvalLimits, Lambda, SetRepr, Value};
+use srl_core::eval::eval_expr_with_stats;
+use srl_core::{Env, EvalLimits, Lambda, SetRepr, Value};
 
 const CASES: u64 = 64;
 
@@ -239,42 +235,4 @@ fn stats_are_identical_across_representation_states() {
             assert_eq!(stats, first_stats, "case {case}: stats differ in {state}");
         }
     }
-}
-
-/// Golden: a mispaired program/compiled pair is a real error in every build
-/// profile, with the fingerprints of both sides in the message.
-#[test]
-fn mispaired_compiled_program_is_rejected_with_fingerprints() {
-    use srl_core::{program_fingerprint, Program};
-
-    let compiled_for = Program::srl().define("f", ["x"], var("x"));
-    let other = Program::srl().define("g", ["x"], sel(var("x"), 1));
-    let compiled = Arc::new(compiled_for.compile());
-
-    // The matching pair is accepted…
-    assert!(
-        Evaluator::with_compiled(&compiled_for, Arc::clone(&compiled), EvalLimits::default())
-            .is_ok()
-    );
-
-    // …the mispaired one is rejected with both fingerprints.
-    let err = Evaluator::with_compiled(&other, Arc::clone(&compiled), EvalLimits::default())
-        .err()
-        .expect("mispaired with_compiled must fail");
-    let expected = program_fingerprint(&other);
-    let found = compiled.fingerprint();
-    assert_ne!(expected, found);
-    assert_eq!(err, EvalError::CompiledProgramMismatch { expected, found });
-    assert_eq!(
-        err.to_string(),
-        format!(
-            "compiled program is not the compiled form of this program \
-             (program fingerprint {expected:#018x}, compiled fingerprint {found:#018x})"
-        )
-    );
-
-    // A structurally identical rebuild of the program fingerprints equal —
-    // the check keys on structure, not identity.
-    let rebuilt = Program::srl().define("f", ["x"], var("x"));
-    assert!(Evaluator::with_compiled(&rebuilt, compiled, EvalLimits::default()).is_ok());
 }

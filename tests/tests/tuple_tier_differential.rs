@@ -84,9 +84,8 @@ fn run_matrix(
         with_atom_tier(tier_on, || {
             let rebuilt: Vec<Value> = inputs.iter().map(rebuild).collect();
             for (name, backend) in backends() {
-                let mut ev = Evaluator::with_compiled(program, Arc::clone(&compiled), limits)
-                    .expect("compiled from this program")
-                    .with_backend(backend);
+                let mut ev =
+                    Evaluator::from_compiled(Arc::clone(&compiled), limits).with_backend(backend);
                 let result = f(&mut ev, &rebuilt).map(|v| (v, *ev.stats()));
                 out.push(Outcome {
                     config: format!("tier-{} {name}", if tier_on { "on" } else { "off" }),

@@ -31,9 +31,7 @@ fn both<R>(
 ) {
     let compiled = Arc::new(program.compile());
     let mut run = |backend: ExecBackend| {
-        let mut ev = Evaluator::with_compiled(program, Arc::clone(&compiled), limits)
-            .expect("compiled from this program")
-            .with_backend(backend);
+        let mut ev = Evaluator::from_compiled(Arc::clone(&compiled), limits).with_backend(backend);
         let value = f(&mut ev)?;
         Ok((value, *ev.stats()))
     };
@@ -491,10 +489,8 @@ fn big_naturals_weigh_the_same_on_every_backend() {
     let args = [input.clone()];
     let compiled = Arc::new(program.compile());
     let run = |backend: ExecBackend| {
-        let mut ev =
-            Evaluator::with_compiled(&program, Arc::clone(&compiled), EvalLimits::default())
-                .expect("compiled from this program")
-                .with_backend(backend);
+        let mut ev = Evaluator::from_compiled(Arc::clone(&compiled), EvalLimits::default())
+            .with_backend(backend);
         let v = ev.call("big", &args).expect("big(S) evaluates");
         (v, *ev.stats())
     };
