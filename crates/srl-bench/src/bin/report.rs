@@ -6,49 +6,31 @@
 //!
 //! Runs on the default backend (the sequential bytecode VM) unless
 //! `--backend` pins one; `--threads N` runs the VM with an `N`-worker pool
-//! for proper-hom folds. The semantic rows are invariant along both axes:
-//! every engine configuration produces byte-identical `EvalStats`, so
+//! for proper-hom folds. The two flags are read by
+//! `PipelineConfig::with_settings`, the parser `srl run` uses, so they
+//! take the same words, combine the same way in either order (`--backend
+//! tree --threads N` is an error) and fail with the same messages, each
+//! exiting 2. The semantic rows are invariant along both axes: every
+//! engine configuration produces byte-identical `EvalStats`, so
 //! `--backend tree` and `--threads 4` must each print exactly the same
 //! report (CI diffs all three against `BENCH_1.json`).
 
 use srl_bench::*;
-use srl_core::ExecBackend;
+use srl_core::PipelineConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let json = args.iter().any(|a| a == "--json");
-    // Both flags are resolved before either takes effect, so the
-    // contradictory `--backend tree --threads N` is rejected (in either
-    // flag order) instead of one flag silently overriding the other.
-    let backend_word = args
-        .iter()
-        .position(|a| a == "--backend")
-        .map(|i| args.get(i + 1).map(String::as_str));
-    let threads = match args.iter().position(|a| a == "--threads") {
-        Some(i) => match args.get(i + 1).and_then(|w| w.parse::<usize>().ok()) {
-            Some(n) if n >= 1 => Some(n),
-            _ => {
-                eprintln!("--threads expects a worker count ≥ 1");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
-    let backend = match (backend_word, threads) {
-        (None, None) => ExecBackend::default(),
-        (None | Some(Some("vm")), Some(n)) => ExecBackend::vm_with_threads(n),
-        (Some(Some("vm")), None) => ExecBackend::vm(),
-        (Some(Some("tree")) | Some(Some("tree-walk")), None) => ExecBackend::TreeWalk,
-        (Some(Some("tree")) | Some(Some("tree-walk")), Some(_)) => {
-            eprintln!("--threads requires the vm backend (the tree-walk has no worker pool)");
-            std::process::exit(2);
+    let mut settings = Vec::new();
+    for (flag, name) in [("--backend", "backend"), ("--threads", "threads")] {
+        if let Some(i) = args.iter().position(|a| a == flag) {
+            settings.push((name, args.get(i + 1).map_or("", String::as_str)));
         }
-        (Some(None), _) => {
-            eprintln!("--backend expects vm|tree");
-            std::process::exit(2);
-        }
-        (Some(Some(other)), _) => {
-            eprintln!("unknown --backend {other:?} (expected vm|tree)");
+    }
+    let backend = match PipelineConfig::new().with_settings(&settings) {
+        Ok(config) => config.backend,
+        Err(e) => {
+            eprintln!("error: {e}");
             std::process::exit(2);
         }
     };

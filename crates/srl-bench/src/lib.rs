@@ -11,7 +11,7 @@
 //! end.
 //!
 //! Every experiment pushes its program through the staged compile pipeline
-//! **once** (via [`Harness`], over `srl_core::pipeline::Pipeline`) and
+//! **once** (via `Harness`, over `srl_core::pipeline::Pipeline`) and
 //! reuses the compiled form across all measured sizes and repetitions —
 //! the compile-once / evaluate-many discipline `srl-analysis`'s
 //! `permutation_test` established. Recompiling inside the measured region

@@ -18,12 +18,34 @@ fn report(args: &[&str]) -> (Option<i32>, String) {
 fn backend_without_a_value_names_the_choices() {
     let (code, stderr) = report(&["--backend"]);
     assert_eq!(code, Some(2));
-    assert_eq!(stderr.trim(), "--backend expects vm|tree");
+    assert_eq!(
+        stderr.trim(),
+        "error: missing backend name (valid backends: vm, tree, tree-walk)"
+    );
 }
 
 #[test]
 fn an_unknown_backend_is_named() {
     let (code, stderr) = report(&["--backend", "gpu"]);
     assert_eq!(code, Some(2));
-    assert!(stderr.contains(r#"unknown --backend "gpu""#), "{stderr}");
+    assert_eq!(
+        stderr.trim(),
+        "error: unknown backend `gpu` (valid backends: vm, tree, tree-walk)"
+    );
+}
+
+#[test]
+fn threads_with_the_tree_walk_is_rejected_in_either_order() {
+    for args in [
+        ["--backend", "tree", "--threads", "2"],
+        ["--threads", "2", "--backend", "tree"],
+    ] {
+        let (code, stderr) = report(&args);
+        assert_eq!(code, Some(2), "{args:?}");
+        assert_eq!(
+            stderr.trim(),
+            "error: the tree-walk backend has no worker pool (threads apply to vm only)",
+            "{args:?}"
+        );
+    }
 }

@@ -5,15 +5,22 @@
 //!
 //! ```text
 //! srl run <file.srl> [--call NAME] [--arg VALUE]... [--backend vm|tree]
-//!                    [--threads N] [--limits default|small|benchmark] [--json]
+//!                    [--threads N] [--limits default|small|benchmark]
+//!                    [--timeout-ms N] [--json]
 //! srl check <file.srl> [--json]
 //! srl analyze <file.srl> [--json]
 //! srl print <file.srl>
 //! srl disasm <file.srl>
 //! srl serve [--addr HOST:PORT] [--max-inflight N] [--cache-cap N]
-//!           [--tenant-config FILE]
-//! srl repl
+//!           [--tenant-config FILE] [--session-threads N]
+//! srl repl [--backend vm|tree] [--threads N] [--timeout-ms N]
 //! ```
+//!
+//! The engine settings (`--backend`, `--threads`, `--limits`,
+//! `--timeout-ms`, the REPL's `:backend` and `:timeout`, and the fields of
+//! a `--tenant-config` file) share one parser,
+//! `PipelineConfig::with_settings`: the same word is accepted or rejected
+//! with the same message everywhere, and flag order never matters.
 //!
 //! `run` calls `--call NAME` (or a zero-parameter `main` definition) with
 //! `--arg` values written in value-literal syntax (`d3`, `42`, `{d0, d1}`,
@@ -35,7 +42,6 @@ use std::process::ExitCode;
 
 use srl_core::api;
 use srl_core::pipeline::{PipelineConfig, Source};
-use srl_core::{EvalLimits, ExecBackend};
 use srl_syntax::frontend::{FrontendError, TextFrontend};
 
 mod repl;
@@ -83,7 +89,8 @@ USAGE:
   srl serve [--addr HOST:PORT] [--max-inflight N] [--cache-cap N]
             [--tenant-config FILE] [--session-threads N]
                                   long-lived line-protocol server
-  srl repl                        interactive session
+  srl repl [--backend vm|tree] [--threads N] [--timeout-ms N]
+                                  interactive session
 
 `analyze` compiles the program and reports, for every set/list fold, the
 strategy the VM will use (member, union, filter, generic, ...), whether
@@ -97,9 +104,10 @@ local to the combiner or threaded through a callee's spine parameter.
 and EvalStats print as the versioned v1 body (byte-identical across
 backends and across --threads settings). --threads N shards proper-hom
 set-reduce folds whose estimated work clears the gate over an N-worker
-pool (vm backend only). --timeout-ms N
-arms a wall-clock deadline; an overrunning query aborts with exit code 7
-and, with --json, a structured error object carrying the partial stats.
+pool (vm backend only; --threads with --backend tree is an error, in
+either order). --timeout-ms N (N >= 1) arms a wall-clock deadline; an
+overrunning query aborts with exit code 7 and, with --json, a structured
+error object carrying the partial stats.
 
 `serve` answers the same requests over TCP, one JSON request per line,
 with per-tenant pipelines, input bindings that persist across queries,
@@ -131,15 +139,16 @@ struct Options {
     json: bool,
 }
 
-/// Parses a `--timeout-ms` operand (a positive millisecond count).
-fn parse_timeout_ms(word: &str) -> Result<u64, String> {
-    let ms: u64 = word
-        .parse()
-        .map_err(|_| format!("--timeout-ms expects a millisecond count, got `{word}`"))?;
-    if ms == 0 {
-        return Err("--timeout-ms must be at least 1".to_string());
+/// The [`PipelineConfig::with_settings`] name an engine-setting flag sets.
+/// `srl run` takes all four flags, `srl repl` all but `--limits`.
+fn setting_name(flag: &str) -> Option<&'static str> {
+    match flag {
+        "--backend" => Some("backend"),
+        "--threads" => Some("threads"),
+        "--limits" => Some("limits"),
+        "--timeout-ms" => Some("deadline_ms"),
+        _ => None,
     }
-    Ok(ms)
 }
 
 /// Flags each subcommand accepts; anything else is a usage error (so e.g.
@@ -166,15 +175,18 @@ fn parse_options(rest: &[String], command: &str) -> Result<Options, String> {
     let mut file = None;
     let mut call = None;
     let mut args = Vec::new();
-    let mut backend = ExecBackend::default();
-    let mut threads: Option<usize> = None;
-    let mut limits = EvalLimits::default();
-    let mut timeout_ms: Option<u64> = None;
+    let mut settings = Vec::new();
     let mut json = false;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         if arg.starts_with('-') && !allowed.contains(&arg.as_str()) {
             return Err(format!("`srl {command}` does not take `{arg}`"));
+        }
+        if let Some(name) = setting_name(arg) {
+            // A missing operand is the empty word, which the setting
+            // parser reports in its own words.
+            settings.push((name, it.next().map_or("", String::as_str)));
+            continue;
         }
         match arg.as_str() {
             "--call" => {
@@ -185,63 +197,16 @@ fn parse_options(rest: &[String], command: &str) -> Result<Options, String> {
                 )
             }
             "--arg" => args.push(it.next().ok_or("--arg needs a value literal")?.to_string()),
-            "--backend" => {
-                backend = match it.next().map(String::as_str) {
-                    Some("vm") => ExecBackend::vm(),
-                    Some("tree") | Some("tree-walk") => ExecBackend::TreeWalk,
-                    other => return Err(format!("unknown --backend {other:?} (expected vm|tree)")),
-                }
-            }
-            "--threads" => {
-                let word = it.next().ok_or("--threads needs a worker count")?;
-                let n: usize = word
-                    .parse()
-                    .map_err(|_| format!("--threads expects a number, got `{word}`"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                threads = Some(n);
-            }
-            "--limits" => {
-                limits = match it.next().map(String::as_str) {
-                    Some("default") => EvalLimits::default(),
-                    Some("small") => EvalLimits::small(),
-                    Some("benchmark") => EvalLimits::benchmark(),
-                    other => {
-                        return Err(format!(
-                            "unknown --limits {other:?} (expected default|small|benchmark)"
-                        ))
-                    }
-                }
-            }
-            "--timeout-ms" => {
-                let word = it.next().ok_or("--timeout-ms needs a millisecond count")?;
-                timeout_ms = Some(parse_timeout_ms(word)?);
-            }
             "--json" => json = true,
             other if !other.starts_with('-') && file.is_none() => file = Some(other.to_string()),
             other => return Err(format!("unexpected argument `{other}` to `srl {command}`")),
         }
     }
-    let backend = match (threads, backend) {
-        (None, backend) => backend,
-        (Some(n), ExecBackend::Vm { .. }) => ExecBackend::vm_with_threads(n),
-        (Some(_), ExecBackend::TreeWalk) => {
-            return Err(
-                "--threads requires the vm backend (the tree-walk has no worker pool)".to_string(),
-            )
-        }
-    };
-    if let Some(ms) = timeout_ms {
-        limits = limits.with_deadline_ms(ms);
-    }
     Ok(Options {
         file: file.ok_or_else(|| format!("`srl {command}` needs a .srl file"))?,
         call,
         args,
-        config: PipelineConfig::new()
-            .with_limits(limits)
-            .with_backend(backend),
+        config: PipelineConfig::new().with_settings(&settings)?,
         json,
     })
 }
@@ -481,7 +446,7 @@ fn stats_table(stats: &srl_core::EvalStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srl_core::{EvalStats, TierEngagements, Value};
+    use srl_core::{EvalLimits, EvalStats, ExecBackend, TierEngagements, Value};
 
     #[test]
     fn options_parse_flags_and_file() {
@@ -539,6 +504,7 @@ mod tests {
             vec!["prog.srl", "--threads", "many"],
             vec!["prog.srl", "--threads"],
             vec!["prog.srl", "--threads", "2", "--backend", "tree"],
+            vec!["prog.srl", "--backend", "tree", "--threads", "2"],
         ] {
             let rest: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             assert!(parse_options(&rest, "run").is_err(), "{bad:?}");

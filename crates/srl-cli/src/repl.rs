@@ -15,6 +15,14 @@
 //! `:complete [PARTIAL]`, `:quit`. Reads stdin to exhaustion, so it is
 //! scriptable: `echo 'choose({d3, d5})' | srl repl`.
 //!
+//! `srl repl [--backend vm|tree] [--threads N] [--timeout-ms N]` sets the
+//! session's starting config; `:backend` and `:timeout` change it later.
+//! Flags and commands hand their words to `PipelineConfig::with_settings`,
+//! the parser `srl run` and tenant-config files use too, so a word is
+//! accepted or rejected with the same message on every surface: a timeout
+//! is a millisecond count ≥ 1 (`:timeout off` clears it), and threads
+//! with the tree-walk are an error in either flag order.
+//!
 //! `:complete` is the completion engine a line editor would call on Tab,
 //! exposed as a command because the loop reads plain stdin: a partial line
 //! starting with `:` completes the command vocabulary, anything else
@@ -27,7 +35,7 @@ use std::sync::Arc;
 
 use srl_core::pipeline::{Compiled, PipelineConfig, Source};
 use srl_core::program::Program;
-use srl_core::{Dialect, Env, ExecBackend};
+use srl_core::{Dialect, Env};
 use srl_syntax::frontend::TextFrontend;
 
 const REPL_HELP: &str = "\
@@ -36,6 +44,7 @@ inputs        S := {d1, d2}
 expressions   f(choose(S))
 commands      :help :defs :env :backend vm [threads]|tree :timeout MS|off
               :load FILE :disasm :classify :complete [PARTIAL] :quit
+flags         srl repl [--backend vm|tree] [--threads N] [--timeout-ms N]
 ";
 
 /// The colon-command vocabulary, for completion (alphabetical; aliases like
@@ -88,59 +97,6 @@ fn completions(session: &Session, line: &str) -> Vec<String> {
     names.into_iter().map(|n| format!("{head}{n}")).collect()
 }
 
-/// Parses a backend word (plus an optional thread count for the VM) the way
-/// `:backend` and `--backend` accept it; the error names the offending word
-/// and lists every valid option, so a typo round-trips into something
-/// actionable instead of a bare usage line.
-fn parse_backend(word: Option<&str>, threads: Option<&str>) -> Result<ExecBackend, String> {
-    let backend = match word {
-        Some("vm") => ExecBackend::vm(),
-        Some("tree") | Some("tree-walk") => ExecBackend::TreeWalk,
-        Some(other) => {
-            return Err(format!(
-                "unknown backend `{other}` (valid backends: vm, tree, tree-walk)"
-            ))
-        }
-        None => {
-            return Err("missing backend name (valid backends: vm, tree, tree-walk)".to_string())
-        }
-    };
-    match (threads, backend) {
-        (None, backend) => Ok(backend),
-        (Some(word), ExecBackend::Vm { .. }) => match word.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(ExecBackend::vm_with_threads(n)),
-            _ => Err(format!("thread count must be a number ≥ 1, got `{word}`")),
-        },
-        (Some(_), ExecBackend::TreeWalk) => {
-            Err("the tree-walk backend has no worker pool (threads apply to vm only)".to_string())
-        }
-    }
-}
-
-/// Parses a `:timeout` / `--timeout-ms` operand: a positive millisecond
-/// count arms a wall-clock deadline, `off` or `0` disarms it.
-fn parse_timeout(word: Option<&str>) -> Result<Option<u64>, String> {
-    match word {
-        Some("off") | Some("0") => Ok(None),
-        Some(word) => match word.parse::<u64>() {
-            Ok(ms) => Ok(Some(ms)),
-            Err(_) => Err(format!(
-                "timeout must be a millisecond count or `off`, got `{word}`"
-            )),
-        },
-        None => Err("missing timeout (a millisecond count, or `off`)".to_string()),
-    }
-}
-
-/// Short display form of a backend for the `:backend` confirmation line.
-fn backend_name(backend: ExecBackend) -> String {
-    match backend {
-        ExecBackend::TreeWalk => "tree-walk".to_string(),
-        ExecBackend::Vm { threads } if threads <= 1 => "vm".to_string(),
-        ExecBackend::Vm { threads } => format!("vm ({threads} threads)"),
-    }
-}
-
 /// The interactive session: the same tenant state `srl serve` keeps per
 /// tenant — a [`PipelineConfig`], a definition set, and an input-binding
 /// environment — driven from stdin instead of a socket.
@@ -152,23 +108,22 @@ struct Session {
 }
 
 impl Session {
-    fn new(backend: ExecBackend) -> Self {
+    fn new(config: PipelineConfig) -> Self {
         Session {
-            config: PipelineConfig::new().with_backend(backend),
+            config,
             program: Program::new(Dialect::full()),
             artifact: None,
             env: Env::new(),
         }
     }
 
-    /// Arms (or, with `None`, disarms) the per-query wall-clock deadline.
-    /// The cached artifact captured the old limits, so it must be rebuilt.
-    fn set_timeout(&mut self, ms: Option<u64>) {
-        self.config.limits = match ms {
-            Some(ms) => self.config.limits.with_deadline_ms(ms),
-            None => self.config.limits.with_deadline(None),
-        };
+    /// Applies engine settings (see [`PipelineConfig::with_settings`]) to
+    /// the session's config; a rejected setting changes nothing. The
+    /// cached artifact captured the old config, so it must be rebuilt.
+    fn apply(&mut self, settings: &[(&str, &str)]) -> Result<(), String> {
+        self.config = self.config.clone().with_settings(settings)?;
         self.artifact = None;
+        Ok(())
     }
 
     /// The compiled artifact for the current program, built on demand and
@@ -206,70 +161,34 @@ impl Session {
     }
 }
 
+/// The session's starting config from `srl repl`'s flags: `srl run`'s
+/// engine-setting flags but `--limits`.
+fn startup_config(rest: &[String]) -> Result<PipelineConfig, String> {
+    let mut settings = Vec::new();
+    let mut it = rest.iter();
+    while let Some(flag) = it.next() {
+        let name = crate::setting_name(flag)
+            .filter(|_| flag != "--limits")
+            .ok_or_else(|| format!("unexpected argument `{flag}` to `srl repl`"))?;
+        settings.push((name, it.next().map_or("", String::as_str)));
+    }
+    PipelineConfig::new().with_settings(&settings)
+}
+
 /// `srl repl [--backend vm|tree] [--threads N] [--timeout-ms N]`.
 pub fn repl(rest: &[String]) -> ExitCode {
-    // Flags are collected first and combined once, order-independently, so
-    // `--backend tree --threads 4` is rejected like `srl run` rejects it
-    // instead of one flag silently overriding the other.
-    let mut backend_word: Option<&str> = None;
-    let mut threads_word: Option<&str> = None;
-    let mut timeout_word: Option<&str> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--backend" => match it.next() {
-                Some(word) => backend_word = Some(word.as_str()),
-                None => {
-                    eprintln!("error: missing backend name (valid backends: vm, tree, tree-walk)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--threads" => match it.next() {
-                Some(word) => threads_word = Some(word.as_str()),
-                None => {
-                    eprintln!("error: --threads needs a worker count");
-                    return ExitCode::from(2);
-                }
-            },
-            "--timeout-ms" => match it.next() {
-                Some(word) => timeout_word = Some(word.as_str()),
-                None => {
-                    eprintln!("error: --timeout-ms needs a millisecond count");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unexpected argument `{other}` to `srl repl`");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let backend = match parse_backend(backend_word.or(Some("vm")), threads_word) {
-        Ok(parsed) => parsed,
+    let config = match startup_config(rest) {
+        Ok(config) => config,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    let timeout = match timeout_word {
-        Some(word) => match parse_timeout(Some(word)) {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-
     let interactive = std::io::stdin().is_terminal();
     if interactive {
         println!("srl repl — :help for commands, :quit to leave");
     }
-    let mut session = Session::new(backend);
-    if timeout.is_some() {
-        session.set_timeout(timeout);
-    }
+    let mut session = Session::new(config);
     let stdin = std::io::stdin();
     let mut lines = stdin.lock().lines();
     loop {
@@ -380,25 +299,29 @@ fn handle_command(session: &mut Session, command: &str) -> bool {
                 }
             }
         }
-        Some("backend") => match parse_backend(words.next(), words.next()) {
-            Ok(backend) => {
-                session.config.backend = backend;
-                session.artifact = None;
-                println!("backend: {}", backend_name(backend));
+        Some("backend") => {
+            let mut settings = vec![("backend", words.next().unwrap_or(""))];
+            settings.extend(words.next().map(|threads| ("threads", threads)));
+            match session.apply(&settings) {
+                Ok(()) => println!("backend: {}", session.config.backend),
+                Err(e) => eprintln!("error: {e} — usage: :backend vm [threads]|tree"),
             }
-            Err(e) => eprintln!("error: {e} — usage: :backend vm [threads]|tree"),
-        },
-        Some("timeout") => match parse_timeout(words.next()) {
-            Ok(Some(ms)) => {
-                session.set_timeout(Some(ms));
-                println!("timeout: {ms} ms");
+        }
+        Some("timeout") => {
+            let applied = match words.next() {
+                Some("off") => {
+                    session.config.limits = session.config.limits.with_deadline(None);
+                    session.artifact = None;
+                    Ok(())
+                }
+                word => session.apply(&[("deadline_ms", word.unwrap_or(""))]),
+            };
+            match (applied, session.config.limits.deadline) {
+                (Ok(()), Some(deadline)) => println!("timeout: {} ms", deadline.as_millis()),
+                (Ok(()), None) => println!("timeout: off"),
+                (Err(e), _) => eprintln!("error: {e} — usage: :timeout MS|off"),
             }
-            Ok(None) => {
-                session.set_timeout(None);
-                println!("timeout: off");
-            }
-            Err(e) => eprintln!("error: {e} — usage: :timeout MS|off"),
-        },
+        }
         Some("load") => match words.next() {
             Some(path) => match std::fs::read_to_string(path) {
                 Ok(text) => {
@@ -507,7 +430,7 @@ fn looks_like_definition(line: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srl_core::Value;
+    use srl_core::{ExecBackend, Value};
 
     #[test]
     fn definition_lines_are_recognised() {
@@ -521,7 +444,7 @@ mod tests {
 
     #[test]
     fn session_defines_binds_and_evaluates() {
-        let mut session = Session::new(ExecBackend::default());
+        let mut session = Session::new(PipelineConfig::new());
         assert!(handle_line(
             &mut session,
             "singleton(x) = insert(x, emptyset)"
@@ -541,7 +464,7 @@ mod tests {
 
     #[test]
     fn unreferenceable_input_names_are_rejected() {
-        let mut session = Session::new(ExecBackend::default());
+        let mut session = Session::new(PipelineConfig::new());
         for bad in ["if", "d3", "x.1", "insert", ""] {
             assert!(handle_line(&mut session, &format!("{bad} := {{d1}}")));
         }
@@ -552,7 +475,7 @@ mod tests {
 
     #[test]
     fn bad_definitions_leave_the_session_unchanged() {
-        let mut session = Session::new(ExecBackend::default());
+        let mut session = Session::new(PipelineConfig::new());
         assert!(handle_line(&mut session, "f(x) = x"));
         // Recursive definition is rejected by the pipeline's check stage...
         assert!(handle_line(&mut session, "g(x) = g(x)"));
@@ -562,7 +485,7 @@ mod tests {
 
     #[test]
     fn redefinition_replaces() {
-        let mut session = Session::new(ExecBackend::default());
+        let mut session = Session::new(PipelineConfig::new());
         assert!(handle_line(&mut session, "f(x) = x"));
         assert!(handle_line(&mut session, "f(x) = [x, x]"));
         assert_eq!(session.program.defs.len(), 1);
@@ -572,28 +495,51 @@ mod tests {
         );
     }
 
+    fn words(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn backend_words_parse_with_optional_threads() {
-        assert_eq!(parse_backend(Some("vm"), None), Ok(ExecBackend::vm()));
-        assert_eq!(parse_backend(Some("tree"), None), Ok(ExecBackend::TreeWalk));
-        assert_eq!(
-            parse_backend(Some("vm"), Some("4")),
-            Ok(ExecBackend::vm_with_threads(4))
-        );
+        let mut session = Session::new(PipelineConfig::new());
+        for (line, expected) in [
+            (":backend tree", ExecBackend::TreeWalk),
+            (":backend vm 4", ExecBackend::vm_with_threads(4)),
+            (":backend vm", ExecBackend::vm()),
+        ] {
+            assert!(handle_line(&mut session, line));
+            assert_eq!(session.config.backend, expected, "{line}");
+        }
         // Unknown names round-trip into an error that names the word and
         // lists the valid options (the :backend bugfix).
-        let err = parse_backend(Some("turbo"), None).unwrap_err();
+        let err = session.apply(&[("backend", "turbo")]).unwrap_err();
         assert!(err.contains("`turbo`"), "{err}");
         assert!(err.contains("vm, tree, tree-walk"), "{err}");
-        let err = parse_backend(None, None).unwrap_err();
+        let err = session.apply(&[("backend", "")]).unwrap_err();
         assert!(err.contains("valid backends"), "{err}");
-        assert!(parse_backend(Some("vm"), Some("0")).is_err());
-        assert!(parse_backend(Some("tree"), Some("4")).is_err());
+        assert!(session
+            .apply(&[("backend", "vm"), ("threads", "0")])
+            .is_err());
+        assert!(session
+            .apply(&[("backend", "tree"), ("threads", "4")])
+            .is_err());
+        assert_eq!(session.config.backend, ExecBackend::vm());
+        // The startup flags combine whatever their order.
+        assert_eq!(
+            startup_config(&words(&["--threads", "2", "--backend", "vm"])),
+            Ok(PipelineConfig::new().threads(2))
+        );
+        assert_eq!(
+            startup_config(&words(&["--threads", "2", "--backend", "tree"])),
+            startup_config(&words(&["--backend", "tree", "--threads", "2"]))
+        );
+        assert!(startup_config(&words(&["--backend", "tree", "--threads", "2"])).is_err());
+        assert!(startup_config(&words(&["--limits", "small"])).is_err());
     }
 
     #[test]
     fn backend_command_reports_unknown_names() {
-        let mut session = Session::new(ExecBackend::default());
+        let mut session = Session::new(PipelineConfig::new());
         // A bad name must not change the session backend…
         assert!(handle_line(&mut session, ":backend turbo"));
         assert_eq!(session.config.backend, ExecBackend::default());
@@ -606,17 +552,25 @@ mod tests {
 
     #[test]
     fn timeout_words_parse() {
-        assert_eq!(parse_timeout(Some("250")), Ok(Some(250)));
-        assert_eq!(parse_timeout(Some("off")), Ok(None));
-        assert_eq!(parse_timeout(Some("0")), Ok(None));
-        let err = parse_timeout(Some("soon")).unwrap_err();
+        let mut session = Session::new(PipelineConfig::new());
+        assert_eq!(session.apply(&[("deadline_ms", "250")]), Ok(()));
+        let armed = Some(std::time::Duration::from_millis(250));
+        assert_eq!(session.config.limits.deadline, armed);
+        let err = session.apply(&[("deadline_ms", "soon")]).unwrap_err();
         assert!(err.contains("`soon`"), "{err}");
-        assert!(parse_timeout(None).is_err());
+        assert!(session.apply(&[("deadline_ms", "")]).is_err());
+        // A zero timeout is rejected, as on every surface; `:timeout off`
+        // is how a deadline is cleared.
+        let err = session.apply(&[("deadline_ms", "0")]).unwrap_err();
+        assert!(err.contains("`0`"), "{err}");
+        assert!(handle_line(&mut session, ":timeout 0"));
+        assert_eq!(session.config.limits.deadline, armed);
+        assert!(startup_config(&words(&["--timeout-ms", "0"])).is_err());
     }
 
     #[test]
     fn timeout_command_arms_and_disarms_the_deadline() {
-        let mut session = Session::new(ExecBackend::default());
+        let mut session = Session::new(PipelineConfig::new());
         assert_eq!(session.config.limits.deadline, None);
         assert!(handle_line(&mut session, ":timeout 250"));
         assert_eq!(
@@ -636,7 +590,7 @@ mod tests {
 
     #[test]
     fn timeout_change_invalidates_the_cached_artifact() {
-        let mut session = Session::new(ExecBackend::default());
+        let mut session = Session::new(PipelineConfig::new());
         assert!(handle_line(&mut session, "f(x) = x"));
         assert!(session.artifact.is_some(), "merge_defs caches an artifact");
         assert!(handle_line(&mut session, ":timeout 250"));
@@ -653,7 +607,7 @@ mod tests {
 
     #[test]
     fn classify_command_reports_the_session_program() {
-        let mut session = Session::new(ExecBackend::default());
+        let mut session = Session::new(PipelineConfig::new());
         assert!(handle_line(&mut session, "grow(x, T) = insert(x, T)"));
         assert!(handle_line(
             &mut session,
@@ -672,7 +626,7 @@ mod tests {
 
     #[test]
     fn colon_commands_complete_from_the_vocabulary() {
-        let session = Session::new(ExecBackend::default());
+        let session = Session::new(PipelineConfig::new());
         assert_eq!(completions(&session, ":d"), vec![":defs", ":disasm"]);
         assert_eq!(completions(&session, ":qu"), vec![":quit"]);
         assert_eq!(completions(&session, ":zz"), Vec::<String>::new());
@@ -684,7 +638,7 @@ mod tests {
 
     #[test]
     fn identifiers_complete_against_defs_and_bindings() {
-        let mut session = Session::new(ExecBackend::default());
+        let mut session = Session::new(PipelineConfig::new());
         assert!(handle_line(
             &mut session,
             "singleton(x) = insert(x, emptyset)"
@@ -714,7 +668,7 @@ mod tests {
 
     #[test]
     fn rebinding_an_input_does_not_duplicate_its_completion() {
-        let mut session = Session::new(ExecBackend::default());
+        let mut session = Session::new(PipelineConfig::new());
         assert!(handle_line(&mut session, "S := {d1}"));
         assert!(handle_line(&mut session, "S := {d2}"));
         assert_eq!(completions(&session, "S"), vec!["S"]);
@@ -722,7 +676,7 @@ mod tests {
 
     #[test]
     fn quit_commands_end_the_loop() {
-        let mut session = Session::new(ExecBackend::default());
+        let mut session = Session::new(PipelineConfig::new());
         assert!(!handle_line(&mut session, ":quit"));
         assert!(!handle_line(&mut session, ":q"));
         assert!(handle_line(&mut session, ":help"));

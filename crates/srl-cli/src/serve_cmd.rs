@@ -8,6 +8,7 @@
 
 use std::process::ExitCode;
 
+use srl_core::pipeline::parse_count;
 use srl_serve::{ServeConfig, Server};
 
 /// Parses `srl serve` flags into a [`ServeConfig`].
@@ -21,33 +22,15 @@ fn parse_serve_options(rest: &[String]) -> Result<ServeConfig, String> {
             }
             "--max-inflight" => {
                 let word = it.next().ok_or("--max-inflight needs a query count")?;
-                let n: usize = word
-                    .parse()
-                    .map_err(|_| format!("--max-inflight expects a number, got `{word}`"))?;
-                if n == 0 {
-                    return Err("--max-inflight must be at least 1".to_string());
-                }
-                config.max_inflight = n;
+                config.max_inflight = parse_count("--max-inflight", word)?;
             }
             "--cache-cap" => {
                 let word = it.next().ok_or("--cache-cap needs an entry count")?;
-                let n: usize = word
-                    .parse()
-                    .map_err(|_| format!("--cache-cap expects a number, got `{word}`"))?;
-                if n == 0 {
-                    return Err("--cache-cap must be at least 1".to_string());
-                }
-                config.cache_cap = n;
+                config.cache_cap = parse_count("--cache-cap", word)?;
             }
             "--session-threads" => {
                 let word = it.next().ok_or("--session-threads needs a thread count")?;
-                let n: usize = word
-                    .parse()
-                    .map_err(|_| format!("--session-threads expects a number, got `{word}`"))?;
-                if n == 0 {
-                    return Err("--session-threads must be at least 1".to_string());
-                }
-                config.session_threads = n;
+                config.session_threads = parse_count("--session-threads", word)?;
             }
             "--tenant-config" => {
                 let path = it.next().ok_or("--tenant-config needs a file path")?;

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use srl_core::api;
 use srl_core::bytecode::Insn;
 use srl_core::parallel::PAR_WORK_THRESHOLD;
-use srl_core::Program;
+use srl_core::{PipelineConfig, Program};
 
 const SRL: &str = env!("CARGO_BIN_EXE_srl");
 
@@ -241,6 +241,118 @@ fn injected_worker_panics_are_exit_eight() {
     let clean = run(&["run", file_str, "--threads", "4", "--json"]);
     assert_eq!(exit_code(&clean), 0, "{clean:?}");
     let _ = std::fs::remove_file(file);
+}
+
+// ---------------------------------------------------------------------------
+// One setting vocabulary
+// ---------------------------------------------------------------------------
+
+/// `srl repl` started with `flags` and fed `script` on stdin.
+fn repl(flags: &[&str], script: &str) -> Output {
+    let mut child = Command::new(SRL)
+        .arg("repl")
+        .args(flags)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("srl repl spawns");
+    child
+        .stdin
+        .take()
+        .expect("stdin is piped")
+        .write_all(script.as_bytes())
+        .expect("write the script");
+    child.wait_with_output().expect("srl repl exits")
+}
+
+/// `srl serve` with a tenant-config file whose `default` tenant is
+/// `tenant`. A rejected file stops the server before it binds; one that is
+/// accepted would serve forever, so the child is killed after 10 s.
+fn serve_with_default_tenant(stem: &str, tenant: &str) -> Output {
+    let config = temp_program(stem, &format!("{{\"default\": {tenant}}}"));
+    let mut child = Command::new(SRL)
+        .args(["serve", "--addr", "127.0.0.1:0", "--tenant-config"])
+        .arg(&config)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("srl serve spawns");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().expect("poll srl serve").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let _ = std::fs::remove_file(config);
+    child.wait_with_output().expect("srl serve exits")
+}
+
+/// The same setting words through `srl run` flags, `srl repl` flags, the
+/// REPL's `:backend`/`:timeout` and a `--tenant-config` file: each surface
+/// that takes a setting rejects a bad word with the one message
+/// `PipelineConfig::with_settings` gives, whatever the order of the words.
+#[test]
+fn every_surface_rejects_a_bad_setting_with_one_message() {
+    let file = example("membership.srl");
+    let file = file.to_str().unwrap();
+    // (name, settings, flags, REPL script, tenant object)
+    type Case<'a> = (
+        &'a str,
+        &'a [(&'a str, &'a str)],
+        &'a [&'a str],
+        Option<&'a str>,
+        &'a str,
+    );
+    let cases: [Case; 3] = [
+        (
+            "tree_threads",
+            &[("backend", "tree"), ("threads", "2")],
+            &["--threads", "2", "--backend", "tree"],
+            Some(":backend tree 2\n"),
+            "{\"threads\": 2, \"backend\": \"tree\"}",
+        ),
+        (
+            "zero_timeout",
+            &[("deadline_ms", "0")],
+            &["--timeout-ms", "0"],
+            Some(":timeout 0\n"),
+            "{\"deadline_ms\": 0}",
+        ),
+        (
+            "huge_limits",
+            &[("limits", "huge")],
+            &["--limits", "huge"],
+            None,
+            "{\"limits\": \"huge\"}",
+        ),
+    ];
+    for (stem, settings, flags, script, tenant) in cases {
+        let message = PipelineConfig::new()
+            .with_settings(settings)
+            .expect_err(stem);
+        let mut outcomes = vec![
+            ("srl run", run(&[&["run", file], flags].concat())),
+            ("srl serve", serve_with_default_tenant(stem, tenant)),
+        ];
+        if let Some(script) = script {
+            outcomes.push(("srl repl flags", repl(flags, "")));
+            let session = repl(&[], script);
+            assert_eq!(exit_code(&session), 0, "{stem}: {session:?}");
+            let stderr = String::from_utf8_lossy(&session.stderr);
+            assert!(stderr.contains(&message), "{stem} in the repl: {stderr}");
+        }
+        for (surface, out) in outcomes {
+            assert_eq!(exit_code(&out), 2, "{stem} via {surface}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&message),
+                "{stem} via {surface}: expected `{message}`, got {stderr}"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

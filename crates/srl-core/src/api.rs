@@ -52,10 +52,9 @@
 
 use crate::error::EvalError;
 use crate::eval::TierEngagements;
-use crate::limits::{EvalLimits, EvalStats};
-use crate::pipeline::{PipelineConfig, TypePolicy};
+use crate::limits::EvalStats;
+use crate::pipeline::PipelineConfig;
 use crate::value::Value;
-use crate::Dialect;
 
 /// The wire protocol version every body opens with (`"v": 1`).
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -74,9 +73,9 @@ pub const EXIT_PARSE: u8 = 3;
 pub const EXIT_CHECK: u8 = 4;
 /// A runtime evaluation error (shape, unbound name, empty choose, …).
 pub const EXIT_RUNTIME: u8 = 5;
-/// A deterministic resource budget ([`EvalLimits`]) was exhausted.
+/// A deterministic resource budget ([`EvalLimits`](crate::EvalLimits)) was exhausted.
 pub const EXIT_LIMIT: u8 = 6;
-/// The wall-clock deadline ([`EvalLimits::deadline`]) fired.
+/// The wall-clock deadline ([`EvalLimits::deadline`](crate::EvalLimits::deadline)) fired.
 pub const EXIT_TIMEOUT: u8 = 7;
 /// An internal error (e.g. a panicked worker, isolated at the pool).
 pub const EXIT_INTERNAL: u8 = 8;
@@ -739,95 +738,38 @@ impl Request {
 /// ```
 ///
 /// Every field is optional (the default is [`PipelineConfig::default`]);
-/// unknown fields are rejected.
+/// unknown fields are rejected. Each value is a JSON scalar handed to
+/// [`PipelineConfig::with_settings`] as a word, which owns the vocabulary
+/// and the combination rules: field order never matters, `max_steps` and
+/// `deadline_ms` survive a `limits` preset, `deadline_ms` and `threads`
+/// are at least 1, and `threads` with the tree-walk backend is an error.
 pub fn pipeline_config_from_json(json: &Json) -> Result<PipelineConfig, String> {
     let Some(fields) = json.as_object() else {
         return Err("a pipeline config is a JSON object".to_string());
     };
-    let mut config = PipelineConfig::default();
+    let mut words = Vec::with_capacity(fields.len());
     for (key, value) in fields {
-        match key.as_str() {
-            "dialect" => {
-                config.dialect = Some(match value.as_str() {
-                    Some("srl") => Dialect::srl(),
-                    Some("basrl") => Dialect::basrl(),
-                    Some("lrl") => Dialect::lrl(),
-                    Some("srl+new") => Dialect::srl_new(),
-                    Some("srl+add") => Dialect::srl_with_addition(),
-                    Some("srl+arith") => Dialect::srl_with_arithmetic(),
-                    Some("unrestricted") => Dialect::unrestricted(),
-                    Some("full") => Dialect::full(),
-                    other => {
-                        return Err(format!(
-                            "unknown dialect {other:?} (expected srl|basrl|lrl|srl+new|srl+add|srl+arith|unrestricted|full)"
-                        ))
-                    }
-                });
-            }
-            "type_policy" => {
-                config.type_policy = match value.as_str() {
-                    Some("require") => TypePolicy::Require,
-                    Some("if-typed") => TypePolicy::IfTyped,
-                    Some("skip") => TypePolicy::Skip,
-                    other => {
-                        return Err(format!(
-                            "unknown type_policy {other:?} (expected require|if-typed|skip)"
-                        ))
-                    }
-                };
-            }
-            "limits" => {
-                let deadline = config.limits.deadline;
-                config.limits = match value.as_str() {
-                    Some("default") => EvalLimits::default(),
-                    Some("small") => EvalLimits::small(),
-                    Some("benchmark") => EvalLimits::benchmark(),
-                    other => {
-                        return Err(format!(
-                            "unknown limits preset {other:?} (expected default|small|benchmark)"
-                        ))
-                    }
-                }
-                .with_deadline(deadline);
-            }
-            "max_steps" => {
-                let steps = value.as_u64().ok_or("\"max_steps\" must be an integer")?;
-                config.limits = config.limits.with_max_steps(steps);
-            }
-            "deadline_ms" => {
-                let ms = value.as_u64().ok_or("\"deadline_ms\" must be an integer")?;
-                config.limits = if ms == 0 {
-                    config.limits.with_deadline(None)
-                } else {
-                    config.limits.with_deadline_ms(ms)
-                };
-            }
-            "threads" => {
-                let n = value.as_u64().ok_or("\"threads\" must be an integer")?;
-                if n == 0 {
-                    return Err("\"threads\" must be at least 1".to_string());
-                }
-                config = config.threads(n as usize);
-            }
-            "backend" => {
-                config.backend = match value.as_str() {
-                    Some("vm") => crate::ExecBackend::vm_with_threads(config.backend.threads()),
-                    Some("tree") | Some("tree-walk") => crate::ExecBackend::TreeWalk,
-                    other => return Err(format!("unknown backend {other:?} (expected vm|tree)")),
-                };
-            }
-            "tiers" => {
-                config.tiers = value.as_bool().ok_or("\"tiers\" must be a boolean")?;
-            }
-            other => return Err(format!("unknown pipeline-config field \"{other}\"")),
-        }
+        let word = match value {
+            Json::Str(s) => s.clone(),
+            Json::Num(n) => n.to_string(),
+            Json::Bool(b) => b.to_string(),
+            _ => return Err(format!("\"{key}\" must be a string, number or boolean")),
+        };
+        words.push((key.as_str(), word));
     }
-    Ok(config)
+    let settings: Vec<(&str, &str)> = words
+        .iter()
+        .map(|(key, word)| (*key, word.as_str()))
+        .collect();
+    PipelineConfig::new().with_settings(&settings)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::limits::EvalLimits;
+    use crate::pipeline::TypePolicy;
+    use crate::Dialect;
 
     #[test]
     fn versioned_bodies_open_with_the_protocol_version() {
@@ -1011,23 +953,79 @@ mod tests {
         assert!(Request::parse("not json").is_err());
     }
 
+    /// Every ordering of `fields`, each joined into one JSON object.
+    fn every_ordering(fields: &[&str]) -> Vec<String> {
+        if fields.len() <= 1 {
+            return vec![format!("{{{}}}", fields.join(""))];
+        }
+        let mut objects = Vec::new();
+        for (i, first) in fields.iter().enumerate() {
+            let mut rest = fields.to_vec();
+            rest.remove(i);
+            for tail in every_ordering(&rest) {
+                let tail = &tail[1..tail.len() - 1];
+                objects.push(format!("{{{first}, {tail}}}"));
+            }
+        }
+        objects
+    }
+
+    fn parse_config(object: &str) -> Result<PipelineConfig, String> {
+        pipeline_config_from_json(&Json::parse(object).unwrap())
+    }
+
     #[test]
     fn pipeline_config_parses_every_field() {
-        let json = Json::parse(
-            "{\"dialect\": \"basrl\", \"type_policy\": \"skip\", \"limits\": \"small\", \
-             \"max_steps\": 1234, \"deadline_ms\": 250, \"threads\": 2, \"tiers\": false}",
-        )
-        .unwrap();
-        let config = pipeline_config_from_json(&json).unwrap();
-        assert_eq!(config.dialect, Some(Dialect::basrl()));
-        assert_eq!(config.type_policy, TypePolicy::Skip);
-        assert_eq!(config.limits.max_steps, 1234);
-        assert_eq!(
-            config.limits.deadline,
-            Some(std::time::Duration::from_millis(250))
-        );
-        assert_eq!(config.backend, crate::ExecBackend::vm_with_threads(2));
-        assert!(!config.tiers);
+        let fields = [
+            "\"dialect\": \"basrl\"",
+            "\"type_policy\": \"skip\"",
+            "\"limits\": \"small\"",
+            "\"max_steps\": 1234",
+            "\"deadline_ms\": 250",
+            "\"threads\": 2",
+            "\"tiers\": false",
+        ];
+        let objects = every_ordering(&fields);
+        assert_eq!(objects.len(), 5040);
+        for object in objects {
+            let config = parse_config(&object).unwrap();
+            assert_eq!(config.dialect, Some(Dialect::basrl()), "{object}");
+            assert_eq!(config.type_policy, TypePolicy::Skip, "{object}");
+            assert_eq!(
+                config.limits,
+                EvalLimits::small()
+                    .with_max_steps(1234)
+                    .with_deadline_ms(250),
+                "field order in the config file must not matter: {object}"
+            );
+            assert_eq!(config.backend, crate::ExecBackend::vm_with_threads(2));
+            assert!(!config.tiers, "{object}");
+        }
+    }
+
+    #[test]
+    fn pipeline_config_pairs_combine_whatever_their_order() {
+        for (pair, expected) in [
+            (
+                ["\"backend\": \"tree\"", "\"threads\": 2"],
+                Err(
+                    "the tree-walk backend has no worker pool (threads apply to vm only)"
+                        .to_string(),
+                ),
+            ),
+            (
+                ["\"backend\": \"vm\"", "\"threads\": 2"],
+                Ok(PipelineConfig::new().threads(2)),
+            ),
+            (
+                ["\"max_steps\": 1234", "\"limits\": \"small\""],
+                Ok(PipelineConfig::new().with_limits(EvalLimits::small().with_max_steps(1234))),
+            ),
+        ] {
+            for object in every_ordering(&pair) {
+                assert_eq!(parse_config(&object), expected, "{object}");
+            }
+        }
     }
 
     #[test]
@@ -1048,6 +1046,11 @@ mod tests {
             "{\"type_policy\": \"maybe\"}",
             "{\"limits\": \"huge\"}",
             "{\"threads\": 0}",
+            "{\"threads\": 2.5}",
+            "{\"deadline_ms\": 0}",
+            "{\"max_steps\": -1}",
+            "{\"tiers\": \"maybe\"}",
+            "{\"backend\": null}",
             "{\"wat\": 1}",
             "[]",
         ] {

@@ -59,11 +59,6 @@ impl BigNat {
         }
     }
 
-    /// Returns the value as a `usize` if it fits.
-    pub fn to_usize(&self) -> Option<usize> {
-        self.to_u64().and_then(|v| usize::try_from(v).ok())
-    }
-
     /// True iff the value is zero.
     pub fn is_zero(&self) -> bool {
         self.limbs.is_empty()
@@ -601,6 +596,5 @@ mod tests {
     fn from_conversions() {
         assert_eq!(BigNat::from(7u64), n(7));
         assert_eq!(BigNat::from(7usize), n(7));
-        assert_eq!(n(7).to_usize(), Some(7));
     }
 }

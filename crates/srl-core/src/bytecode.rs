@@ -7,7 +7,7 @@
 //! into straight-line **register code**: each definition body (and each
 //! stand-alone lowered expression) becomes a [`Block`] of [`Insn`]s operating
 //! on a flat register frame, with `if` as explicit branches and the reduce
-//! lambdas as nested blocks. The dispatch loop lives in [`crate::vm`].
+//! lambdas as nested blocks. The dispatch loop lives in `crate::vm`.
 //!
 //! ## Register frames
 //!

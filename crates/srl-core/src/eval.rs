@@ -48,6 +48,7 @@
 //! size), and the limits keep the deliberately-exponential programs
 //! (Example 3.12, the LRL blow-up) from exhausting memory.
 
+use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -117,7 +118,7 @@ impl std::ops::AddAssign for TierEngagements {
 /// by instruction reordering — with one caveat: a program that would cross
 /// the step **and** depth budget inside the same fused batch may report
 /// either limit error depending on the backend (see
-/// [`EvalCore::bump_batch`]'s ordering note); which limits are exceeded is
+/// `EvalCore::bump_batch`'s ordering note); which limits are exceeded is
 /// still identical, as are all values and statistics whenever evaluation
 /// succeeds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,7 +126,7 @@ pub enum ExecBackend {
     /// The recursive tree-walk over the lowered arena (this module) — the
     /// reference engine, still selectable everywhere.
     TreeWalk,
-    /// The register bytecode VM ([`crate::vm`]) with superinstruction
+    /// The register bytecode VM (`crate::vm`) with superinstruction
     /// fusion ([`crate::bytecode`]); chunks are generated lazily, once per
     /// compiled program / lowered expression. The **default** backend (with
     /// `threads: 1`): it produces byte-identical results and statistics to
@@ -168,6 +169,18 @@ impl ExecBackend {
         match self {
             ExecBackend::TreeWalk => 1,
             ExecBackend::Vm { threads } => (*threads).max(1),
+        }
+    }
+}
+
+/// The short name the REPL confirms a backend choice with: `vm`,
+/// `vm (4 threads)` or `tree-walk`.
+impl fmt::Display for ExecBackend {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ExecBackend::TreeWalk => f.write_str("tree-walk"),
+            ExecBackend::Vm { threads } if *threads <= 1 => f.write_str("vm"),
+            ExecBackend::Vm { threads } => write!(f, "vm ({threads} threads)"),
         }
     }
 }

@@ -12,7 +12,7 @@
 //!   binding order, exactly mirroring the evaluator's push/pop discipline;
 //! * every call becomes [`LExpr::Call`] with the callee's *definition index*;
 //!   the evaluator borrows the compiled body — nothing is cloned;
-//! * every name is interned into a [`SymbolTable`](crate::intern::SymbolTable)
+//! * every name is interned into a [`SymbolTable`]
 //!   so diagnostics and the `srl-syntax` printers can recover spellings;
 //! * the lowered tree lives in a single **arena** (`Vec<LExpr>`, children
 //!   addressed by [`LId`]), not in per-node boxes: one allocation per

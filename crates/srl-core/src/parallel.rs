@@ -8,13 +8,13 @@
 //! proper hom, folding contiguous shards of the input independently and
 //! merging the partial accumulators in shard order computes the same value
 //! as the sequential left fold. The compile-time side of this analysis lives
-//! in [`FoldClass`](crate::bytecode::FoldClass) — the lowered-IR descendant
+//! in [`FoldClass`] — the lowered-IR descendant
 //! of `srl-analysis`'s `combiner_is_proper` — which codegen records on every
 //! fused `Reduce` instruction; this module is the runtime side.
 //!
 //! ## Execution model
 //!
-//! A work-stealing-free, scoped-thread pool: when [`try_run`] accepts a
+//! A work-stealing-free, scoped-thread pool: when `try_run` accepts a
 //! fold, the input `SetRepr`'s element sequence is partitioned into `k =
 //! min(threads, n)` contiguous windows whose sizes differ by at most one;
 //! each worker walks its window through [`SetRepr::iter_range`], so a
@@ -24,7 +24,7 @@
 //! input set — no `Arc` restructuring, no `unsafe`); shard `0` runs on the
 //! calling thread while
 //! the workers are in flight; joins happen in shard order. Each worker gets
-//! its own [`EvalCore`]: a clone of the current frame (O(frame) `Arc`
+//! its own `EvalCore`: a clone of the current frame (O(frame) `Arc`
 //! bumps), zeroed statistics, and the *remaining* step/allocation budget at
 //! fold entry. Workers execute the **same per-element helpers** as the
 //! sequential loops (`vm::boolacc_element` and friends), so one element
@@ -60,7 +60,7 @@
 //! shard by shard (so a crossing that only the *sum* of shards produces is
 //! still reported, with the step error taking precedence over the size
 //! error within one shard's batch — the same precedence
-//! [`EvalCore::bump_batch`] documents). On error paths the error kind
+//! `EvalCore::bump_batch` documents). On error paths the error kind
 //! matches sequential execution while partial counters may differ, exactly
 //! as on the backend axis.
 //!
@@ -78,7 +78,7 @@
 //!
 //! ## What is sharded
 //!
-//! Only folds whose [`FoldClass`](crate::bytecode::FoldClass) is
+//! Only folds whose [`FoldClass`] is
 //! `ProperHom` *and* whose kind has real per-element lambda work:
 //! `InsertApp`, `Filter`, `BoolAcc`, and `Generic` folds whose accumulator
 //! body was proved an insert spine, local or call-threaded

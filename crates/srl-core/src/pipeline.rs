@@ -157,7 +157,7 @@ impl PipelineConfig {
     /// run by produced evaluators (shorthand for
     /// [`EvalLimits::with_deadline_ms`] on the configured budget). A query
     /// that overruns it fails with
-    /// [`EvalError::DeadlineExceeded`](crate::error::EvalError::DeadlineExceeded)
+    /// [`EvalError::DeadlineExceeded`]
     /// and leaves the evaluator reusable.
     pub fn deadline_ms(mut self, ms: u64) -> Self {
         self.limits = self.limits.with_deadline_ms(ms);
@@ -183,10 +183,124 @@ impl PipelineConfig {
         self
     }
 
-    /// Enables or disables the columnar storage tiers.
-    pub fn with_tiers(mut self, on: bool) -> Self {
-        self.tiers = on;
-        self
+    /// Applies named engine settings, each given as a word: the one parser
+    /// behind `srl run`'s and `srl repl`'s flags, the REPL's `:backend` and
+    /// `:timeout`, `report`'s flags and tenant-config JSON.
+    ///
+    /// | name | word |
+    /// |---|---|
+    /// | `limits` | `default`, `small` or `benchmark`: the budget preset |
+    /// | `max_steps` | a step budget ≥ 1 |
+    /// | `deadline_ms` | a wall-clock deadline, in milliseconds ≥ 1 |
+    /// | `backend` | `vm`, `tree` or `tree-walk` |
+    /// | `threads` | a worker count ≥ 1 (see [`PipelineConfig::threads`]) |
+    /// | `dialect` | `srl`, `basrl`, `lrl`, `srl+new`, `srl+add`, `srl+arith`, `unrestricted` or `full` |
+    /// | `type_policy` | `require`, `if-typed` or `skip` |
+    /// | `tiers` | `true` or `false` |
+    ///
+    /// The order the settings arrive in never matters: they are applied in
+    /// the order of this table. So a preset replaces the budget but keeps
+    /// the deadline, and `max_steps` and `deadline_ms` survive a preset.
+    /// `backend` and `threads` are one choice: `threads` alone implies the
+    /// VM, `vm` alone is the sequential VM, and `threads` with the
+    /// tree-walk is an error. A name given twice takes its last word.
+    ///
+    /// An unknown name, an empty (missing) word or a bad word is an error
+    /// whose message names it. The config is consumed either way, so a
+    /// caller that must keep its config when a setting is rejected applies
+    /// the settings to a clone.
+    pub fn with_settings(mut self, settings: &[(&str, &str)]) -> Result<Self, String> {
+        const NAMES: [&str; 8] = [
+            "limits",
+            "max_steps",
+            "deadline_ms",
+            "backend",
+            "threads",
+            "dialect",
+            "type_policy",
+            "tiers",
+        ];
+        if let Some((name, _)) = settings.iter().find(|(name, _)| !NAMES.contains(name)) {
+            return Err(format!("unknown pipeline-config field \"{name}\""));
+        }
+        let word = |name: &str| settings.iter().rev().find(|(n, _)| *n == name).map(|s| s.1);
+        if let Some(word) = word("limits") {
+            let preset = choose(
+                ("limits preset", "limits presets"),
+                &[
+                    ("default", EvalLimits::default_budget()),
+                    ("small", EvalLimits::small()),
+                    ("benchmark", EvalLimits::benchmark()),
+                ],
+                word,
+            )?;
+            self.limits = preset.with_deadline(self.limits.deadline);
+        }
+        if let Some(word) = word("max_steps") {
+            self.limits.max_steps = parse_count("step budget", word)? as u64;
+        }
+        if let Some(word) = word("deadline_ms") {
+            let ms = parse_count("timeout in milliseconds", word)?;
+            self.limits = self.limits.with_deadline_ms(ms as u64);
+        }
+        let threads = word("threads").map(|word| parse_count("thread count", word));
+        let backend = word("backend").map(|word| {
+            choose(
+                ("backend", "backends"),
+                &[
+                    ("vm", ExecBackend::vm()),
+                    ("tree", ExecBackend::TreeWalk),
+                    ("tree-walk", ExecBackend::TreeWalk),
+                ],
+                word,
+            )
+        });
+        match (backend.transpose()?, threads.transpose()?) {
+            (Some(ExecBackend::TreeWalk), Some(_)) => {
+                return Err(
+                    "the tree-walk backend has no worker pool (threads apply to vm only)"
+                        .to_string(),
+                )
+            }
+            (_, Some(n)) => self = self.threads(n),
+            (Some(backend), None) => self.backend = backend,
+            (None, None) => {}
+        }
+        if let Some(word) = word("dialect") {
+            self.dialect = Some(choose(
+                ("dialect", "dialects"),
+                &[
+                    ("srl", Dialect::srl()),
+                    ("basrl", Dialect::basrl()),
+                    ("lrl", Dialect::lrl()),
+                    ("srl+new", Dialect::srl_new()),
+                    ("srl+add", Dialect::srl_with_addition()),
+                    ("srl+arith", Dialect::srl_with_arithmetic()),
+                    ("unrestricted", Dialect::unrestricted()),
+                    ("full", Dialect::full()),
+                ],
+                word,
+            )?);
+        }
+        if let Some(word) = word("type_policy") {
+            self.type_policy = choose(
+                ("type policy", "type policies"),
+                &[
+                    ("require", TypePolicy::Require),
+                    ("if-typed", TypePolicy::IfTyped),
+                    ("skip", TypePolicy::Skip),
+                ],
+                word,
+            )?;
+        }
+        if let Some(word) = word("tiers") {
+            self.tiers = choose(
+                ("tiers switch", "tiers switches"),
+                &[("true", true), ("false", false)],
+                word,
+            )?;
+        }
+        Ok(self)
     }
 
     /// A copy of these choices, kept because callers (`perfbench` among
@@ -246,6 +360,37 @@ impl PipelineConfig {
     pub fn prepare(&self, program: Program) -> Result<Compiled, CheckError> {
         Ok(self.compile(self.check(program)?))
     }
+}
+
+/// Parses a count of at least 1 (a worker, query, entry or step count, or
+/// a millisecond timeout). The error names `what`, and the word if there is
+/// one.
+pub fn parse_count(what: &str, word: &str) -> Result<usize, String> {
+    match word.parse::<usize>() {
+        _ if word.is_empty() => Err(format!("missing {what}")),
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("{what} must be a number ≥ 1, got `{word}`")),
+    }
+}
+
+/// Looks `word` up in a table of named choices. The error names the word
+/// and lists every valid one, so a typo round-trips into something
+/// actionable instead of a bare usage line.
+fn choose<T: Copy>(
+    (what, whats): (&str, &str),
+    table: &[(&str, T)],
+    word: &str,
+) -> Result<T, String> {
+    if let Some(&(_, choice)) = table.iter().find(|(name, _)| *name == word) {
+        return Ok(choice);
+    }
+    let names: Vec<&str> = table.iter().map(|(name, _)| *name).collect();
+    let valid = format!("(valid {whats}: {})", names.join(", "));
+    Err(if word.is_empty() {
+        format!("missing {what} name {valid}")
+    } else {
+        format!("unknown {what} `{word}` {valid}")
+    })
 }
 
 /// A program that has passed the check stage: structurally valid, dialect
@@ -463,17 +608,118 @@ mod tests {
             .with_type_policy(TypePolicy::Skip)
             .with_limits(EvalLimits::small())
             .deadline_ms(250)
-            .threads(3)
-            .with_tiers(false);
+            .threads(3);
         assert_eq!(config.dialect, Some(Dialect::basrl()));
         assert_eq!(config.type_policy, TypePolicy::Skip);
         assert_eq!(config.limits, EvalLimits::small().with_deadline_ms(250));
         assert_eq!(config.backend, ExecBackend::vm_with_threads(3));
-        assert!(!config.tiers);
         // The config stays comparable and cloneable, and `pipeline()` is a
         // plain copy.
         assert_eq!(config.pipeline(), config);
         assert_ne!(config, PipelineConfig::default());
+    }
+
+    #[test]
+    fn settings_apply_in_one_order_whatever_order_they_arrive_in() {
+        let settings = [
+            ("deadline_ms", "99"),
+            ("max_steps", "1234"),
+            ("limits", "benchmark"),
+            ("threads", "4"),
+            ("backend", "vm"),
+            ("tiers", "false"),
+            ("type_policy", "require"),
+            ("dialect", "lrl"),
+        ];
+        let forward = PipelineConfig::new().with_settings(&settings).unwrap();
+        let mut reversed = settings;
+        reversed.reverse();
+        assert_eq!(
+            PipelineConfig::new().with_settings(&reversed).unwrap(),
+            forward
+        );
+        assert_eq!(
+            forward.limits,
+            EvalLimits::benchmark()
+                .with_max_steps(1234)
+                .with_deadline_ms(99)
+        );
+        assert_eq!(forward.backend, ExecBackend::vm_with_threads(4));
+        assert_eq!(forward.dialect, Some(Dialect::lrl()));
+        assert_eq!(forward.type_policy, TypePolicy::Require);
+        assert!(!forward.tiers);
+    }
+
+    #[test]
+    fn settings_apply_to_the_current_config() {
+        let config = PipelineConfig::new()
+            .with_settings(&[("deadline_ms", "250"), ("threads", "4")])
+            .unwrap();
+        // `vm` alone is the sequential VM; the deadline is untouched.
+        let config = config.with_settings(&[("backend", "vm")]).unwrap();
+        assert_eq!(config.backend, ExecBackend::vm());
+        assert_eq!(config.limits, EvalLimits::default().with_deadline_ms(250));
+        // A preset keeps the deadline already armed; a name given twice
+        // takes its last word.
+        let config = config
+            .with_settings(&[("limits", "small"), ("backend", "vm"), ("backend", "tree")])
+            .unwrap();
+        assert_eq!(config.limits, EvalLimits::small().with_deadline_ms(250));
+        assert_eq!(config.backend, ExecBackend::TreeWalk);
+        // `threads` alone implies the VM, as `threads(n)` does.
+        let config = config.with_settings(&[("threads", "2")]).unwrap();
+        assert_eq!(config.backend, ExecBackend::vm_with_threads(2));
+    }
+
+    #[test]
+    fn every_bad_setting_has_one_message() {
+        let error =
+            |settings: &[(&str, &str)]| PipelineConfig::new().with_settings(settings).unwrap_err();
+        assert_eq!(
+            error(&[("backend", "turbo")]),
+            "unknown backend `turbo` (valid backends: vm, tree, tree-walk)"
+        );
+        assert_eq!(
+            error(&[("backend", "")]),
+            "missing backend name (valid backends: vm, tree, tree-walk)"
+        );
+        assert_eq!(
+            error(&[("threads", "2"), ("backend", "tree-walk")]),
+            "the tree-walk backend has no worker pool (threads apply to vm only)"
+        );
+        assert_eq!(
+            error(&[("threads", "0")]),
+            "thread count must be a number ≥ 1, got `0`"
+        );
+        assert_eq!(
+            error(&[("deadline_ms", "0")]),
+            "timeout in milliseconds must be a number ≥ 1, got `0`"
+        );
+        assert_eq!(
+            error(&[("deadline_ms", "")]),
+            "missing timeout in milliseconds"
+        );
+        assert_eq!(
+            error(&[("limits", "huge")]),
+            "unknown limits preset `huge` (valid limits presets: default, small, benchmark)"
+        );
+        assert!(error(&[("dialect", "klingon")]).contains("srl+arith"));
+        assert!(error(&[("type_policy", "maybe")]).contains("if-typed"));
+        assert!(error(&[("tiers", "on")]).contains("true, false"));
+        assert_eq!(
+            error(&[("wat", "1")]),
+            "unknown pipeline-config field \"wat\""
+        );
+    }
+
+    #[test]
+    fn backends_display_their_short_names() {
+        assert_eq!(ExecBackend::vm().to_string(), "vm");
+        assert_eq!(
+            ExecBackend::vm_with_threads(4).to_string(),
+            "vm (4 threads)"
+        );
+        assert_eq!(ExecBackend::TreeWalk.to_string(), "tree-walk");
     }
 
     #[test]

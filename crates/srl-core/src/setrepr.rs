@@ -33,7 +33,7 @@
 //! tiers.
 //!
 //! Selection is **adaptive at construction**: `FromIterator`, the merge ops
-//! and clone re-tier through [`SetRepr::from_sorted_vec`], which promotes to
+//! and clone re-tier through `SetRepr::from_sorted_vec`, which promotes to
 //! the columnar tier whenever every element qualifies; `insert` past the
 //! inline cap promotes instead of spilling when it can. This is the only
 //! tier decision: codegen and the VM never pick a representation, so a
@@ -47,7 +47,7 @@
 //!
 //! The columnar tiers are *lossless*: they only ever hold unnamed atoms
 //! (named atoms — equal to unnamed ones but displayed differently — are
-//! rejected by [`plain_id`] and force the generic tier), so reconstructing
+//! rejected by `plain_id` and force the generic tier), so reconstructing
 //! `Value::atom(id)` round-trips display, equality, order and hash exactly.
 //! Inserting a value that does not fit the columnar invariant **widens** the
 //! store back to the generic representation; since the element sequence is

@@ -203,14 +203,6 @@ impl Value {
         }
     }
 
-    /// Returns the natural payload if this is a natural.
-    pub fn as_nat(&self) -> Option<&BigNat> {
-        match self {
-            Value::Nat(n) => Some(n),
-            _ => None,
-        }
-    }
-
     /// Returns the tuple components if this is a tuple.
     pub fn as_tuple(&self) -> Option<&[Value]> {
         match self {
@@ -563,7 +555,6 @@ mod tests {
     fn accessors() {
         assert_eq!(Value::bool(true).as_bool(), Some(true));
         assert_eq!(Value::atom(1).as_bool(), None);
-        assert!(Value::nat(3).as_nat().is_some());
         assert!(Value::tuple([Value::atom(1)]).as_tuple().is_some());
         assert!(Value::empty_set().as_set().is_some());
         assert!(Value::empty_list().as_list().is_some());

@@ -17,7 +17,7 @@
 //! * an input-binding environment — the REPL's `S := {…}` binding model
 //!   promoted to the wire (`bind` requests), persisting across queries
 //!   *and* connections;
-//! * a [`ProgramCache`](cache::ProgramCache) of compiled artifacts keyed by
+//! * a [`ProgramCache`] of compiled artifacts keyed by
 //!   the compiled program's structural fingerprint, with pooled evaluators
 //!   and hit/miss/eviction counters surfaced in every `run` response;
 //! * its own request counters (`stats` requests).

@@ -42,6 +42,7 @@ use srl_core::setrepr::with_atom_tier;
 use srl_core::{EvalStats, Expr, Value};
 use srl_syntax::frontend::{FrontendError, TextFrontend};
 
+use crate::cache::ProgramCache;
 use crate::tenant::Tenant;
 
 /// The tenant used when a request names none.
@@ -96,6 +97,11 @@ impl ServeConfig {
     ///
     /// `default` re-templates unnamed tenants; each entry under `tenants`
     /// pre-creates a named tenant. Unknown top-level fields are rejected.
+    /// Each tenant object is read by
+    /// [`api::pipeline_config_from_json`], so the `srl run` rules hold:
+    /// field order never matters, `max_steps` and `deadline_ms` survive a
+    /// `limits` preset, `deadline_ms` and `threads` are at least 1, and
+    /// `threads` with `"backend": "tree"` is an error.
     pub fn with_tenant_document(mut self, text: &str) -> Result<Self, String> {
         let json = Json::parse(text)?;
         let Some(fields) = json.as_object() else {
@@ -479,6 +485,23 @@ fn parse_args(args: &[String]) -> Result<Vec<Value>, String> {
     Ok(values)
 }
 
+/// The trailing fields of a response that went through the tenant cache:
+/// the `cache` object (this lookup's `hit`, then the cache's running
+/// counters), followed by `extras`.
+fn with_cache_extra<'a>(
+    cache: &ProgramCache,
+    hit: bool,
+    extras: &[(&'a str, String)],
+) -> Vec<(&'a str, String)> {
+    let summary = format!(
+        "{{ \"hit\": {hit}, \"hits\": {}, \"misses\": {}, \"evictions\": {} }}",
+        cache.hits, cache.misses, cache.evictions
+    );
+    std::iter::once(("cache", summary))
+        .chain(extras.iter().cloned())
+        .collect()
+}
+
 /// `run`: compile `program` through the tenant cache (or use the resident
 /// empty artifact for a bare `expr`), then call a definition or evaluate an
 /// expression against the tenant environment.
@@ -522,14 +545,7 @@ fn run(t: &mut Tenant, request: &Request, extras: &[(&str, String)]) -> String {
                 Ok(resolved) => resolved,
                 Err(e) => return frontend_error(t, &e, extras),
             };
-            let mut full_extras = vec![(
-                "cache",
-                format!(
-                    "{{ \"hit\": {hit}, \"hits\": {}, \"misses\": {}, \"evictions\": {} }}",
-                    t.cache.hits, t.cache.misses, t.cache.evictions
-                ),
-            )];
-            full_extras.extend(extras.iter().map(|(n, v)| (*n, v.clone())));
+            let full_extras = with_cache_extra(&t.cache, hit, extras);
             let env = t.env.clone();
             let entry = t.cache.entry_mut(fingerprint);
             let outcome = match &expr {
@@ -636,14 +652,7 @@ fn analyze(t: &mut Tenant, request: &Request, extras: &[(&str, String)]) -> Stri
         Ok(resolved) => resolved,
         Err(e) => return frontend_error(t, &e, extras),
     };
-    let mut full_extras = vec![(
-        "cache",
-        format!(
-            "{{ \"hit\": {hit}, \"hits\": {}, \"misses\": {}, \"evictions\": {} }}",
-            t.cache.hits, t.cache.misses, t.cache.evictions
-        ),
-    )];
-    full_extras.extend(extras.iter().map(|(n, v)| (*n, v.clone())));
+    let full_extras = with_cache_extra(&t.cache, hit, extras);
     let entry = t.cache.entry_mut(fingerprint);
     let verdict = srl_analysis::classify_program(entry.artifact.program(), 1);
     let report = srl_analysis::analyze_compiled(entry.artifact.compiled());
