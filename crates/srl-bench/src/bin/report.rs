@@ -10,25 +10,41 @@
 //! `PipelineConfig::with_settings`, the parser `srl run` uses, so they
 //! take the same words, combine the same way in either order (`--backend
 //! tree --threads N` is an error) and fail with the same messages, each
-//! exiting 2. The semantic rows are invariant along both axes: every
-//! engine configuration produces byte-identical `EvalStats`, so
-//! `--backend tree` and `--threads 4` must each print exactly the same
-//! report (CI diffs all three against `BENCH_1.json`).
+//! exiting 2; so does any other argument. The semantic rows are invariant
+//! along both axes: every engine configuration produces byte-identical
+//! `EvalStats`, so `--backend tree` and `--threads 4` must each print
+//! exactly the same report (CI diffs all three against `BENCH_1.json`).
 
 use srl_bench::*;
-use srl_core::PipelineConfig;
+use srl_core::{ExecBackend, PipelineConfig};
+
+/// The flags: whether `--json` was given, and the engine's backend. Any
+/// other argument is an error, so a mistyped flag cannot run the default
+/// engine in silence.
+fn parse_args(args: &[String]) -> Result<(bool, ExecBackend), String> {
+    let mut json = false;
+    let mut settings = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let name = match arg.as_str() {
+            "--json" => {
+                json = true;
+                continue;
+            }
+            "--backend" => "backend",
+            "--threads" => "threads",
+            other => return Err(format!("unexpected argument `{other}` to `report`")),
+        };
+        settings.push((name, it.next().map_or("", String::as_str)));
+    }
+    let config = PipelineConfig::new().with_settings(&settings)?;
+    Ok((json, config.backend))
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    let mut settings = Vec::new();
-    for (flag, name) in [("--backend", "backend"), ("--threads", "threads")] {
-        if let Some(i) = args.iter().position(|a| a == flag) {
-            settings.push((name, args.get(i + 1).map_or("", String::as_str)));
-        }
-    }
-    let backend = match PipelineConfig::new().with_settings(&settings) {
-        Ok(config) => config.backend,
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (json, backend) = match parse_args(&args) {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(2);

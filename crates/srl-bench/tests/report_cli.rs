@@ -49,3 +49,20 @@ fn threads_with_the_tree_walk_is_rejected_in_either_order() {
         );
     }
 }
+
+#[test]
+fn an_unknown_argument_is_rejected_before_anything_runs() {
+    for (args, bad) in [
+        (&["--bakend", "tree", "--json"][..], "--bakend"),
+        (&["--json", "extra"][..], "extra"),
+        (&["--threads", "2", "-j"][..], "-j"),
+    ] {
+        let (code, stderr) = report(args);
+        assert_eq!(code, Some(2), "{args:?}");
+        assert_eq!(
+            stderr.trim(),
+            format!("error: unexpected argument `{bad}` to `report`"),
+            "{args:?}"
+        );
+    }
+}

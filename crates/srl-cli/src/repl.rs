@@ -29,7 +29,7 @@
 //! completes its trailing identifier against the session's definition and
 //! input-binding names.
 
-use std::io::{BufRead, IsTerminal, Write};
+use std::io::{self, BufRead, IsTerminal, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -184,33 +184,47 @@ pub fn repl(rest: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let interactive = std::io::stdin().is_terminal();
-    if interactive {
-        println!("srl repl — :help for commands, :quit to leave");
+    match session_loop(Session::new(config), &mut io::stdout().lock()) {
+        Ok(()) => ExitCode::SUCCESS,
+        // The reader of our answers went away (`srl repl | head -1`): there
+        // is no one left to answer, which ends the session, not an error.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: cannot write the answer: {e}");
+            ExitCode::FAILURE
+        }
     }
-    let mut session = Session::new(config);
-    let stdin = std::io::stdin();
-    let mut lines = stdin.lock().lines();
+}
+
+/// Reads stdin to exhaustion (or `:quit`), answering each line on `out`.
+fn session_loop(mut session: Session, out: &mut dyn Write) -> io::Result<()> {
+    let interactive = io::stdin().is_terminal();
+    if interactive {
+        writeln!(out, "srl repl — :help for commands, :quit to leave")?;
+    }
+    let mut lines = io::stdin().lock().lines();
     loop {
         if interactive {
-            print!("srl> ");
-            let _ = std::io::stdout().flush();
+            write!(out, "srl> ")?;
+            out.flush()?;
         }
         let Some(Ok(line)) = lines.next() else { break };
-        if !handle_line(&mut session, line.trim()) {
+        if !handle_line(&mut session, line.trim(), out)? {
             break;
         }
     }
-    ExitCode::SUCCESS
+    out.flush()
 }
 
-/// Processes one line; returns `false` to leave the loop.
-fn handle_line(session: &mut Session, line: &str) -> bool {
+/// Processes one line, writing its answer to `out` (diagnostics go to
+/// stderr); returns `false` to leave the loop, or the error that writing
+/// the answer raised.
+fn handle_line(session: &mut Session, line: &str, out: &mut dyn Write) -> io::Result<bool> {
     if line.is_empty() || line.starts_with("//") {
-        return true;
+        return Ok(true);
     }
     if let Some(command) = line.strip_prefix(':') {
-        return handle_command(session, command);
+        return handle_command(session, command, out);
     }
     // `name := value` binds an input. The name must be referenceable as a
     // variable afterwards — a keyword or atom-shaped word (`d3`) would bind
@@ -225,27 +239,27 @@ fn handle_line(session: &mut Session, line: &str) -> bool {
             eprintln!(
                 "error: `{name}` cannot be used as an input name (it is not a plain variable)"
             );
-            return true;
+            return Ok(true);
         }
         match srl_syntax::parse_value(literal) {
             Ok(value) => {
-                println!("{name} = {value}");
+                writeln!(out, "{name} = {value}")?;
                 session.env.insert(name, value);
             }
             Err(e) => eprintln!("{}", e.to_diagnostic("<repl>", literal)),
         }
-        return true;
+        return Ok(true);
     }
     // A definition if an ident-headed parameter list is followed by `=`.
     if looks_like_definition(line) {
         match srl_syntax::parse_program(line) {
             Ok(incoming) => match session.merge_defs(incoming) {
-                Ok(added) => println!("defined {}", added.join(", ")),
+                Ok(added) => writeln!(out, "defined {}", added.join(", "))?,
                 Err(e) => eprintln!("{e}"),
             },
             Err(e) => eprintln!("{}", e.to_diagnostic("<repl>", line)),
         }
-        return true;
+        return Ok(true);
     }
     // Otherwise: an expression over the bound inputs.
     match srl_syntax::parse_expr(line) {
@@ -258,13 +272,18 @@ fn handle_line(session: &mut Session, line: &str) -> bool {
                 Ok(value) => {
                     let stats = *evaluator.stats();
                     let tiers = evaluator.tier_engagement_breakdown();
-                    println!("{value}");
-                    println!(
+                    writeln!(out, "{value}")?;
+                    writeln!(
+                        out,
                         "  [steps {} | reduce iterations {} | inserts {}]",
                         stats.steps, stats.reduce_iterations, stats.inserts
-                    );
+                    )?;
                     if tiers.total() > 0 {
-                        println!("  [tiers: atoms {} | bits {}]", tiers.atoms, tiers.bits);
+                        writeln!(
+                            out,
+                            "  [tiers: atoms {} | bits {}]",
+                            tiers.atoms, tiers.bits
+                        )?;
                     }
                 }
                 Err(e) => eprintln!("evaluation error: {e}"),
@@ -272,30 +291,30 @@ fn handle_line(session: &mut Session, line: &str) -> bool {
         }
         Err(e) => eprintln!("{}", e.to_diagnostic("<repl>", line)),
     }
-    true
+    Ok(true)
 }
 
-fn handle_command(session: &mut Session, command: &str) -> bool {
+fn handle_command(session: &mut Session, command: &str, out: &mut dyn Write) -> io::Result<bool> {
     let mut words = command.split_whitespace();
     match words.next() {
-        Some("q") | Some("quit") | Some("exit") => return false,
-        Some("help") => print!("{REPL_HELP}"),
+        Some("q") | Some("quit") | Some("exit") => return Ok(false),
+        Some("help") => write!(out, "{REPL_HELP}")?,
         Some("defs") => {
             if session.program.defs.is_empty() {
-                println!("(no definitions)");
+                writeln!(out, "(no definitions)")?;
             } else {
                 for def in &session.program.defs {
                     let params: Vec<&str> = def.params.iter().map(|p| p.name.as_str()).collect();
-                    println!("{}({})", def.name, params.join(", "));
+                    writeln!(out, "{}({})", def.name, params.join(", "))?;
                 }
             }
         }
         Some("env") => {
             if session.env.is_empty() {
-                println!("(no inputs bound)");
+                writeln!(out, "(no inputs bound)")?;
             } else {
                 for (name, value) in session.env.iter() {
-                    println!("{name} = {value}");
+                    writeln!(out, "{name} = {value}")?;
                 }
             }
         }
@@ -303,7 +322,7 @@ fn handle_command(session: &mut Session, command: &str) -> bool {
             let mut settings = vec![("backend", words.next().unwrap_or(""))];
             settings.extend(words.next().map(|threads| ("threads", threads)));
             match session.apply(&settings) {
-                Ok(()) => println!("backend: {}", session.config.backend),
+                Ok(()) => writeln!(out, "backend: {}", session.config.backend)?,
                 Err(e) => eprintln!("error: {e} — usage: :backend vm [threads]|tree"),
             }
         }
@@ -317,8 +336,8 @@ fn handle_command(session: &mut Session, command: &str) -> bool {
                 word => session.apply(&[("deadline_ms", word.unwrap_or(""))]),
             };
             match (applied, session.config.limits.deadline) {
-                (Ok(()), Some(deadline)) => println!("timeout: {} ms", deadline.as_millis()),
-                (Ok(()), None) => println!("timeout: off"),
+                (Ok(()), Some(deadline)) => writeln!(out, "timeout: {} ms", deadline.as_millis())?,
+                (Ok(()), None) => writeln!(out, "timeout: off")?,
                 (Err(e), _) => eprintln!("error: {e} — usage: :timeout MS|off"),
             }
         }
@@ -328,7 +347,7 @@ fn handle_command(session: &mut Session, command: &str) -> bool {
                     let source = Source::new(path, text);
                     match session.config.pipeline().check_source(&source) {
                         Ok(checked) => match session.merge_defs(checked.program().clone()) {
-                            Ok(added) => println!("loaded {}: {}", path, added.join(", ")),
+                            Ok(added) => writeln!(out, "loaded {}: {}", path, added.join(", "))?,
                             Err(e) => eprintln!("{e}"),
                         },
                         Err(e) => eprintln!("{}", e.render(&source)),
@@ -339,10 +358,11 @@ fn handle_command(session: &mut Session, command: &str) -> bool {
             None => eprintln!("usage: :load FILE"),
         },
         Some("disasm") => {
-            print!(
+            write!(
+                out,
                 "{}",
                 srl_syntax::disasm_program(session.artifact().compiled())
-            );
+            )?;
         }
         Some("complete") => {
             // The raw remainder, not the whitespace-split words: the partial
@@ -353,21 +373,21 @@ fn handle_command(session: &mut Session, command: &str) -> bool {
                 .unwrap_or("");
             let candidates = completions(session, partial);
             if candidates.is_empty() {
-                println!("(no completions)");
+                writeln!(out, "(no completions)")?;
             }
             for candidate in candidates {
-                println!("{candidate}");
+                writeln!(out, "{candidate}")?;
             }
         }
         Some("classify") => {
             let report = srl_analysis::analyze_compiled(session.artifact().compiled());
             if report.spines.is_empty() {
-                println!("(no definitions)");
+                writeln!(out, "(no definitions)")?;
             }
             for s in &report.spines {
                 match &s.spine_param {
-                    Some(p) => println!("{}: spine parameter `{p}`", s.def),
-                    None => println!("{}: no spine parameter", s.def),
+                    Some(p) => writeln!(out, "{}: spine parameter `{p}`", s.def)?,
+                    None => writeln!(out, "{}: no spine parameter", s.def)?,
                 }
             }
             for f in &report.folds {
@@ -375,19 +395,20 @@ fn handle_command(session: &mut Session, command: &str) -> bool {
                     Some(d) => format!("{d} b{}", f.block),
                     None => format!("b{}", f.block),
                 };
-                println!(
+                writeln!(
+                    out,
                     "[{place}] {}{} class={} cost={} — {}",
                     if f.is_list { "list-" } else { "" },
                     f.kind,
                     f.class.label(),
                     f.unit_cost,
                     f.reason,
-                );
+                )?;
             }
         }
         _ => eprintln!("unknown command `:{command}` (:help lists commands)"),
     }
-    true
+    Ok(true)
 }
 
 /// `name(p1, …) = …` — an identifier, a parenthesised parameter list, `=`.
@@ -432,6 +453,11 @@ mod tests {
     use super::*;
     use srl_core::{ExecBackend, Value};
 
+    /// One session line with its answer discarded.
+    fn feed(session: &mut Session, text: &str) -> bool {
+        handle_line(session, text, &mut io::sink()).expect("a sink never fails")
+    }
+
     #[test]
     fn definition_lines_are_recognised() {
         assert!(looks_like_definition("f(x) = x"));
@@ -445,11 +471,8 @@ mod tests {
     #[test]
     fn session_defines_binds_and_evaluates() {
         let mut session = Session::new(PipelineConfig::new());
-        assert!(handle_line(
-            &mut session,
-            "singleton(x) = insert(x, emptyset)"
-        ));
-        assert!(handle_line(&mut session, "S := {d1, d2}"));
+        assert!(feed(&mut session, "singleton(x) = insert(x, emptyset)"));
+        assert!(feed(&mut session, "S := {d1, d2}"));
         assert_eq!(session.program.defs.len(), 1);
         assert_eq!(
             session.env.get("S"),
@@ -466,19 +489,19 @@ mod tests {
     fn unreferenceable_input_names_are_rejected() {
         let mut session = Session::new(PipelineConfig::new());
         for bad in ["if", "d3", "x.1", "insert", ""] {
-            assert!(handle_line(&mut session, &format!("{bad} := {{d1}}")));
+            assert!(feed(&mut session, &format!("{bad} := {{d1}}")));
         }
         assert!(session.env.is_empty(), "no bad name may bind");
-        assert!(handle_line(&mut session, "S := {d1}"));
+        assert!(feed(&mut session, "S := {d1}"));
         assert_eq!(session.env.len(), 1);
     }
 
     #[test]
     fn bad_definitions_leave_the_session_unchanged() {
         let mut session = Session::new(PipelineConfig::new());
-        assert!(handle_line(&mut session, "f(x) = x"));
+        assert!(feed(&mut session, "f(x) = x"));
         // Recursive definition is rejected by the pipeline's check stage...
-        assert!(handle_line(&mut session, "g(x) = g(x)"));
+        assert!(feed(&mut session, "g(x) = g(x)"));
         // ...so the session still has exactly the first definition.
         assert_eq!(session.program.def_names(), vec!["f"]);
     }
@@ -486,8 +509,8 @@ mod tests {
     #[test]
     fn redefinition_replaces() {
         let mut session = Session::new(PipelineConfig::new());
-        assert!(handle_line(&mut session, "f(x) = x"));
-        assert!(handle_line(&mut session, "f(x) = [x, x]"));
+        assert!(feed(&mut session, "f(x) = x"));
+        assert!(feed(&mut session, "f(x) = [x, x]"));
         assert_eq!(session.program.defs.len(), 1);
         assert_eq!(
             session.program.lookup("f").unwrap().body,
@@ -507,7 +530,7 @@ mod tests {
             (":backend vm 4", ExecBackend::vm_with_threads(4)),
             (":backend vm", ExecBackend::vm()),
         ] {
-            assert!(handle_line(&mut session, line));
+            assert!(feed(&mut session, line));
             assert_eq!(session.config.backend, expected, "{line}");
         }
         // Unknown names round-trip into an error that names the word and
@@ -541,12 +564,12 @@ mod tests {
     fn backend_command_reports_unknown_names() {
         let mut session = Session::new(PipelineConfig::new());
         // A bad name must not change the session backend…
-        assert!(handle_line(&mut session, ":backend turbo"));
+        assert!(feed(&mut session, ":backend turbo"));
         assert_eq!(session.config.backend, ExecBackend::default());
         // …while valid names (with an optional thread count) do.
-        assert!(handle_line(&mut session, ":backend tree"));
+        assert!(feed(&mut session, ":backend tree"));
         assert_eq!(session.config.backend, ExecBackend::TreeWalk);
-        assert!(handle_line(&mut session, ":backend vm 4"));
+        assert!(feed(&mut session, ":backend vm 4"));
         assert_eq!(session.config.backend, ExecBackend::vm_with_threads(4));
     }
 
@@ -563,7 +586,7 @@ mod tests {
         // is how a deadline is cleared.
         let err = session.apply(&[("deadline_ms", "0")]).unwrap_err();
         assert!(err.contains("`0`"), "{err}");
-        assert!(handle_line(&mut session, ":timeout 0"));
+        assert!(feed(&mut session, ":timeout 0"));
         assert_eq!(session.config.limits.deadline, armed);
         assert!(startup_config(&words(&["--timeout-ms", "0"])).is_err());
     }
@@ -572,28 +595,28 @@ mod tests {
     fn timeout_command_arms_and_disarms_the_deadline() {
         let mut session = Session::new(PipelineConfig::new());
         assert_eq!(session.config.limits.deadline, None);
-        assert!(handle_line(&mut session, ":timeout 250"));
+        assert!(feed(&mut session, ":timeout 250"));
         assert_eq!(
             session.config.limits.deadline,
             Some(std::time::Duration::from_millis(250))
         );
         // A bad operand must not change the armed deadline…
-        assert!(handle_line(&mut session, ":timeout soon"));
+        assert!(feed(&mut session, ":timeout soon"));
         assert_eq!(
             session.config.limits.deadline,
             Some(std::time::Duration::from_millis(250))
         );
         // …and `off` disarms it.
-        assert!(handle_line(&mut session, ":timeout off"));
+        assert!(feed(&mut session, ":timeout off"));
         assert_eq!(session.config.limits.deadline, None);
     }
 
     #[test]
     fn timeout_change_invalidates_the_cached_artifact() {
         let mut session = Session::new(PipelineConfig::new());
-        assert!(handle_line(&mut session, "f(x) = x"));
+        assert!(feed(&mut session, "f(x) = x"));
         assert!(session.artifact.is_some(), "merge_defs caches an artifact");
-        assert!(handle_line(&mut session, ":timeout 250"));
+        assert!(feed(&mut session, ":timeout 250"));
         assert!(
             session.artifact.is_none(),
             ":timeout must drop the artifact compiled under the old limits"
@@ -608,13 +631,13 @@ mod tests {
     #[test]
     fn classify_command_reports_the_session_program() {
         let mut session = Session::new(PipelineConfig::new());
-        assert!(handle_line(&mut session, "grow(x, T) = insert(x, T)"));
-        assert!(handle_line(
+        assert!(feed(&mut session, "grow(x, T) = insert(x, T)"));
+        assert!(feed(
             &mut session,
             "collect(S) = set-reduce(S, lambda(x, e) x, lambda(x, acc) grow(x, acc), emptyset, emptyset)"
         ));
         // The command runs against the cached artifact without error…
-        assert!(handle_line(&mut session, ":classify"));
+        assert!(feed(&mut session, ":classify"));
         // …and the report it prints shows the call-threaded spine proof.
         let report = srl_analysis::analyze_compiled(session.artifact().compiled());
         assert_eq!(report.spines.len(), 2);
@@ -639,12 +662,9 @@ mod tests {
     #[test]
     fn identifiers_complete_against_defs_and_bindings() {
         let mut session = Session::new(PipelineConfig::new());
-        assert!(handle_line(
-            &mut session,
-            "singleton(x) = insert(x, emptyset)"
-        ));
-        assert!(handle_line(&mut session, "sift(x, T) = insert(x, T)"));
-        assert!(handle_line(&mut session, "Stuff := {d1, d2}"));
+        assert!(feed(&mut session, "singleton(x) = insert(x, emptyset)"));
+        assert!(feed(&mut session, "sift(x, T) = insert(x, T)"));
+        assert!(feed(&mut session, "Stuff := {d1, d2}"));
         // The trailing identifier completes; the head of the line survives.
         assert_eq!(
             completions(&session, "insert(si"),
@@ -662,25 +682,25 @@ mod tests {
         );
         // No candidate → empty, and the command prints its placeholder.
         assert_eq!(completions(&session, "zebra"), Vec::<String>::new());
-        assert!(handle_line(&mut session, ":complete si"));
-        assert!(handle_line(&mut session, ":complete"));
+        assert!(feed(&mut session, ":complete si"));
+        assert!(feed(&mut session, ":complete"));
     }
 
     #[test]
     fn rebinding_an_input_does_not_duplicate_its_completion() {
         let mut session = Session::new(PipelineConfig::new());
-        assert!(handle_line(&mut session, "S := {d1}"));
-        assert!(handle_line(&mut session, "S := {d2}"));
+        assert!(feed(&mut session, "S := {d1}"));
+        assert!(feed(&mut session, "S := {d2}"));
         assert_eq!(completions(&session, "S"), vec!["S"]);
     }
 
     #[test]
     fn quit_commands_end_the_loop() {
         let mut session = Session::new(PipelineConfig::new());
-        assert!(!handle_line(&mut session, ":quit"));
-        assert!(!handle_line(&mut session, ":q"));
-        assert!(handle_line(&mut session, ":help"));
-        assert!(handle_line(&mut session, "// comment"));
-        assert!(handle_line(&mut session, ""));
+        assert!(!feed(&mut session, ":quit"));
+        assert!(!feed(&mut session, ":q"));
+        assert!(feed(&mut session, ":help"));
+        assert!(feed(&mut session, "// comment"));
+        assert!(feed(&mut session, ""));
     }
 }

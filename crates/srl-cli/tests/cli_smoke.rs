@@ -266,6 +266,43 @@ fn repl(flags: &[&str], script: &str) -> Output {
     child.wait_with_output().expect("srl repl exits")
 }
 
+/// A reader that stops after the first line (`srl repl | head -1`) ends the
+/// session: every answer after it hits a closed pipe, and the REPL leaves
+/// quietly with exit 0 instead of panicking in `println!`.
+#[test]
+fn repl_ends_quietly_when_its_reader_goes_away() {
+    let mut child = Command::new(SRL)
+        .args(["repl", "--backend", "vm", "--threads", "4"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("srl repl spawns");
+    let mut stdin = child.stdin.take().expect("stdin is piped");
+    stdin
+        .write_all(b"choose({d3, d5})\n")
+        .expect("write the first query");
+    stdin.flush().expect("flush the first query");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("stdout is piped"))
+        .read_line(&mut first)
+        .expect("read the first answer");
+    assert_eq!(first.trim(), "d3");
+    // The reader is gone. Every later query's answer meets a closed pipe;
+    // once the REPL has left, writes to its stdin may fail too.
+    for _ in 0..64 {
+        if stdin.write_all(b"choose({d3, d5})\n").is_err() {
+            break;
+        }
+    }
+    drop(stdin);
+    let out = child.wait_with_output().expect("srl repl exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("Broken pipe"), "{stderr}");
+}
+
 /// `srl serve` with a tenant-config file whose `default` tenant is
 /// `tenant`. A rejected file stops the server before it binds; one that is
 /// accepted would serve forever, so the child is killed after 10 s.

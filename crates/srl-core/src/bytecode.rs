@@ -75,7 +75,13 @@
 //!   statistics stay byte-identical while the data path runs at memory
 //!   speed. Insert-only accumulator bodies (local or call-threaded spines)
 //!   do not fuse: they run as [`ReduceKind::Generic`], and the spine proof
-//!   only upgrades their [`FoldClass`].
+//!   only upgrades their [`FoldClass`];
+//! * **owned fold operands** — the app block of every fused kind that has
+//!   one leaves slot `x + 1` alone, so the VM parks `extra` there once per
+//!   fold (`Codegen::gen_parked_app_block`), and a `Filter` whose app is
+//!   the stdlib `select` pair `[x, pred]` (or `[pred, x]`) compiles `pred`
+//!   alone and records the skipped nodes' depths in an [`ElidedPair`], so
+//!   the kernel keeps the element instead of building a pair around it.
 
 use crate::analysis::{self, DefSummaries, SpineBlock};
 use crate::bignat::BigNat;
@@ -565,7 +571,8 @@ pub enum ReduceKind {
     /// `acc = λ(p,y). if sel_ci(p) then insert(sel_vi(p), y) else y` (or the
     /// negated form): `select`/`difference`-style filters.
     Filter {
-        /// Block of the `app` lambda body.
+        /// Block of the `app` lambda body — of the predicate alone when
+        /// `pair` is set.
         app: BlockId,
         /// True when the insert happens on a true flag (`select`); false for
         /// the negated `difference` form.
@@ -574,6 +581,10 @@ pub enum ReduceKind {
         cond_index: usize,
         /// 1-based component holding the inserted value.
         value_index: usize,
+        /// Set when the app is the stdlib `select` pair `[x, pred]` (or
+        /// `[pred, x]`) whose flag is `pred` and whose value is the element
+        /// itself: no pair is built, see [`ElidedPair`].
+        pair: Option<ElidedPair>,
     },
     /// Arbitrary `app`, `acc = or`/`and`: quantifier folds
     /// (`forall`/`forsome`/`subset`).
@@ -594,6 +605,24 @@ pub enum ReduceKind {
         /// 1-based component holding the replacement value.
         value_index: usize,
     },
+}
+
+/// The part of a `select`-shaped [`ReduceKind::Filter`] app that codegen
+/// did not compile: the element read `x` and the tuple `[x, pred]` around
+/// the predicate. The app block computes `pred` alone (at the depth it had
+/// inside the tuple), the kernel keeps the owned element in slot `x` and
+/// inserts it when the flag says so, and it replays the two skipped
+/// nodes' charges in the order the tuple would have made them: the
+/// element read's step before the block (`[x, pred]`) or after it
+/// (`[pred, x]`), then the tuple's step and its one allocated leaf.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ElidedPair {
+    /// True for `[x, pred]`, false for `[pred, x]`.
+    pub elem_first: bool,
+    /// Static depth offset of the skipped element read.
+    pub read_depth: u32,
+    /// Static depth offset of the skipped tuple node.
+    pub tuple_depth: u32,
 }
 
 impl ReduceKind {
@@ -707,6 +736,7 @@ pub(crate) fn codegen_program(program: &CompiledProgram) -> Chunk {
         nodes: program.nodes(),
         summaries: DefSummaries::compute(program),
         chunk: Chunk::default(),
+        parked: None,
     };
     for def in program.defs() {
         let arity = def.params.len() as u16;
@@ -724,6 +754,7 @@ pub(crate) fn codegen_expr(program: &CompiledProgram, lowered: &LoweredExpr) -> 
         nodes: lowered.nodes(),
         summaries: DefSummaries::compute(program),
         chunk: Chunk::default(),
+        parked: None,
     };
     let (main, main_frame) = cg.gen_frame(lowered.root(), lowered.scope_names().len() as u16);
     cg.chunk.main = main;
@@ -774,6 +805,10 @@ struct Codegen<'a> {
     nodes: &'a [LExpr],
     summaries: DefSummaries,
     chunk: Chunk,
+    /// The `extra` slot of the innermost app block being compiled for a
+    /// kernel that parks its `extra` there once per fold (see
+    /// [`Codegen::gen_parked_app_block`]): reads of it stay copies.
+    parked: Option<Reg>,
 }
 
 /// The recognized `app` lambda shapes.
@@ -850,14 +885,41 @@ impl<'a> Codegen<'a> {
 
     /// Compiles a reduce-lambda body into its own block sharing the frame.
     fn gen_lambda_block(&mut self, fs: &mut FrameState, lambda: &LLambda) -> BlockId {
+        self.gen_lambda_body(fs, lambda.body, 0, true)
+    }
+
+    /// Compiles `body` (a lambda body, or the part of one at depth offset
+    /// `d`) into its own block with the lambda's two parameters bound at
+    /// the next two slots.
+    fn gen_lambda_body(&mut self, fs: &mut FrameState, body: LId, d: u32, tail: bool) -> BlockId {
         let floor = fs.height;
         fs.height += 2;
         let result = fs.alloc();
         let mut code = Vec::new();
-        self.gen(fs, &mut code, floor, lambda.body, 0, result, true);
+        self.gen(fs, &mut code, floor, body, d, result, tail);
         fs.free(1);
         fs.height -= 2;
         self.push_block(code, result)
+    }
+
+    /// Compiles the app block of a fused kind whose kernel writes `extra`
+    /// into slot `x + 1` once per fold (and once per shard) instead of once
+    /// per element: `InsertApp`, `Filter`, `BoolAcc` and `Scan`. The block
+    /// must leave that slot as it found it, so a tail read of it compiles
+    /// to a [`Insn::Copy`] rather than a [`Insn::Take`]; both charge the
+    /// same step. Nothing else in the block writes the slot: temporaries
+    /// sit above every lexical slot, and nested binders start at `x + 2`.
+    fn gen_parked_app_block(
+        &mut self,
+        fs: &mut FrameState,
+        body: LId,
+        d: u32,
+        tail: bool,
+    ) -> BlockId {
+        let outer = self.parked.replace(fs.height + 1);
+        let block = self.gen_lambda_body(fs, body, d, tail);
+        self.parked = outer;
+        block
     }
 
     /// The main codegen recursion. Emits instructions computing node `id`
@@ -895,7 +957,7 @@ impl<'a> Codegen<'a> {
             }
             LExpr::Local(slot) => {
                 let src = *slot as Reg;
-                if tail && src >= floor {
+                if tail && src >= floor && self.parked != Some(src) {
                     code.push(Insn::Take { dst, src, depth: d });
                 } else {
                     code.push(Insn::Copy { dst, src, depth: d });
@@ -1319,6 +1381,12 @@ impl<'a> Codegen<'a> {
         const BASE: u32 = 4; // the fused accumulator arithmetic per element
         match kind {
             ReduceKind::Member | ReduceKind::Union | ReduceKind::Product => 0,
+            // An elided `select` pair counts as the two instructions (the
+            // element read and the tuple) its source lambda compiles to, so
+            // the shard gate sees the same cost either way.
+            ReduceKind::Filter {
+                app, pair: Some(_), ..
+            } => BASE.saturating_add(self.block_cost(*app)).saturating_add(2),
             ReduceKind::InsertApp { app }
             | ReduceKind::Filter { app, .. }
             | ReduceKind::BoolAcc { app, .. }
@@ -1364,7 +1432,7 @@ impl<'a> Codegen<'a> {
             (AppShape::EqXY, AccShape::OrXY) => ReduceKind::Member,
             (AppShape::Identity, AccShape::InsertXY) => ReduceKind::Union,
             (_, AccShape::InsertXY) => ReduceKind::InsertApp {
-                app: self.gen_lambda_block(fs, app),
+                app: self.gen_parked_app_block(fs, app.body, 0, true),
             },
             (
                 _,
@@ -1373,12 +1441,25 @@ impl<'a> Codegen<'a> {
                     cond_index,
                     value_index,
                 },
-            ) => ReduceKind::Filter {
-                app: self.gen_lambda_block(fs, app),
-                keep_on_true,
-                cond_index,
-                value_index,
-            },
+            ) => {
+                let (app, pair) = match self.select_pair(app.body, x, cond_index, value_index) {
+                    // The predicate keeps its depth and non-tail position
+                    // inside the tuple: slot `x` must still hold the element
+                    // after it.
+                    Some((pred, pair)) => (
+                        self.gen_parked_app_block(fs, pred, pair.tuple_depth + 1, false),
+                        Some(pair),
+                    ),
+                    None => (self.gen_parked_app_block(fs, app.body, 0, true), None),
+                };
+                ReduceKind::Filter {
+                    app,
+                    keep_on_true,
+                    cond_index,
+                    value_index,
+                    pair,
+                }
+            }
             (
                 _,
                 AccShape::Scan {
@@ -1386,16 +1467,16 @@ impl<'a> Codegen<'a> {
                     value_index,
                 },
             ) => ReduceKind::Scan {
-                app: self.gen_lambda_block(fs, app),
+                app: self.gen_parked_app_block(fs, app.body, 0, true),
                 cond_index,
                 value_index,
             },
             (_, AccShape::OrXY) => ReduceKind::BoolAcc {
-                app: self.gen_lambda_block(fs, app),
+                app: self.gen_parked_app_block(fs, app.body, 0, true),
                 is_or: true,
             },
             (_, AccShape::AndXY) => ReduceKind::BoolAcc {
-                app: self.gen_lambda_block(fs, app),
+                app: self.gen_parked_app_block(fs, app.body, 0, true),
                 is_or: false,
             },
             // A spine, local or call-threaded, runs as `Generic`: the proof
@@ -1416,6 +1497,35 @@ impl<'a> Codegen<'a> {
             }
         };
         (kind, FoldOrigin::Shape)
+    }
+
+    /// Whether a filter's app body is the stdlib `select` pair: a 2-tuple
+    /// of the element `x` itself and a predicate, whose flag the filter
+    /// tests and whose element it inserts. Returns the predicate and the
+    /// skipped nodes' depths (the body root sits at offset 0). Anything
+    /// else — a selector of `x` in place of `x`, or indices the other way
+    /// round — builds its pair as written.
+    fn select_pair(
+        &self,
+        body: LId,
+        x: u16,
+        cond_index: usize,
+        value_index: usize,
+    ) -> Option<(LId, ElidedPair)> {
+        let LExpr::Tuple(items) = self.node(body) else {
+            return None;
+        };
+        let (elem_first, pred) = match (items.as_slice(), cond_index, value_index) {
+            ([elem, pred], 2, 1) if self.is_local(*elem, x) => (true, *pred),
+            ([pred, elem], 1, 2) if self.is_local(*elem, x) => (false, *pred),
+            _ => return None,
+        };
+        let pair = ElidedPair {
+            elem_first,
+            read_depth: 1,
+            tuple_depth: 0,
+        };
+        Some((pred, pair))
     }
 
     fn is_local(&self, id: LId, slot: u16) -> bool {

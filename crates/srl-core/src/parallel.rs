@@ -28,7 +28,14 @@
 //! bumps), zeroed statistics, and the *remaining* step/allocation budget at
 //! fold entry. Workers execute the **same per-element helpers** as the
 //! sequential loops (`vm::boolacc_element` and friends), so one element
-//! charges one identical stat sequence on either path. Nested folds inside
+//! charges one identical stat sequence on either path — an elided `select`
+//! pair's replayed element read, tuple step and leaf included.
+//!
+//! Ownership follows the sequential loops' rules (`crate::vm`'s module
+//! docs) with one difference. Each worker parks `extra` in its own frame's
+//! slot `x + 1` once per shard, since a frame clone is taken before the
+//! fold parks anything. The input set is shared by every shard, so workers
+//! always walk it by clone and never consume it. Nested folds inside
 //! a sharded lambda run sequentially (`VmCtx::sequential`) — shard workers
 //! never spawn again, so the pool width bounds total thread count.
 //!
@@ -363,11 +370,17 @@ fn run_shard(
     // Lambda bodies run two levels below the reduce node, exactly as in
     // `run_reduce`: apply() at d+1, the body at d+2.
     let lb = d + 2;
+    // The fused kinds read `extra` from its parked slot, written once per
+    // shard (the worker's frame is its own); `Generic` rewrites it per
+    // element.
+    if !matches!(r.kind, ReduceKind::Generic { .. }) {
+        core.set_reg(x + 1, extra_v.clone());
+    }
     match &r.kind {
         ReduceKind::BoolAcc { app, is_or } => {
             let mut first_flip = None;
             for (i, elem) in shard.enumerate() {
-                let hit = boolacc_element(core, ctx, chunk, *app, x, elem, extra_v, lb, d)?;
+                let hit = boolacc_element(core, ctx, chunk, *app, x, elem, lb, d)?;
                 let flips = if *is_or { hit } else { !hit };
                 if flips && first_flip.is_none() {
                     first_flip = Some(i);
@@ -378,7 +391,7 @@ fn run_shard(
         ReduceKind::InsertApp { app } => {
             let mut acc = Value::empty_set();
             for elem in shard {
-                let applied = insertapp_element(core, ctx, chunk, *app, x, elem, extra_v, lb, d)?;
+                let applied = insertapp_element(core, ctx, chunk, *app, x, elem, lb, d)?;
                 acc = core.insert_value(applied, acc)?;
             }
             Ok(ShardData::Set(into_set(acc)))
@@ -388,6 +401,7 @@ fn run_shard(
             keep_on_true,
             cond_index,
             value_index,
+            pair,
         } => {
             let mut acc = Value::empty_set();
             for elem in shard {
@@ -399,9 +413,9 @@ fn run_shard(
                     *keep_on_true,
                     *cond_index,
                     *value_index,
+                    *pair,
                     x,
                     elem,
-                    extra_v,
                     lb,
                     d,
                 )?;

@@ -34,17 +34,50 @@
 //! `cartesian`: instead of building one slice per element and merging each
 //! into the accumulator, it pushes every pair into one vector in order and
 //! builds the set once (see [`product_fold`]).
+//!
+//! ## Ownership in the fold loops
+//!
+//! The per-element path owns what it can instead of sharing it, because a
+//! shared `Value` costs an atomic `Arc` increment and decrement per copy.
+//! Three rules, none of which changes a value, a printed form or a
+//! counter:
+//!
+//! * **Parked `extra`.** `InsertApp`, `Filter`, `BoolAcc` and `Scan` move
+//!   `extra` into slot `x + 1` once per fold (and a shard worker clones it
+//!   there once per shard) instead of cloning it there per element. Codegen
+//!   guarantees that their app blocks leave the slot alone: a tail read of
+//!   it compiles to a `Copy`, never a `Take`, and nothing else writes it.
+//!   `Generic` still writes it per element, because its acc block reuses
+//!   the slot for the accumulator.
+//! * **Consumed input.** After `crate::parallel::try_run` declines, a set
+//!   that `Arc::get_mut` proves this fold holds alone, stored in a value
+//!   tier, is emptied and its elements move into slot `x` one by one
+//!   ([`Elems`]); a shared or columnar input is walked by clone. A fresh
+//!   product under E5's and E9's joins feeds its filter this way, and the
+//!   filter's fresh output feeds the map after it.
+//! * **Elided `select` pair.** A `Filter` whose app is `[x, pred]` or
+//!   `[pred, x]` runs a block for `pred` alone
+//!   ([`ElidedPair`]): the flag is the block's value and
+//!   the kept value is the element, moved back out of slot `x`, so no
+//!   2-tuple is built, read and dropped per element. [`filter_element`]
+//!   replays the skipped nodes' charges where the pair's block made them:
+//!   the element read (one step at its depth) before the block for
+//!   `[x, pred]` and after it for `[pred, x]`, then the tuple (one step at
+//!   its depth and one allocated leaf). The fold's `unit_cost` still counts
+//!   the two skipped instructions.
 
 use std::sync::Arc;
 
-use crate::bytecode::{BlockId, Chunk, DialectOp, Insn, Operand, ReduceInsn, ReduceKind};
+use crate::bytecode::{
+    BlockId, Chunk, DialectOp, ElidedPair, Insn, Operand, ReduceInsn, ReduceKind,
+};
 use crate::error::EvalError;
 use crate::eval::{
     choose_min, head_value, next_fresh_index, require_dialect, rest_value, sel_component_ref,
     tail_value, weight_capped, EvalCore, ACCUMULATOR_WEIGHT_CAP,
 };
 use crate::lower::CompiledProgram;
-use crate::setrepr::SetRepr;
+use crate::setrepr::{SetIter, SetRepr};
 use crate::value::{Atom, Value};
 
 /// Everything a running chunk resolves through: the compiled program (for
@@ -428,21 +461,21 @@ fn take_nats(
     Ok((na, nb))
 }
 
-/// Runs one app-lambda application: element and extra into the parameter
-/// slots, the block, and the applied value out of the result register.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_app(
+/// Runs one app-lambda application: the element into slot `x`, the block,
+/// and the applied value out of the result register. The fold's `extra` is
+/// already in slot `x + 1`: the fused kinds park it there once per fold
+/// (codegen keeps their app blocks from moving it out), and
+/// [`generic_element`] rewrites it per element.
+fn apply_app(
     core: &mut EvalCore,
     ctx: &VmCtx<'_>,
     chunk: &Chunk,
     app: BlockId,
     x: u16,
     elem: Value,
-    extra: &Value,
     lambda_base: usize,
 ) -> Result<Value, EvalError> {
     core.set_reg(x, elem);
-    core.set_reg(x + 1, extra.clone());
     run_block(core, ctx, chunk, app, lambda_base)?;
     Ok(core.take_reg(chunk.block(app).result()))
 }
@@ -466,12 +499,11 @@ pub(crate) fn boolacc_element(
     app: BlockId,
     x: u16,
     elem: Value,
-    extra: &Value,
     lambda_base: usize,
     d: usize,
 ) -> Result<bool, EvalError> {
     core.note_iteration()?;
-    let applied = apply_app(core, ctx, chunk, app, x, elem, extra, lambda_base)?;
+    let applied = apply_app(core, ctx, chunk, app, x, elem, lambda_base)?;
     // if at d+2, condition slot read at d+3 …
     core.bump_batch(2, d + 3)?;
     let hit = match &applied {
@@ -501,12 +533,11 @@ pub(crate) fn insertapp_element(
     app: BlockId,
     x: u16,
     elem: Value,
-    extra: &Value,
     lambda_base: usize,
     d: usize,
 ) -> Result<Value, EvalError> {
     core.note_iteration()?;
-    let applied = apply_app(core, ctx, chunk, app, x, elem, extra, lambda_base)?;
+    let applied = apply_app(core, ctx, chunk, app, x, elem, lambda_base)?;
     // insert at d+2, two slot reads at d+3.
     core.bump_batch(3, d + 3)?;
     Ok(applied)
@@ -515,6 +546,11 @@ pub(crate) fn insertapp_element(
 /// One `Filter` iteration up to the accumulator insert: app block, flag
 /// charges and shape checks, and — when the element is kept — the selected
 /// value (the caller inserts it). `None` means the element was dropped.
+///
+/// With an [`ElidedPair`] the block computes the flag alone and the kept
+/// value is the element itself, moved back out of slot `x`; the skipped
+/// element read and tuple are charged where the tuple's block charged
+/// them, so every counter and every limit crossing stays in place.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn filter_element(
     core: &mut EvalCore,
@@ -524,17 +560,37 @@ pub(crate) fn filter_element(
     keep_on_true: bool,
     cond_index: usize,
     value_index: usize,
+    pair: Option<ElidedPair>,
     x: u16,
     elem: Value,
-    extra: &Value,
     lambda_base: usize,
     d: usize,
 ) -> Result<Option<Value>, EvalError> {
     core.note_iteration()?;
-    let applied = apply_app(core, ctx, chunk, app, x, elem, extra, lambda_base)?;
+    let applied = match pair {
+        None => apply_app(core, ctx, chunk, app, x, elem, lambda_base)?,
+        Some(pair) => {
+            core.set_reg(x, elem);
+            let read = lambda_base + pair.read_depth as usize;
+            if pair.elem_first {
+                core.bump_step(read)?;
+            }
+            run_block(core, ctx, chunk, app, lambda_base)?;
+            if !pair.elem_first {
+                core.bump_step(read)?;
+            }
+            core.bump_step(lambda_base + pair.tuple_depth as usize)?;
+            core.charge_allocation(1)?;
+            core.take_reg(chunk.block(app).result())
+        }
+    };
     // if at d+2, flag selector at d+3, its slot read at d+4.
     core.bump_batch(3, d + 4)?;
-    let flag = match sel_component_ref(&applied, cond_index)? {
+    let flag_value = match pair {
+        None => sel_component_ref(&applied, cond_index)?,
+        Some(_) => &applied,
+    };
+    let flag = match flag_value {
         Value::Bool(b) => *b,
         other => {
             return Err(EvalError::Shape {
@@ -547,7 +603,10 @@ pub(crate) fn filter_element(
     if flag == keep_on_true {
         // insert at d+3, value selector at d+4, its slot read at d+5 …
         core.bump_batch(3, d + 5)?;
-        let v = sel_component_ref(&applied, value_index)?.clone();
+        let v = match pair {
+            None => sel_component_ref(&applied, value_index)?.clone(),
+            Some(_) => core.take_reg(x),
+        };
         // … then the accumulator slot read at d+4.
         core.bump_batch(1, d + 4)?;
         Ok(Some(v))
@@ -558,13 +617,14 @@ pub(crate) fn filter_element(
     }
 }
 
-/// One `Generic` iteration: the app block, then the acc block applied to
-/// `(applied, accumulator)`. Returns the new accumulator. The caller owns
-/// the per-iteration accumulator-weight observation: the sequential loop
-/// notes `weight_capped` after every element, while shard workers (which
-/// only see spine-proved folds, local or call-threaded, whose accumulator
-/// only grows) skip it and let the merge note the final weight, the
-/// trajectory's maximum.
+/// One `Generic` iteration: `extra` into slot `x + 1` (the acc block
+/// overwrote it with the accumulator), the app block, then the acc block
+/// applied to `(applied, accumulator)`. Returns the new accumulator. The
+/// caller owns the per-iteration accumulator-weight observation: the
+/// sequential loop notes `weight_capped` after every element, while shard
+/// workers (which only see spine-proved folds, local or call-threaded,
+/// whose accumulator only grows) skip it and let the merge note the final
+/// weight, the trajectory's maximum.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn generic_element(
     core: &mut EvalCore,
@@ -579,7 +639,8 @@ pub(crate) fn generic_element(
     accumulator: Value,
 ) -> Result<Value, EvalError> {
     core.note_iteration()?;
-    let applied = apply_app(core, ctx, chunk, app, x, elem, extra, lambda_base)?;
+    core.set_reg(x + 1, extra.clone());
+    let applied = apply_app(core, ctx, chunk, app, x, elem, lambda_base)?;
     core.set_reg(x, applied);
     core.set_reg(x + 1, accumulator);
     run_block(core, ctx, chunk, acc, lambda_base)?;
@@ -638,7 +699,7 @@ fn run_reduce(
         return Ok(());
     }
 
-    let items = match set_v {
+    let mut items = match set_v {
         Value::Set(items) => items,
         other => {
             return Err(EvalError::Shape {
@@ -672,7 +733,7 @@ fn run_reduce(
             *app,
             *acc,
             x,
-            items.iter(),
+            elems(&mut items),
             base_v,
             &extra_v,
             lb,
@@ -751,9 +812,10 @@ fn run_reduce(
             // slot, so after the first copy-on-write every insert is in
             // place; a non-set base fails at the first iteration's insert,
             // exactly like the tree-walk.
+            core.set_reg(x + 1, extra_v);
             let mut acc = base_v;
-            for elem in items.iter() {
-                let applied = insertapp_element(core, ctx, chunk, *app, x, elem, &extra_v, lb, d)?;
+            for elem in elems(&mut items) {
+                let applied = insertapp_element(core, ctx, chunk, *app, x, elem, lb, d)?;
                 acc = core.insert_value(applied, acc)?;
                 core.note_accumulator_weight(weight_capped(&acc, ACCUMULATOR_WEIGHT_CAP));
             }
@@ -765,9 +827,11 @@ fn run_reduce(
             keep_on_true,
             cond_index,
             value_index,
+            pair,
         } => {
+            core.set_reg(x + 1, extra_v);
             let mut acc = base_v;
-            for elem in items.iter() {
+            for elem in elems(&mut items) {
                 let kept = filter_element(
                     core,
                     ctx,
@@ -776,9 +840,9 @@ fn run_reduce(
                     *keep_on_true,
                     *cond_index,
                     *value_index,
+                    *pair,
                     x,
                     elem,
-                    &extra_v,
                     lb,
                     d,
                 )?;
@@ -795,10 +859,11 @@ fn run_reduce(
             cond_index,
             value_index,
         } => {
+            core.set_reg(x + 1, extra_v);
             let mut acc = base_v;
-            for elem in items.iter() {
+            for elem in elems(&mut items) {
                 core.note_iteration()?;
-                let applied = apply_app(core, ctx, chunk, *app, x, elem, &extra_v, lb)?;
+                let applied = apply_app(core, ctx, chunk, *app, x, elem, lb)?;
                 core.bump_batch(3, d + 4)?;
                 let flag = match sel_component_ref(&applied, *cond_index)? {
                     Value::Bool(b) => *b,
@@ -824,10 +889,11 @@ fn run_reduce(
         }
         ReduceKind::BoolAcc { app, is_or } => {
             let w0 = weight_capped(&base_v, ACCUMULATOR_WEIGHT_CAP);
+            core.set_reg(x + 1, extra_v);
             let mut acc = base_v;
             let mut w_now = w0;
-            for elem in items.iter() {
-                let hit = boolacc_element(core, ctx, chunk, *app, x, elem, &extra_v, lb, d)?;
+            for elem in elems(&mut items) {
+                let hit = boolacc_element(core, ctx, chunk, *app, x, elem, lb, d)?;
                 if *is_or {
                     if hit {
                         acc = Value::Bool(true);
@@ -849,6 +915,36 @@ fn run_reduce(
     core.record_tier_engagement(&items, &result);
     core.set_reg(r.dst, result);
     Ok(())
+}
+
+/// The elements a sequential set fold walks. An input this fold holds the
+/// only reference to, in a value tier, is consumed: its elements move into
+/// slot `x` one by one instead of being cloned out of a set that is dropped
+/// right after the fold (one `Arc` bump and drop saved per tuple or set
+/// element). Columnar tiers have no `Value`s to move, and a shared input
+/// must stay intact, so both are walked by clone.
+enum Elems<'a> {
+    Owned(std::vec::IntoIter<Value>),
+    Shared(SetIter<'a>),
+}
+
+impl Iterator for Elems<'_> {
+    type Item = Value;
+
+    #[inline]
+    fn next(&mut self) -> Option<Value> {
+        match self {
+            Elems::Owned(it) => it.next(),
+            Elems::Shared(it) => it.next(),
+        }
+    }
+}
+
+fn elems(items: &mut Arc<SetRepr>) -> Elems<'_> {
+    match Arc::get_mut(items) {
+        Some(set) if set.value_slice().is_some() => Elems::Owned(std::mem::take(set).into_iter()),
+        _ => Elems::Shared(items.iter()),
+    }
 }
 
 /// The [`ReduceKind::Product`] kernel: `cartesian(A, B)` as one nested

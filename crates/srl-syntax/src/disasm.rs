@@ -188,9 +188,28 @@ fn render_insn(chunk: &Chunk, insn: &Insn) -> String {
                     keep_on_true,
                     cond_index,
                     value_index,
-                } => format!(
-                    "filter app=b{app} keep-on-{keep_on_true} flag=.{cond_index} value=.{value_index}"
-                ),
+                    pair,
+                } => {
+                    // An elided `select` pair: the app block computes the
+                    // flag alone; the element read and the tuple it skips
+                    // are charged at these depths.
+                    let elided = match pair {
+                        None => String::new(),
+                        Some(p) => format!(
+                            " elided={} read@{} tuple@{}",
+                            if p.elem_first {
+                                "[x, flag]"
+                            } else {
+                                "[flag, x]"
+                            },
+                            p.read_depth,
+                            p.tuple_depth,
+                        ),
+                    };
+                    format!(
+                        "filter app=b{app} keep-on-{keep_on_true} flag=.{cond_index} value=.{value_index}{elided}"
+                    )
+                }
                 ReduceKind::BoolAcc { app, is_or } => {
                     format!("bool-acc app=b{app} {}", if *is_or { "or" } else { "and" })
                 }
@@ -522,5 +541,248 @@ mod tests {
         assert!(text.contains("branch r"), "{text}");
         assert!(text.contains("take r1"), "{text}");
         assert!(text.contains("jump ->"), "{text}");
+    }
+
+    // -----------------------------------------------------------------
+    // The parking invariant: the fused kinds with an app block write
+    // `extra` into slot `x + 1` once per fold and once per shard, so no
+    // instruction their app runs may move out of or write that slot (nor,
+    // for an elided `select` pair, slot `x`, which still holds the element
+    // the kernel inserts after the block).
+    // -----------------------------------------------------------------
+
+    use srl_core::bytecode::{BlockId, Reg};
+
+    /// Every register an instruction writes or moves out of.
+    fn clobbers(insn: &Insn) -> Vec<Reg> {
+        match insn {
+            Insn::LoadBool { dst, .. }
+            | Insn::LoadConst { dst, .. }
+            | Insn::LoadEmptySet { dst, .. }
+            | Insn::LoadEmptyList { dst, .. }
+            | Insn::LoadNat { dst, .. }
+            | Insn::Copy { dst, .. }
+            | Insn::Sel { dst, .. }
+            | Insn::Cmp { dst, .. }
+            | Insn::Choose { dst, .. } => vec![*dst],
+            Insn::Take { dst, src, .. }
+            | Insn::Rest { dst, src, .. }
+            | Insn::Head { dst, src }
+            | Insn::Tail { dst, src }
+            | Insn::New { dst, src }
+            | Insn::Succ { dst, src } => vec![*dst, *src],
+            Insn::Insert { dst, elem, set, .. } => vec![*dst, *elem, *set],
+            Insn::Cons { dst, elem, list } => vec![*dst, *elem, *list],
+            Insn::NatAdd { dst, a, b } | Insn::NatMul { dst, a, b } => vec![*dst, *a, *b],
+            Insn::MakeTuple {
+                dst, start, len, ..
+            } => std::iter::once(*dst).chain(*start..*start + *len).collect(),
+            Insn::Call {
+                dst, args, nargs, ..
+            } => std::iter::once(*dst).chain(*args..*args + *nargs).collect(),
+            Insn::Reduce(r) => vec![r.dst, r.set, r.base, r.extra, r.x_slot, r.x_slot + 1],
+            Insn::FailUnbound { .. }
+            | Insn::FailUnknownCall { .. }
+            | Insn::FailArity { .. }
+            | Insn::Bump { .. }
+            | Insn::Guard { .. }
+            | Insn::Branch { .. }
+            | Insn::Jump { .. }
+            | Insn::CheckNat { .. } => Vec::new(),
+        }
+    }
+
+    /// The lambda blocks a reduce runs per element.
+    fn lambda_blocks(kind: &ReduceKind) -> Vec<BlockId> {
+        match kind {
+            ReduceKind::Generic { app, acc } => vec![*app, *acc],
+            ReduceKind::InsertApp { app }
+            | ReduceKind::Filter { app, .. }
+            | ReduceKind::BoolAcc { app, .. }
+            | ReduceKind::Scan { app, .. } => vec![*app],
+            ReduceKind::Member | ReduceKind::Union | ReduceKind::Product => Vec::new(),
+        }
+    }
+
+    /// Checks every parking fold of `chunk`: the app block, and every
+    /// lambda block of the folds nested in it (they run in the same
+    /// frame), leaves the parked slots alone. Returns how many parking
+    /// folds it checked.
+    fn check_parking(label: &str, chunk: &Chunk) -> usize {
+        let mut checked = 0;
+        for block in chunk.blocks() {
+            for insn in block.code() {
+                let Insn::Reduce(r) = insn else { continue };
+                let (app, protected) = match &r.kind {
+                    ReduceKind::Filter {
+                        app, pair: Some(_), ..
+                    } => (*app, vec![r.x_slot, r.x_slot + 1]),
+                    ReduceKind::InsertApp { app }
+                    | ReduceKind::Filter { app, .. }
+                    | ReduceKind::BoolAcc { app, .. }
+                    | ReduceKind::Scan { app, .. } => (*app, vec![r.x_slot + 1]),
+                    _ => continue,
+                };
+                checked += 1;
+                let mut pending = vec![app];
+                while let Some(id) = pending.pop() {
+                    for inner in chunk.block(id).code() {
+                        let hit = clobbers(inner).into_iter().find(|c| protected.contains(c));
+                        assert!(
+                            hit.is_none(),
+                            "{label}: block {id}, run by the {} fold at x=r{}, clobbers \
+                             parked r{}: {}",
+                            r.kind.label(),
+                            r.x_slot,
+                            hit.unwrap_or_default(),
+                            render_insn(chunk, inner),
+                        );
+                        if let Insn::Reduce(nested) = inner {
+                            pending.extend(lambda_blocks(&nested.kind));
+                        }
+                    }
+                }
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn parked_extra_slots_are_never_moved_or_written() {
+        use srl_bench::queries;
+        use srl_stdlib::derived::*;
+
+        let mut checked = 0;
+        // Every committed example program.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/srl");
+        let mut examples = 0;
+        for entry in std::fs::read_dir(&dir).expect("examples/srl exists") {
+            let path = entry.expect("readable entry").path();
+            if path.extension().is_some_and(|e| e == "srl") {
+                let text = std::fs::read_to_string(&path).expect("readable example");
+                let program = crate::parse_program(&text).expect("examples parse");
+                let c = program.compile();
+                checked += check_parking(&path.display().to_string(), c.code());
+                examples += 1;
+            }
+        }
+        assert!(
+            examples >= 6,
+            "found {examples} examples in {}",
+            dir.display()
+        );
+        // The E1–E4, E6 and E7 programs.
+        let programs = [
+            ("E1", srl_stdlib::agap::apath_program()),
+            ("E2", srl_stdlib::blowup::powerset_program()),
+            ("E3", srl_stdlib::arith::arithmetic_program()),
+            ("E4", srl_stdlib::perm::perm_program()),
+            ("E6 lrl", srl_stdlib::blowup::lrl_doubling_program()),
+            (
+                "E6 add",
+                srl_stdlib::primrec_compile::compile(&machines::primrec::library::add())
+                    .expect("add compiles")
+                    .program,
+            ),
+            (
+                "E7",
+                srl_stdlib::tm_sim::compile(&machines::tm::library::even_parity()),
+            ),
+        ];
+        for (label, program) in &programs {
+            checked += check_parking(label, program.compile().code());
+        }
+        // The stdlib shapes and the E5, E8 and E9 queries, over free inputs.
+        let pick = || lam("x", "e", leq(var("x"), var("e")));
+        let queries = [
+            ("E5 tc", queries::tc_query()),
+            ("E5 dtc", queries::dtc_query()),
+            ("E5 reach", queries::reach_query()),
+            ("E5 pair reach", queries::pair_reach_query()),
+            ("E8 even", srl_stdlib::hom::even(var("A"))),
+            (
+                "E8 purple",
+                srl_stdlib::hom::purple_first(var("A"), var("B")),
+            ),
+            ("E9 join", queries::company_join()),
+            ("E9 select", queries::employees_in_department(3)),
+            ("E9 ids", queries::id_intersection()),
+            ("product", queries::product_relation()),
+            ("member", member(var("x"), var("A"))),
+            ("union", union(var("A"), var("B"))),
+            ("intersection", intersection(var("A"), var("B"))),
+            ("difference", difference(var("A"), var("B"))),
+            ("forsome", forsome(var("A"), pick(), var("x"))),
+            ("forall", forall(var("A"), pick(), var("x"))),
+            ("subset", subset(var("A"), var("B"))),
+            ("set_eq", set_eq(var("A"), var("B"))),
+            ("select", select(var("A"), pick(), var("x"))),
+            ("map_set", map_set(var("A"), pick(), var("x"))),
+            ("project", project(var("A"), 2)),
+            ("cartesian", cartesian(var("A"), var("B"))),
+            (
+                "join",
+                join(
+                    var("A"),
+                    var("B"),
+                    pick(),
+                    lam("a", "b", tuple([var("a"), var("b")])),
+                ),
+            ),
+            ("big_union", big_union(var("A"))),
+            ("is_empty", is_empty(var("A"))),
+            ("singleton", singleton(var("x"))),
+            // Apps that return their `extra`, in tail position.
+            (
+                "map to extra",
+                map_set(var("A"), lam("x", "e", var("e")), var("B")),
+            ),
+            (
+                "forall extra",
+                forall(var("A"), lam("x", "e", var("e")), var("x")),
+            ),
+            (
+                "branch to extra",
+                map_set(
+                    var("A"),
+                    lam(
+                        "x",
+                        "e",
+                        if_(member(var("x"), var("e")), var("e"), empty_set()),
+                    ),
+                    var("B"),
+                ),
+            ),
+        ];
+        let scope = [
+            "A", "B", "x", "D", "E", "K", "EMP", "DEPT", "IDS", "UNIV", "S", "P",
+        ];
+        let c = Program::new(srl_core::Dialect::full()).compile();
+        for (label, expr) in &queries {
+            let lowered = c.lower_expr(expr, &scope);
+            checked += check_parking(label, lowered.code(&c));
+        }
+        // The select-shaped filters, the quantifiers and the maps above
+        // all park: the walk really looked at app blocks.
+        assert!(checked >= 30, "only {checked} parking folds checked");
+    }
+
+    #[test]
+    fn select_shaped_filters_disassemble_without_their_pair() {
+        use srl_stdlib::derived::select;
+        let e = select(var("S"), lam("x", "e", leq(var("x"), var("e"))), var("k"));
+        let text = disasm_expr(&e, &["S", "k"]);
+        assert!(
+            text.contains("keep-on-true flag=.2 value=.1 elided=[x, flag] read@1 tuple@0"),
+            "{text}"
+        );
+        // The app block is the comparison alone, at the depth it had
+        // inside the pair: no element copy, no tuple.
+        let app = text
+            .split("block 0 (result r8):\n")
+            .nth(1)
+            .and_then(|rest| rest.split("block 1").next())
+            .unwrap_or_else(|| panic!("no app block 0:\n{text}"));
+        assert_eq!(app, "    0  r8 <- slot r2 <= slot r3  @1\n", "{text}");
     }
 }
