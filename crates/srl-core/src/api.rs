@@ -260,6 +260,10 @@ pub fn compact(json: &str) -> String {
 /// network, so a bracket bomb must fail structurally, not by stack overflow.
 const MAX_JSON_DEPTH: usize = 64;
 
+/// 2^53: every integer below it has its own `f64`, so a JSON integer
+/// below it is read exactly; from there up, distinct integers share one.
+const EXACT_INTEGER_LIMIT: f64 = 9_007_199_254_740_992.0;
+
 /// A parsed JSON value. Objects keep their field order (the wire contract
 /// is order-sensitive on output; on input the order is merely preserved for
 /// error messages).
@@ -269,7 +273,8 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (integers are exact up to 2^53, ample for the wire).
+    /// Any number. Integers are exact below 2^53; from there up distinct
+    /// integers round to one `f64`, so the integer readers refuse them.
     Num(f64),
     /// A string, unescaped.
     Str(String),
@@ -319,10 +324,14 @@ impl Json {
         }
     }
 
-    /// The numeric payload as a non-negative integer, if it is one exactly.
+    /// The numeric payload as a non-negative integer, if it is one exactly
+    /// and below 2^53: `9007199254740993` parses to the same `f64` as 2^53,
+    /// so no integer from there up is trusted.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT_INTEGER_LIMIT => {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }
@@ -751,6 +760,11 @@ pub fn pipeline_config_from_json(json: &Json) -> Result<PipelineConfig, String> 
     for (key, value) in fields {
         let word = match value {
             Json::Str(s) => s.clone(),
+            Json::Num(n) if n.abs() >= EXACT_INTEGER_LIMIT => {
+                return Err(format!(
+                    "\"{key}\" must be below 2^53 in magnitude: larger integers are rounded in JSON"
+                ))
+            }
             Json::Num(n) => n.to_string(),
             Json::Bool(b) => b.to_string(),
             _ => return Err(format!("\"{key}\" must be a string, number or boolean")),
@@ -943,6 +957,10 @@ mod tests {
         // 2^32 + 1 must not truncate to v1.
         let err = Request::parse("{\"v\": 4294967297, \"kind\": \"stats\"}").unwrap_err();
         assert!(err.contains("unsupported"), "{err}");
+        // 2^53 + 1 parses to the same double as 2^53: refused, not rounded.
+        let err = Request::parse("{\"v\": 1, \"kind\": \"stats\", \"id\": 9007199254740993}")
+            .unwrap_err();
+        assert!(err.contains("\"id\""), "{err}");
         let err = Request::parse("{\"v\": 1, \"kind\": \"destroy\"}").unwrap_err();
         assert!(err.contains("destroy"), "{err}");
         let err = Request::parse("{\"v\": 1}").unwrap_err();
@@ -1049,6 +1067,7 @@ mod tests {
             "{\"threads\": 2.5}",
             "{\"deadline_ms\": 0}",
             "{\"max_steps\": -1}",
+            "{\"max_steps\": 9007199254740993}",
             "{\"tiers\": \"maybe\"}",
             "{\"backend\": null}",
             "{\"wat\": 1}",
@@ -1057,6 +1076,8 @@ mod tests {
             let json = Json::parse(bad).unwrap();
             assert!(pipeline_config_from_json(&json).is_err(), "{bad}");
         }
+        let err = parse_config("{\"max_steps\": 9007199254740993}").unwrap_err();
+        assert!(err.contains("\"max_steps\""), "{err}");
     }
 
     #[test]

@@ -15,9 +15,13 @@
 //!   point of Theorem 4.13), so those live in a fixed inline array — no heap
 //!   allocation for the element storage at all.
 //! * **Sorted vector with a slice window** (`spilled`) for larger sets of
-//!   arbitrary values: iteration walks contiguous memory; membership and
-//!   `insert` are a binary search; `choose` is the first element of the live
-//!   window, O(1); `rest` advances the window start, amortized O(1).
+//!   arbitrary values: iteration walks contiguous memory; membership is a
+//!   binary search; `insert` searches outward from a position hint, the
+//!   slot just past the previous insert, so an insert landing `d` slots
+//!   from it costs O(log d) comparisons — one for an append while the hint
+//!   sits at the end, as it does after construction and after an append;
+//!   `choose` is the first element of the live window, O(1); `rest`
+//!   advances the window start, amortized O(1).
 //! * **Columnar atom ids** (`atoms`): when every element is an *unnamed*
 //!   atom with index ≤ `u32::MAX`, the set stores a sorted `Vec<u32>` of
 //!   interned ids instead of `Vec<Value>` — 4 bytes per element instead of
@@ -76,6 +80,12 @@
 //! iteration and length all go through the live window. [`Clone`] compacts
 //! and re-tiers — it copies only the live elements, back into the smallest
 //! fitting tier.
+//!
+//! The spilled tier's position hint is a guess, never an invariant:
+//! `pop_first`, `merge_union`, demotion and the compacting clone may leave
+//! it anywhere, every search clamps it to the live window, and equality,
+//! ordering, hashing and iteration never read it. It decides only how many
+//! comparisons an insert spends finding its slot, not which slot that is.
 //!
 //! Every tier answers [`SetRepr::weight_sum`] — the sum of its elements'
 //! [`Value::weight`]s — in O(1), so neither the evaluator's size budget nor
@@ -177,11 +187,14 @@ enum Store {
     /// `slots[..len]` live, sorted, duplicate-free; the rest is [`PAD`].
     Small { len: u8, slots: [Value; INLINE_CAP] },
     /// `items[start..]` live (`rest` advances `start` instead of shifting);
-    /// `weight` is the sum of the live elements' [`Value::weight`]s.
+    /// `weight` is the sum of the live elements' [`Value::weight`]s; `hint`
+    /// is the index in `items` just past the last insert, where the next
+    /// insert's search starts (a guess: see the module docs).
     Spilled {
         items: Vec<Value>,
         start: usize,
         weight: usize,
+        hint: usize,
     },
     /// Columnar: `ids[start..]` live, sorted, duplicate-free — every element
     /// is the unnamed atom of that index. Same drain window as `Spilled`.
@@ -236,6 +249,7 @@ fn store_from_sorted_values(items: Vec<Value>, weight: Option<usize>) -> Store {
     } else {
         let weight = weight.unwrap_or_else(|| weight_of(&items));
         Store::Spilled {
+            hint: items.len(),
             items,
             start: 0,
             weight,
@@ -456,6 +470,56 @@ fn gallop_lt<T: Ord>(s: &[T], bound: &T) -> usize {
     let lo = hi >> 1;
     let hi = hi.min(s.len());
     lo + s[lo..hi].partition_point(|x| x < bound)
+}
+
+/// Where `x` is or would go in the strictly sorted `s`, with
+/// `binary_search`'s contract: `Ok` at an equal element, `Err` at the
+/// insertion point. The search starts at the guess `hint` (clamped to
+/// `0..=s.len()`): one comparison against `s[hint - 1]` picks the side, an
+/// exponential probe away from the hint brackets the slot, and a binary
+/// search inside the bracket finishes. A slot `d` places from the hint
+/// costs O(log d) comparisons; an append at `hint == s.len()` costs one.
+fn search_from<T: Ord>(s: &[T], hint: usize, x: &T) -> Result<usize, usize> {
+    let hint = hint.min(s.len());
+    let side = match hint.checked_sub(1) {
+        Some(i) => s[i].cmp(x),
+        None => Ordering::Less,
+    };
+    // The bracket `lo..hi`: `s[..lo]` sorts below `x`, `s[hi..]` above.
+    let (lo, hi) = match side {
+        Ordering::Equal => return Ok(hint - 1),
+        Ordering::Less => {
+            let (mut lo, mut step) = (hint, 1);
+            loop {
+                let probe = lo + step - 1;
+                if probe >= s.len() {
+                    break (lo, s.len());
+                }
+                match s[probe].cmp(x) {
+                    Ordering::Less => (lo, step) = (probe + 1, step * 2),
+                    Ordering::Equal => return Ok(probe),
+                    Ordering::Greater => break (lo, probe),
+                }
+            }
+        }
+        Ordering::Greater => {
+            let (mut hi, mut step) = (hint - 1, 1);
+            loop {
+                let Some(probe) = hi.checked_sub(step) else {
+                    break (0, hi);
+                };
+                match s[probe].cmp(x) {
+                    Ordering::Greater => (hi, step) = (probe, step * 2),
+                    Ordering::Equal => return Ok(probe),
+                    Ordering::Less => break (probe + 1, hi),
+                }
+            }
+        }
+    };
+    match s[lo..hi].binary_search(x) {
+        Ok(i) => Ok(lo + i),
+        Err(i) => Err(lo + i),
+    }
 }
 
 /// Merges the sorted-dedup `incoming` into the sorted-dedup live window
@@ -716,6 +780,7 @@ impl SetRepr {
                 items,
                 start,
                 weight,
+                ..
             } => {
                 debug_assert_eq!(*weight, weight_of(&items[*start..]), "stale set weight");
                 *weight
@@ -879,7 +944,11 @@ impl SetRepr {
 
     /// [`SetRepr::insert`] for a caller that already knows
     /// `value.weight()` (the evaluator charges it before inserting), so the
-    /// spilled tier's weight sum grows without a second walk.
+    /// spilled tier's weight sum grows without a second walk. The spilled
+    /// tier searches outward from the slot just past its previous insert,
+    /// so an ascending rebuild spends one comparison per insert and a run
+    /// of inserts near one another O(log distance) each; where the element
+    /// lands, and first-wins on an equal one, are a binary search's.
     pub(crate) fn insert_weighted(&mut self, value: Value, weight: usize) -> bool {
         match &mut self.store {
             Store::Small { len, slots } => {
@@ -918,15 +987,18 @@ impl SetRepr {
                 items,
                 start,
                 weight: sum,
+                hint,
             } => {
                 // Shifts only the tail after the insertion point; the common
-                // ascending-rebuild case (pos == len) is a plain push.
-                let pos = match items[*start..].binary_search(&value) {
-                    Ok(_) => return false,
-                    Err(pos) => pos,
-                };
-                items.insert(*start + pos, value);
+                // ascending-rebuild case (`at == items.len()`) is a plain push.
+                let at = *start
+                    + match search_from(&items[*start..], hint.saturating_sub(*start), &value) {
+                        Ok(_) => return false,
+                        Err(pos) => pos,
+                    };
+                items.insert(at, value);
                 *sum += weight;
+                *hint = at + 1;
                 return true;
             }
             Store::Atoms { ids, start } => {
@@ -1033,6 +1105,7 @@ impl SetRepr {
                 items,
                 start,
                 weight,
+                ..
             } => {
                 if *start == items.len() {
                     return None;
@@ -1120,6 +1193,7 @@ impl SetRepr {
                 items,
                 start,
                 weight,
+                ..
             } => merge_into(items, *start, other.value_slice()?, |v| {
                 *weight += v.weight()
             }),
@@ -1194,6 +1268,7 @@ impl Clone for SetRepr {
                 items,
                 start,
                 weight,
+                ..
             } => SetRepr::from_sorted_vec(items[*start..].to_vec(), Some(*weight)),
             Store::Atoms { ids, start } => SetRepr::from_sorted_ids(ids[*start..].to_vec()),
             Store::Bits { words, .. } => SetRepr::from_bits(words.clone()),
@@ -1914,5 +1989,105 @@ mod tests {
                 assert_eq!(gallop_lt(&s, &bound), expect, "bound {bound}");
             }
         }
+    }
+
+    /// SplitMix64, the seeded stream the property tests draw from.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn search_from_answers_like_binary_search_from_every_hint() {
+        let mut state = 25;
+        for len in [0, 1, 2, 3, 5, 8, 17, 64, 100] {
+            // Even values only, so every odd probe is absent.
+            let mut s: Vec<u32> = (0..len)
+                .map(|_| 2 * (splitmix(&mut state) % 400) as u32)
+                .collect();
+            s.sort_unstable();
+            s.dedup();
+            for hint in 0..=s.len() + 1 {
+                for x in 0..=801 {
+                    assert_eq!(
+                        search_from(&s, hint, &x),
+                        s.binary_search(&x),
+                        "len {} hint {hint} probe {x}",
+                        s.len()
+                    );
+                }
+            }
+        }
+    }
+
+    /// An `Ord` value that counts the comparisons made on it.
+    struct Counted<'a, T>(T, &'a Cell<usize>);
+
+    impl<T: Ord> Ord for Counted<'_, T> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.1.set(self.1.get() + 1);
+            self.0.cmp(&other.0)
+        }
+    }
+    impl<T: Ord> PartialOrd for Counted<'_, T> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<T: Ord> PartialEq for Counted<'_, T> {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == Ordering::Equal
+        }
+    }
+    impl<T: Ord> Eq for Counted<'_, T> {}
+
+    /// Builds a sorted set from `arrivals` the way the spilled tier
+    /// inserts — `search_from` from the slot just past the previous insert
+    /// — and returns it with the number of comparisons spent.
+    fn hinted_build<T: Ord>(arrivals: impl IntoIterator<Item = T>) -> (Vec<T>, usize) {
+        let count = Cell::new(0);
+        let mut set: Vec<Counted<'_, T>> = Vec::new();
+        let mut hint = 0;
+        for x in arrivals {
+            let x = Counted(x, &count);
+            if let Err(at) = search_from(&set, hint, &x) {
+                set.insert(at, x);
+                hint = at + 1;
+            }
+        }
+        (set.into_iter().map(|c| c.0).collect(), count.get())
+    }
+
+    #[test]
+    fn hinted_inserts_spend_few_comparisons() {
+        // An ascending rebuild: one comparison per insert after the first.
+        let (built, comparisons) = hinted_build(0..1024u32);
+        assert_eq!(built, (0..1024).collect::<Vec<_>>());
+        assert_eq!(comparisons, 1023);
+        // E2's powerset over 10 atoms: `sift(x, T)` walks `T` ascending and
+        // inserts `y ∪ {x}`, then `y`, into a fresh accumulator. A subset
+        // is its ascending atom list, which orders like a set of atoms.
+        let mut t: Vec<Vec<u32>> = vec![vec![]];
+        let (mut spent, mut arrived) = (0, 0);
+        for x in 0..10 {
+            let arrivals: Vec<Vec<u32>> = t
+                .iter()
+                .flat_map(|y| [[y.as_slice(), &[x]].concat(), y.clone()])
+                .collect();
+            arrived += arrivals.len();
+            let (next, comparisons) = hinted_build(arrivals.iter().cloned());
+            spent += comparisons;
+            let mut expect = arrivals;
+            expect.sort();
+            expect.dedup();
+            assert_eq!(next, expect, "sift {x}");
+            t = next;
+        }
+        assert_eq!(t.len(), 1 << 10);
+        let per_insert = spent as f64 / arrived as f64;
+        assert!(per_insert <= 3.0, "{per_insert:.2} comparisons per insert");
     }
 }

@@ -722,11 +722,74 @@ impl Gen {
             .map(|_| self.element(shape))
             .collect()
     }
+
+    /// An element for the ordered-arrival episodes: an atom set, a set of
+    /// atom sets, or an atom that is named or unnamed at random, so equal
+    /// atoms arrive in both spellings.
+    fn arrival(&mut self) -> Value {
+        match self.below(4) {
+            0 => atom_set((0..self.below(5)).map(|_| self.below(8))),
+            1 => Value::set(
+                (0..self.below(3)).map(|_| atom_set((0..self.below(3)).map(|_| self.below(4)))),
+            ),
+            2 => Value::named_atom(self.below(16), "n"),
+            _ => Value::atom(self.below(16)),
+        }
+    }
+
+    /// E2's insert order: `sift(x, T)` walks `T`, the subsets of the atoms
+    /// below `x`, ascending and inserts `y ∪ {x}`, then `y`.
+    fn powerset_arrivals(&mut self) -> Vec<Value> {
+        let mut base: Vec<u64> = (0..2 + self.below(5)).map(|_| self.below(20)).collect();
+        base.sort_unstable();
+        base.dedup();
+        let x = base.pop().expect("at least two draws");
+        let mut subsets: Vec<Vec<u64>> = (0..1u32 << base.len())
+            .map(|mask| {
+                (0..base.len())
+                    .filter(|i| mask >> i & 1 == 1)
+                    .map(|i| base[i])
+                    .collect()
+            })
+            .collect();
+        subsets.sort();
+        subsets
+            .iter()
+            .flat_map(|y| [atom_set(y.iter().copied().chain([x])), atom_set(y.clone())])
+            .collect()
+    }
+}
+
+/// Asserts that `s` holds exactly `model`'s elements, element by element
+/// and in printed form (so first-wins kept the same copies), and that its
+/// cached weight sum, `Value::weight` and `weight_capped` agree with a walk.
+fn assert_matches_model(
+    s: &srl_core::SetRepr,
+    model: &std::collections::BTreeSet<Value>,
+    g: &mut Gen,
+    at: &str,
+) {
+    use srl_core::eval::weight_capped;
+    let walked = model.iter().map(walked_weight).sum::<usize>();
+    assert_eq!(s.weight_sum(), walked, "{at}: cached weight");
+    let set = Value::Set(Arc::new(s.clone()));
+    assert_eq!(set.weight(), 1 + walked, "{at}: Value::weight");
+    let cap = g.below(walked as u64 + 4) as usize;
+    assert_eq!(
+        weight_capped(&set, cap),
+        (1 + walked).min(cap + 1),
+        "{at}: weight_capped at cap {cap}"
+    );
+    assert_eq!(s.len(), model.len(), "{at}: length");
+    for (i, (mine, theirs)) in s.iter().zip(model).enumerate() {
+        assert_eq!(&mine, theirs, "{at}: element {i}");
+        assert_eq!(format!("{mine}"), format!("{theirs}"), "{at}: element {i}");
+    }
+    assert_eq!(format!("{s:?}"), format!("{model:?}"), "{at}: contents");
 }
 
 #[test]
 fn cached_set_weights_survive_every_mutation_and_tier_move() {
-    use srl_core::eval::weight_capped;
     use srl_core::SetRepr;
     use std::collections::{BTreeSet, HashSet};
 
@@ -804,23 +867,61 @@ fn cached_set_weights_survive_every_mutation_and_tier_move() {
                     }
                 }
                 tiers_seen.insert(s.tier_label());
-                let walked = model.iter().map(walked_weight).sum::<usize>();
-                assert_eq!(s.weight_sum(), walked, "{at}: cached weight");
-                let set = Value::Set(Arc::new(s.clone()));
-                assert_eq!(set.weight(), 1 + walked, "{at}: Value::weight");
-                let cap = g.below(walked as u64 + 4) as usize;
-                assert_eq!(
-                    weight_capped(&set, cap),
-                    (1 + walked).min(cap + 1),
-                    "{at}: weight_capped at cap {cap}"
-                );
-                // Same elements, and the same printed copies of equal ones.
-                let expect = format!("{:?}", model.iter().cloned().collect::<SetRepr>());
-                assert_eq!(format!("{s:?}"), expect, "{at}: contents");
+                assert_matches_model(&s, &model, &mut g, &at);
             }
         }
         for tier in ["inline", "spilled", "atoms", "bits"] {
             assert!(tiers_seen.contains(tier), "never reached the {tier} tier");
+        }
+
+        // Ordered arrivals: runs of inserts in ascending, descending,
+        // random and powerset order, each under a random tier setting,
+        // with a different mutation between runs, so every run starts its
+        // spilled-tier searches from a hint that a pop, an in-place union,
+        // a clone or a tier move left behind.
+        for episode in 0..48 {
+            let mut s = SetRepr::new();
+            let mut model: BTreeSet<Value> = BTreeSet::new();
+            for run in 0..8 {
+                let order = ["ascending", "descending", "random", "powerset"][(episode + run) % 4];
+                let mut arrivals: Vec<Value> = match order {
+                    "powerset" => g.powerset_arrivals(),
+                    _ => (0..4 + g.below(24)).map(|_| g.arrival()).collect(),
+                };
+                match order {
+                    // Stable sorts: equal atoms keep their arrival order.
+                    "ascending" => arrivals.sort(),
+                    "descending" => arrivals.sort_by(|a, b| b.cmp(a)),
+                    _ => {}
+                }
+                with_atom_tier(g.below(2) == 0, || {
+                    for (i, v) in arrivals.into_iter().enumerate() {
+                        let at = format!("episode {episode} run {run} ({order}) insert {i} of {v}");
+                        assert_eq!(s.insert(v.clone()), model.insert(v), "{at}");
+                        assert_matches_model(&s, &model, &mut g, &at);
+                    }
+                });
+                let mutation = ["pop_first", "merge_union", "clone", "tier move"][run % 4];
+                let at = format!("episode {episode} run {run}: {mutation}");
+                match mutation {
+                    "pop_first" => {
+                        for _ in 0..1 + g.below(6) {
+                            assert_eq!(s.pop_first(), model.pop_first(), "{at}");
+                        }
+                    }
+                    "merge_union" => {
+                        let other: SetRepr = (0..g.below(12)).map(|_| g.arrival()).collect();
+                        s.merge_union(&other);
+                        model.extend(other.iter());
+                    }
+                    "clone" => s = s.clone(),
+                    _ => {
+                        let on = g.below(2) == 0;
+                        s = with_atom_tier(on, || s.clone());
+                    }
+                }
+                assert_matches_model(&s, &model, &mut g, &at);
+            }
         }
     });
 }
