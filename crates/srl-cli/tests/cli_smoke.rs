@@ -143,6 +143,51 @@ fn limit_errors_are_exit_six_with_partial_stats() {
     // The partial stats of the interrupted run ride along.
     assert!(json.contains("\"stats\""), "{json}");
     let _ = std::fs::remove_file(file);
+
+    // A sharded fold that runs out of steps keeps the counters of every
+    // shard it absorbed, so `--threads 4` reports the sequential run's
+    // partial `reduce_iterations`.
+    let file = temp_program("limit_sharded", &keep_main(30_000, 48));
+    let reduce_iterations = |threads: &str| {
+        let out = run(&[
+            "run",
+            file.to_str().unwrap(),
+            "--limits",
+            "small",
+            "--threads",
+            threads,
+            "--json",
+        ]);
+        assert_eq!(exit_code(&out), 6, "--threads {threads}: {out:?}");
+        let json = stdout(&out);
+        let (_, rest) = json
+            .split_once("\"reduce_iterations\": ")
+            .unwrap_or_else(|| panic!("--threads {threads}: no partial stats: {json}"));
+        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+        digits.parse::<u64>().expect("a count")
+    };
+    let sequential = reduce_iterations("1");
+    assert!(sequential > 0, "the fold stopped before its first element");
+    assert_eq!(reduce_iterations("4"), sequential);
+    let _ = std::fs::remove_file(file);
+}
+
+/// A `select`-shaped filter keeping the atoms of an `n`-atom set that are
+/// members of an `m`-atom set, as a program whose `main` applies it: under
+/// the small budget it runs out of steps inside the sharded fold.
+fn keep_main(n: usize, m: usize) -> String {
+    let atoms = |count: usize, stride: usize| {
+        let atoms: Vec<String> = (0..count).map(|i| format!("d{}", i * stride)).collect();
+        atoms.join(", ")
+    };
+    format!(
+        "keep(S, T) =\n  set-reduce(S, lambda(x, t) [x, set-reduce(t, lambda(y, e) (y = e), \
+         lambda(f, a) if f then true else a, false, x)], \
+         lambda(p, acc) if p.2 then insert(p.1, acc) else acc, emptyset, T)\n\n\
+         main() =\n  keep({{{}}}, {{{}}})\n",
+        atoms(n, 3),
+        atoms(m, 5)
+    )
 }
 
 #[test]

@@ -34,9 +34,11 @@
 //! evaluating children (dialect guards, static arity mismatches) keep their
 //! pre-order position via explicit [`Insn::Guard`]/fail instructions. The
 //! result: on every successful evaluation the VM's [`EvalStats`](crate::limits::EvalStats) are
-//! **byte-identical** to the tree-walk's (`tests/tests/vm_differential.rs`
-//! enforces this across the whole benchmark suite). On error paths the error
-//! *kind* matches but the partial counters may differ by the reordering.
+//! **byte-identical** to the tree-walk's, and on error paths the
+//! [`EvalError`](crate::error::EvalError) matches, payload included, while
+//! the partial counters may differ by the reordering. The shared engine
+//! matrix in `tests/lib.rs`, which every differential suite runs, enforces
+//! both.
 //!
 //! ## Superinstructions
 //!

@@ -112,15 +112,17 @@ impl std::ops::AddAssign for TierEngagements {
 /// Both backends execute the same compiled form ([`CompiledProgram`]) under
 /// the same [`EvalLimits`] budget and produce **byte-identical results and
 /// [`EvalStats`]** on every successful evaluation — the statistics carry the
-/// paper's cost model, so they are part of the semantics, not a tuning knob
-/// (`tests/tests/vm_differential.rs` pins this across the benchmark suite).
-/// On error paths the error kind matches while partial counters may differ
-/// by instruction reordering — with one caveat: a program that would cross
-/// the step **and** depth budget inside the same fused batch may report
-/// either limit error depending on the backend (see
-/// `EvalCore::bump_batch`'s ordering note); which limits are exceeded is
-/// still identical, as are all values and statistics whenever evaluation
-/// succeeds.
+/// paper's cost model, so they are part of the semantics, not a tuning knob.
+/// On error paths the [`EvalError`] matches, payload included, while
+/// partial counters may differ by instruction reordering; a failed sharded
+/// fold's partial counters cover every shard absorbed up to and including
+/// the failing one (see [`crate::parallel`]). The shared engine matrix in
+/// `tests/lib.rs`, which every differential suite runs, pins both. One
+/// caveat: a program that would cross the step **and** depth budget inside
+/// the same fused batch may report either limit error depending on the
+/// backend (see `EvalCore::bump_batch`'s ordering note); which limits are
+/// exceeded is still identical, as are all values and statistics whenever
+/// evaluation succeeds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecBackend {
     /// The recursive tree-walk over the lowered arena (this module) — the

@@ -67,9 +67,15 @@
 //! shard by shard (so a crossing that only the *sum* of shards produces is
 //! still reported, with the step error taking precedence over the size
 //! error within one shard's batch — the same precedence
-//! `EvalCore::bump_batch` documents). On error paths the error kind
-//! matches sequential execution while partial counters may differ, exactly
-//! as on the backend axis.
+//! `EvalCore::bump_batch` documents). On error paths the `EvalError`
+//! matches sequential execution, payload included. A failed sharded fold's
+//! partial counters cover every shard absorbed up to and including the
+//! failing one, whose run counts up to where it stopped. Where only the
+//! cumulative total crosses a budget, that run can reach past the element
+//! at which the sequential loop stopped. The fold's own
+//! `max_accumulator_weight` is noted only after a full merge, so a failed
+//! fold leaves it out. The shared engine matrix in `tests/lib.rs` pins the
+//! error equality; `par_differential` pins the partial counters.
 //!
 //! ## Panic isolation
 //!
@@ -485,24 +491,12 @@ fn merge(
     }
     let mut datas: Vec<ShardData> = Vec::with_capacity(runs.len());
     for run in runs {
-        // Additive counters first, with the sequential loop's limit checks
-        // re-applied against the cumulative totals (batch semantics: the
-        // step error wins over the size error within one shard, mirroring
-        // `bump_batch`'s documented precedence).
+        // Every counter of the shard's run first, so a failed fold's partial
+        // statistics cover each shard up to and including the failing one.
         core.stats.steps += run.stats.steps;
-        if core.stats.steps > core.limits.max_steps {
-            return Err(EvalError::StepLimitExceeded {
-                limit: core.limits.max_steps,
-            });
-        }
         core.stats.max_depth = core.stats.max_depth.max(run.stats.max_depth);
         core.allocated_leaves = core.allocated_leaves.saturating_add(run.allocated);
         core.stats.max_value_weight = core.stats.max_value_weight.max(core.allocated_leaves);
-        if core.allocated_leaves > core.limits.max_value_weight {
-            return Err(EvalError::SizeLimitExceeded {
-                limit: core.limits.max_value_weight,
-            });
-        }
         core.stats.reduce_iterations += run.stats.reduce_iterations;
         core.stats.inserts += run.stats.inserts;
         core.stats.new_values += run.stats.new_values;
@@ -513,6 +507,20 @@ fn merge(
             .stats
             .max_accumulator_weight
             .max(run.stats.max_accumulator_weight);
+        // Then the sequential loop's limit checks, re-applied against the
+        // cumulative totals (batch semantics: the step error wins over the
+        // size error within one shard, mirroring `bump_batch`'s documented
+        // precedence).
+        if core.stats.steps > core.limits.max_steps {
+            return Err(EvalError::StepLimitExceeded {
+                limit: core.limits.max_steps,
+            });
+        }
+        if core.allocated_leaves > core.limits.max_value_weight {
+            return Err(EvalError::SizeLimitExceeded {
+                limit: core.limits.max_value_weight,
+            });
+        }
         // The earliest shard's error is the fold's error (its partial
         // charges were just absorbed; later shards ran but — like the
         // elements sequential execution never reached — leave no trace).

@@ -16,7 +16,7 @@ use srl_core::dsl::*;
 use srl_core::{
     faultpoint, Env, EvalError, EvalLimits, EvalStats, Evaluator, ExecBackend, Program, Value,
 };
-use srl_integration_tests::{atom_set, root_fold, shard_cardinality};
+use srl_integration_tests::{atom_set, root_fold, shard_cardinality, Matrix};
 use srl_stdlib::derived::map_set;
 
 /// Pool width for the sharded runs (matches `par_differential.rs`).
@@ -195,26 +195,23 @@ fn deadline_inside_the_product_stops_every_engine_at_that_iteration() {
     let env = Env::new().bind("A", atom_set(0..6)).bind("B", pairs);
     let expr = srl_stdlib::derived::cartesian(var("A"), var("B"));
     let limits = EvalLimits::benchmark().with_deadline_ms(3_600_000);
-    let (_, full) = fresh_run(&program, &expr, &env, limits, ExecBackend::TreeWalk)
-        .expect("the product fits the benchmark budget");
+    let matrix = Matrix::new(&program).limits(limits);
+    let full = matrix.eval("the product", &expr, &env).stats();
     // Six outer iterations, then per element of A seven to build its slice
     // and seven to union it in.
     assert_eq!(full.reduce_iterations, 6 + 2 * 6 * 7);
     for k in 1..=full.reduce_iterations {
-        for backend in [
-            ExecBackend::TreeWalk,
-            ExecBackend::vm(),
-            ExecBackend::vm_with_threads(THREADS),
-        ] {
-            let mut ev = evaluator(&program, limits, backend);
+        let label = format!("deadline at {k}");
+        let runs = matrix.run(&label, &[], |ev, _| {
             faultpoint::arm(faultpoint::DEADLINE_MID_FOLD, k);
-            let err = ev
-                .eval(&expr, &env)
-                .expect_err("deadline fires mid-product");
+            let outcome = ev.eval(&expr, &env);
             faultpoint::disarm_all();
-            assert_eq!(err.kind(), "deadline_exceeded", "{backend:?} at {k}");
-            let partial = ev.last_error_stats().expect("failed run leaves a snapshot");
-            assert_eq!(partial.reduce_iterations, k, "{backend:?} at {k}");
+            outcome
+        });
+        assert_eq!(runs.error().kind(), "deadline_exceeded", "{label}");
+        for run in &runs.runs {
+            let partial = run.partial.expect("failed run leaves a snapshot");
+            assert_eq!(partial.reduce_iterations, k, "{label} [{}]", run.config);
         }
     }
 }
@@ -268,40 +265,24 @@ fn merge_delay_changes_nothing_observable() {
 fn disarmed_registry_keeps_thread_counts_indistinguishable() {
     let _g = serialized();
     let (program, expr, env) = sharded_projection();
-    let seq = fresh_run(
-        &program,
-        &expr,
-        &env,
-        EvalLimits::benchmark(),
-        ExecBackend::vm(),
-    )
-    .expect("sequential");
-    let par = fresh_run(
-        &program,
-        &expr,
-        &env,
-        EvalLimits::benchmark(),
-        ExecBackend::vm_with_threads(THREADS),
-    )
-    .expect("sharded");
-    assert_eq!(seq, par, "threads must be invisible with no fault armed");
+    // The matrix asserts that every engine agrees; the tree-walk, quadratic
+    // at this size, is left out.
+    let runs = Matrix::new(&program)
+        .without_tree_walk()
+        .eval("sharded projection", &expr, &env);
+    assert!(runs.runs.iter().any(|r| r.sharded > 0), "nothing sharded");
 }
 
 /// The reuse-after-error contract, satellite form: for each way a query can
 /// be interrupted (step budget, size budget, simulated deadline) and each
-/// backend (tree-walk, sequential VM, pooled VM), the evaluator that failed
-/// must answer the next query with EvalStats byte-identical to a fresh
-/// evaluator that never saw the failure.
+/// engine of the matrix, the evaluator that failed must answer the next
+/// query with EvalStats byte-identical to a fresh evaluator that never saw
+/// the failure.
 #[test]
 fn reuse_after_every_error_kind_matches_a_fresh_evaluator() {
     let _g = serialized();
     let (program, expr, env) = sharded_projection();
     let healthy = EvalLimits::benchmark();
-    let backends = [
-        ExecBackend::TreeWalk,
-        ExecBackend::vm(),
-        ExecBackend::vm_with_threads(THREADS),
-    ];
 
     // (label, starved limits to fail under, fault to arm)
     let step_starved = EvalLimits::benchmark().with_max_steps(50);
@@ -312,40 +293,39 @@ fn reuse_after_every_error_kind_matches_a_fresh_evaluator() {
         ("deadline", healthy.with_deadline_ms(3_600_000), Some(25)),
     ];
 
-    for backend in backends {
-        for (label, limits, fault) in &cases {
-            let mut ev = evaluator(&program, *limits, backend);
+    // A small healthy query for the failed evaluator. It still runs under
+    // the starved limits, so keep it tiny.
+    let small = Env::new().bind("S", atom_set(0..3));
+    let probe = map_set(var("S"), lam("x", "t", var("x")), empty_set());
+    for (label, limits, fault) in cases {
+        let matrix = Matrix::new(&program).limits(limits);
+        let retried = matrix.run(label, &[], |ev, _| {
             if let Some(k) = fault {
-                faultpoint::arm(faultpoint::DEADLINE_MID_FOLD, *k);
+                faultpoint::arm(faultpoint::DEADLINE_MID_FOLD, k);
             }
             let err = ev
                 .eval(&expr, &env)
                 .expect_err("starved or faulted run fails");
             faultpoint::disarm_all();
-            match (*label, &err) {
+            match (label, &err) {
                 ("step limit", EvalError::StepLimitExceeded { .. })
                 | ("size limit", EvalError::SizeLimitExceeded { .. })
                 | ("deadline", EvalError::DeadlineExceeded { .. }) => {}
-                other => panic!("{backend:?}/{label}: unexpected error {other:?}"),
+                other => panic!("{label}: unexpected error {other:?}"),
             }
             assert!(
                 ev.last_error_stats().is_some(),
-                "{backend:?}/{label}: no partial snapshot"
+                "{label}: no partial snapshot"
             );
-
-            // A small healthy query on the *same* evaluator. It still runs
-            // under the starved limits, so keep it tiny.
-            let small = Env::new().bind("S", atom_set(0..3));
-            let probe = map_set(var("S"), lam("x", "t", var("x")), empty_set());
-            let retried = ev.eval(&probe, &small).expect("tiny query fits any budget");
-            let mut fresh = evaluator(&program, *limits, backend);
-            let fresh_value = fresh.eval(&probe, &small).expect("tiny query");
-            assert_eq!(retried, fresh_value, "{backend:?}/{label}: values differ");
-            assert_eq!(
-                ev.stats(),
-                fresh.stats(),
-                "{backend:?}/{label}: stats after recovery differ from fresh"
-            );
-        }
+            // The same evaluator answers the probe.
+            ev.eval(&probe, &small)
+        });
+        let fresh = matrix.eval(label, &probe, &small);
+        assert_eq!(retried.value(), fresh.value(), "{label}: values differ");
+        assert_eq!(
+            retried.stats(),
+            fresh.stats(),
+            "{label}: stats after recovery differ from fresh"
+        );
     }
 }

@@ -12,96 +12,24 @@
 //!   alone and replays the charges of the element read and the pair it
 //!   skips; near misses build their pair as written.
 //!
-//! Every case runs on the tree-walk and on the VM at 1, 2 and 4 threads,
-//! each with the columnar tiers on and off, and every run must agree on the
-//! value, its printed form and `EvalStats` — or, when a budget trips, on
-//! the error kind.
+//! Every case runs through the shared engine matrix
+//! (`srl_integration_tests::Matrix`): the tree-walk and the VM at 1, 2 and
+//! 4 threads, each with the columnar tiers on and off. Every run must agree
+//! on the value, its printed form and `EvalStats` — or, when a budget
+//! trips, on the `EvalError`.
 
 use std::sync::Arc;
 
 use srl_core::bytecode::{ElidedPair, ReduceInsn, ReduceKind};
 use srl_core::dsl::*;
-use srl_core::setrepr::with_atom_tier;
-use srl_core::{Dialect, Env, EvalLimits, EvalStats, Evaluator, ExecBackend, Expr, Program, Value};
-use srl_integration_tests::{atom_set, expr_folds, root_fold, shard_cardinality};
+use srl_core::{Dialect, Env, EvalLimits, Evaluator, ExecBackend, Expr, Program, Value};
+use srl_integration_tests::{atom_set, expr_folds, root_fold, shard_cardinality, Matrix};
 use srl_stdlib::derived::{
     cartesian, difference, forall, forsome, intersection, join, map_set, member, select,
 };
 
-/// One run of the matrix: its label, its outcome (value, printed form and
-/// stats, or the error kind) and how many folds it sharded.
-struct Run {
-    config: String,
-    outcome: Result<(Value, String, EvalStats), &'static str>,
-    sharded: u64,
-}
-
-/// Runs `expr` on every engine, each with the columnar tiers on and off.
-/// `env` is rebuilt under each tier setting so the "off" runs really see
-/// generic-tier inputs.
-fn matrix(program: &Program, limits: EvalLimits, expr: &Expr, env: impl Fn() -> Env) -> Vec<Run> {
-    let compiled = Arc::new(program.compile());
-    let mut runs = Vec::new();
-    for tier_on in [true, false] {
-        with_atom_tier(tier_on, || {
-            let env = env();
-            for (name, backend) in [
-                ("tree", ExecBackend::TreeWalk),
-                ("vm[1]", ExecBackend::vm()),
-                ("vm[2]", ExecBackend::vm_with_threads(2)),
-                ("vm[4]", ExecBackend::vm_with_threads(4)),
-            ] {
-                let mut ev =
-                    Evaluator::from_compiled(Arc::clone(&compiled), limits).with_backend(backend);
-                let outcome = ev
-                    .eval(expr, &env)
-                    .map(|v| {
-                        let printed = v.to_string();
-                        (v, printed, *ev.stats())
-                    })
-                    .map_err(|e| e.kind());
-                runs.push(Run {
-                    config: format!("{name} tier={tier_on}"),
-                    outcome,
-                    sharded: ev.parallel_folds(),
-                });
-            }
-        });
-    }
-    runs
-}
-
-/// Asserts every run agrees with the first; returns the runs.
-fn assert_agree(label: &str, runs: Vec<Run>) -> Vec<Run> {
-    let (first, rest) = runs.split_first().expect("the matrix is not empty");
-    for run in rest {
-        match (&first.outcome, &run.outcome) {
-            (Ok((v0, p0, s0)), Ok((v, p, s))) => {
-                assert_eq!(v0, v, "{label} [{}]: values differ", run.config);
-                assert_eq!(p0, p, "{label} [{}]: printed forms differ", run.config);
-                assert_eq!(s0, s, "{label} [{}]: EvalStats differ", run.config);
-            }
-            (Err(k0), Err(k)) => {
-                assert_eq!(k0, k, "{label} [{}]: error kinds differ", run.config)
-            }
-            (a, b) => panic!(
-                "{label}: [{}] gave {:?} but [{}] gave {:?}",
-                first.config,
-                a.as_ref().map(|(_, p, _)| p),
-                run.config,
-                b.as_ref().map(|(_, p, _)| p),
-            ),
-        }
-    }
-    runs
-}
-
-fn agree(program: &Program, expr: &Expr, env: impl Fn() -> Env, label: &str) -> Value {
-    let runs = assert_agree(label, matrix(program, EvalLimits::benchmark(), expr, env));
-    match &runs[0].outcome {
-        Ok((v, _, _)) => v.clone(),
-        Err(kind) => panic!("{label}: failed with {kind}"),
-    }
+fn agree(program: &Program, expr: &Expr, env: &Env, label: &str) -> Value {
+    Matrix::new(program).eval(label, expr, env).value()
 }
 
 /// The `Filter` folds of `expr`, in block order.
@@ -213,7 +141,7 @@ fn select_shaped_filters_are_elided_and_agree() {
             folds.iter().all(|r| pair_of(r).is_some()),
             "{label}: a select-shaped filter built its pair"
         );
-        agree(&program, expr, small_env, label);
+        agree(&program, expr, &small_env(), label);
     }
     let first = filters(&program, &cases[6].1, &["S", "T"]);
     assert_eq!(pair_of(&first[0]).map(|p| p.elem_first), Some(false));
@@ -294,14 +222,11 @@ fn near_miss_pairs_are_built_as_written() {
         let folds = filters(&program, &expr, &["S", "T", "P"]);
         assert_eq!(folds.len(), 1, "{label}");
         assert_eq!(pair_of(&folds[0]), None, "{label}: a near miss was elided");
-        let runs = assert_agree(
-            label,
-            matrix(&program, EvalLimits::benchmark(), &expr, small_env),
-        );
+        let runs = Matrix::new(&program).eval(label, &expr, &small_env());
         // "indices swapped" tests an atom as the flag: every engine fails
         // with the same shape error.
         if label == "indices swapped" {
-            assert_eq!(runs[0].outcome.as_ref().err(), Some(&"shape"));
+            assert_eq!(runs.error().kind(), "shape");
         }
     }
 }
@@ -352,13 +277,13 @@ fn apps_that_return_their_extra_read_the_parked_value() {
     let expected_kinds = ["insert-app", "insert-app", "bool-acc", "bool-acc", "scan"];
     for ((label, expr), kind) in cases.iter().zip(expected_kinds) {
         assert_eq!(root_fold(&program, expr, &["S", "T"]).kind.label(), kind);
-        agree(&program, expr, small_env, label);
+        agree(&program, expr, &small_env(), label);
     }
     // Every element sees the whole `extra`, not a placeholder left by the
     // previous one.
-    let value = agree(&program, &cases[0].1, small_env, "insert-app");
+    let value = agree(&program, &cases[0].1, &small_env(), "insert-app");
     assert_eq!(value, Value::set([atom_set([2, 3, 4, 8, 16])]));
-    let value = agree(&program, &cases[2].1, small_env, "bool-acc and");
+    let value = agree(&program, &cases[2].1, &small_env(), "bool-acc and");
     assert_eq!(value, Value::Bool(true));
 }
 
@@ -426,9 +351,9 @@ fn unique_and_shared_inputs_fold_alike() {
         ),
     ];
     for (label, expr) in &cases {
-        agree(&program, expr, small_env, label);
+        agree(&program, expr, &small_env(), label);
     }
-    let shared = agree(&program, &cases[4].1, small_env, "shared by a let");
+    let shared = agree(&program, &cases[4].1, &small_env(), "shared by a let");
     let Value::Tuple(parts) = shared else {
         panic!("a triple")
     };
@@ -452,20 +377,16 @@ fn the_closure_and_join_workloads_elide_every_select() {
         assert!(folds.iter().all(|r| pair_of(r).is_some()), "{label}");
     }
     let g = Digraph::random(7, 0.3, 5);
-    let graph = || {
-        Env::new()
-            .bind("D", g.vertices_value())
-            .bind("E", g.edges_value())
-    };
-    agree(&program, &queries::tc_query(), graph, "E5 TC");
-    agree(&program, &queries::dtc_query(), graph, "E5 DTC");
+    let graph = Env::new()
+        .bind("D", g.vertices_value())
+        .bind("E", g.edges_value());
+    agree(&program, &queries::tc_query(), &graph, "E5 TC");
+    agree(&program, &queries::dtc_query(), &graph, "E5 DTC");
     let db = CompanyDatabase::generate(24, 6, 3, 11);
-    let tables = || {
-        Env::new()
-            .bind("EMP", db.employees_value())
-            .bind("DEPT", db.departments_value())
-    };
-    agree(&program, &queries::company_join(), tables, "E9 join");
+    let tables = Env::new()
+        .bind("EMP", db.employees_value())
+        .bind("DEPT", db.departments_value());
+    agree(&program, &queries::company_join(), &tables, "E9 join");
 }
 
 #[test]
@@ -479,18 +400,12 @@ fn an_elided_select_above_the_gate_shards_and_agrees() {
     let fold = root_fold(&program, &expr, &["S", "T"]);
     assert!(pair_of(&fold).is_some());
     let n = shard_cardinality(fold.unit_cost);
-    let env = || {
-        Env::new()
-            .bind("S", atom_set((0..n).map(|i| i * 3)))
-            .bind("T", atom_set((0..64).map(|i| i * 5)))
-    };
-    let runs = assert_agree(
-        "sharded select",
-        matrix(&program, EvalLimits::benchmark(), &expr, env),
-    );
-    for run in &runs {
-        let pooled = run.config.starts_with("vm[2]") || run.config.starts_with("vm[4]");
-        assert_eq!(run.sharded > 0, pooled, "{}", run.config);
+    let env = Env::new()
+        .bind("S", atom_set((0..n).map(|i| i * 3)))
+        .bind("T", atom_set((0..64).map(|i| i * 5)));
+    let runs = Matrix::new(&program).eval("sharded select", &expr, &env);
+    for run in &runs.runs {
+        assert_eq!(run.sharded > 0, run.pooled(), "{}", run.config);
     }
 }
 
@@ -502,28 +417,14 @@ fn budgets_that_trip_mid_filter_fail_alike() {
         lam("q", "t", member(sel(var("q"), 2), var("t"))),
         var("T"),
     );
-    let runs = assert_agree(
-        "unlimited",
-        matrix(&program, EvalLimits::benchmark(), &expr, small_env),
-    );
-    let Ok((_, _, full)) = &runs[0].outcome else {
-        panic!("the unlimited run fails")
-    };
+    let env = small_env();
+    let full = Matrix::new(&program).eval("unlimited", &expr, &env).stats();
     // The product is charged first; the filter's charges end the run. So
     // every budget from past the product to one short of the end trips
     // inside the filter, at a different element or charge of it.
-    let product = assert_agree(
-        "product alone",
-        matrix(
-            &program,
-            EvalLimits::benchmark(),
-            &cartesian(var("S"), var("S")),
-            small_env,
-        ),
-    );
-    let Ok((_, _, before)) = &product[0].outcome else {
-        panic!("the product fails")
-    };
+    let before = Matrix::new(&program)
+        .eval("product alone", &cartesian(var("S"), var("S")), &env)
+        .stats();
     let steps = (before.steps + 1..full.steps)
         .step_by(97)
         .chain([full.steps - 1]);
@@ -532,11 +433,11 @@ fn budgets_that_trip_mid_filter_fail_alike() {
             max_steps,
             ..EvalLimits::benchmark()
         };
-        let runs = assert_agree(
-            &format!("max_steps {max_steps}"),
-            matrix(&program, limits, &expr, small_env),
-        );
-        assert_eq!(runs[0].outcome.as_ref().err(), Some(&"step_limit_exceeded"));
+        let label = format!("max_steps {max_steps}");
+        let runs = Matrix::new(&program)
+            .limits(limits)
+            .eval(&label, &expr, &env);
+        assert_eq!(runs.error().kind(), "step_limit_exceeded", "{label}");
     }
     let weights = (before.max_value_weight + 1..full.max_value_weight)
         .step_by(5)
@@ -546,11 +447,11 @@ fn budgets_that_trip_mid_filter_fail_alike() {
             max_value_weight,
             ..EvalLimits::benchmark()
         };
-        let runs = assert_agree(
-            &format!("max_value_weight {max_value_weight}"),
-            matrix(&program, limits, &expr, small_env),
-        );
-        assert_eq!(runs[0].outcome.as_ref().err(), Some(&"size_limit_exceeded"));
+        let label = format!("max_value_weight {max_value_weight}");
+        let runs = Matrix::new(&program)
+            .limits(limits)
+            .eval(&label, &expr, &env);
+        assert_eq!(runs.error().kind(), "size_limit_exceeded", "{label}");
     }
 }
 

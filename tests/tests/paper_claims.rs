@@ -154,18 +154,15 @@ fn section_6_classifier_places_the_paper_programs_in_their_fragments() {
 fn section_7_order_verdicts_match_renaming_behaviour() {
     use srl_analysis::{analyze_order_dependence, OrderVerdict};
     use srl_core::dsl::var;
-    use srl_core::{Env, ExecBackend, Program};
+    use srl_core::{Env, Program};
+    use srl_integration_tests::ENGINES;
     use srl_stdlib::hom;
 
     let program = Program::srl();
     let env = Env::new()
         .bind("S", atom_set([1, 6, 11]))
         .bind("P", atom_set([11]));
-    for backend in [
-        ExecBackend::TreeWalk,
-        ExecBackend::vm(),
-        ExecBackend::vm_with_threads(2),
-    ] {
+    for (_, backend) in ENGINES {
         assert_eq!(
             analyze_order_dependence(backend, &program, &hom::even(var("S")), &env, 16, 8),
             OrderVerdict::ProvedIndependent,

@@ -3,107 +3,56 @@
 //! `ExecBackend::Vm { threads }` promises that the worker-pool width is
 //! pure execution strategy: **identical `Value` results and byte-identical
 //! `EvalStats`** for every thread count on every successful evaluation, and
-//! matching error kinds on failures (`srl-core::parallel` documents how the
-//! ordered shard merge reconstructs the sequential counters). This suite
-//! drives `threads = 1` against a multi-thread pool over every srl-bench
-//! query workload (E1–E9), verifies the parallel path actually *engages*
-//! where it should (via the `Evaluator::parallel_folds` diagnostic) and
-//! provably stays out where it must (order-sensitive folds, degenerate
-//! shard counts), and stresses the budget-limit paths.
-
-use std::sync::Arc;
+//! an identical `EvalError` on failures (`srl-core::parallel` documents how
+//! the ordered shard merge reconstructs the sequential counters). Every case
+//! runs through the shared engine matrix (`srl_integration_tests::Matrix`),
+//! whose pooled engines are the VM at 2 and 4 threads. This suite checks
+//! that the parallel path actually *engages* where it should (the matrix's
+//! per-run shard counts) and provably stays out where it must
+//! (order-sensitive folds, degenerate shard counts), and that a fold failing
+//! inside the pool leaves the sequential run's partial counters.
 
 use srl_core::bytecode::ReduceKind;
 use srl_core::dsl::*;
 use srl_core::parallel::PAR_WORK_THRESHOLD;
-use srl_core::setrepr::with_atom_tier;
-use srl_core::{
-    Dialect, Env, EvalError, EvalLimits, EvalStats, Evaluator, ExecBackend, Expr, Lambda, Program,
-    Value,
+use srl_core::{Dialect, Env, EvalError, EvalLimits, ExecBackend, Expr, Lambda, Program, Value};
+use srl_integration_tests::{
+    atom_set, def_fold, expr_folds, root_fold, shard_cardinality, Matrix, Run, Runs,
 };
-use srl_integration_tests::{atom_set, def_fold, expr_folds, root_fold, shard_cardinality};
 use srl_stdlib::derived::{difference, forall, intersection, map_set, select, union};
 
-/// The pool width the parallel side of every differential pair runs with.
-/// Wider than the container's core count on purpose: correctness must not
-/// depend on shards actually running concurrently.
-const THREADS: usize = 4;
-
-/// Runs `f` under the sequential VM and the pooled VM over one shared
-/// compiled program; returns the two outcomes plus the pooled evaluator's
-/// parallel-fold count.
-#[allow(clippy::type_complexity)]
-fn both(
-    program: &Program,
-    limits: EvalLimits,
-    threads: usize,
-    mut f: impl FnMut(&mut Evaluator) -> Result<Value, EvalError>,
-) -> (
-    Result<(Value, EvalStats), EvalError>,
-    Result<(Value, EvalStats), EvalError>,
-    u64,
-) {
-    let compiled = Arc::new(program.compile());
-    let mut run = |backend: ExecBackend| {
-        let mut ev = Evaluator::from_compiled(Arc::clone(&compiled), limits).with_backend(backend);
-        let result = f(&mut ev).map(|v| (v, *ev.stats()));
-        (result, ev.parallel_folds())
-    };
-    let (seq, seq_folds) = run(ExecBackend::vm());
-    assert_eq!(seq_folds, 0, "threads=1 must never shard");
-    let (par, par_folds) = run(ExecBackend::vm_with_threads(threads));
-    (seq, par, par_folds)
+/// Asserts that every pooled run sharded at least one fold.
+fn assert_pooled_shard(label: &str, runs: &Runs) {
+    for run in runs.runs.iter().filter(|r| r.pooled()) {
+        assert!(run.sharded > 0, "{label} [{}]: no fold sharded", run.config);
+    }
 }
 
-/// Asserts value + stats byte-identity between 1 and `THREADS` threads;
-/// returns the value and whether any fold was sharded.
-fn assert_identical(
-    program: &Program,
-    limits: EvalLimits,
-    label: &str,
-    f: impl FnMut(&mut Evaluator) -> Result<Value, EvalError>,
-) -> (Value, u64) {
-    let (seq, par, par_folds) = both(program, limits, THREADS, f);
-    let (seq_value, seq_stats) = seq.unwrap_or_else(|e| panic!("{label}: sequential failed: {e}"));
-    let (par_value, par_stats) = par.unwrap_or_else(|e| panic!("{label}: parallel failed: {e}"));
-    assert_eq!(seq_value, par_value, "{label}: values differ");
-    assert_eq!(seq_stats, par_stats, "{label}: EvalStats differ");
-    (seq_value, par_folds)
-}
-
-fn assert_expr_identical(program: &Program, expr: &Expr, env: &Env, label: &str) -> (Value, u64) {
-    assert_identical(program, EvalLimits::benchmark(), label, |ev| {
-        ev.eval(expr, env)
-    })
-}
-
-/// Asserts both thread counts fail with the same error kind; returns the
-/// pooled evaluator's sharded-fold count.
-fn assert_same_error(
-    program: &Program,
-    limits: EvalLimits,
-    label: &str,
-    f: impl FnMut(&mut Evaluator) -> Result<Value, EvalError>,
-) -> u64 {
-    let (seq, par, par_folds) = both(program, limits, THREADS, f);
-    let seq_err = match seq {
-        Err(e) => e,
-        Ok((v, _)) => panic!("{label}: sequential unexpectedly succeeded with {v}"),
+/// Asserts that the pooled VMs' partial statistics equal the sequential
+/// VM's under the same tier setting, in every counter but
+/// `max_accumulator_weight`: a sharded fold notes its own accumulator
+/// weight only after a full merge.
+fn assert_pooled_partials_match_sequential(label: &str, runs: &Runs) {
+    let partial = |run: &Run| {
+        run.partial
+            .unwrap_or_else(|| panic!("{label} [{}]: no partial stats", run.config))
     };
-    let par_err = match par {
-        Err(e) => e,
-        Ok((v, _)) => panic!("{label}: parallel unexpectedly succeeded with {v}"),
-    };
-    assert_eq!(
-        std::mem::discriminant(&seq_err),
-        std::mem::discriminant(&par_err),
-        "{label}: error kinds differ (seq: {seq_err:?}, par: {par_err:?})"
-    );
-    par_folds
+    for run in runs.runs.iter().filter(|r| r.pooled()) {
+        let sequential = runs
+            .runs
+            .iter()
+            .find(|r| r.backend == ExecBackend::vm() && r.tier_on == run.tier_on)
+            .map(partial)
+            .expect("the matrix runs the sequential VM");
+        let mut stats = partial(run);
+        stats.max_accumulator_weight = sequential.max_accumulator_weight;
+        assert_eq!(stats, sequential, "{label} [{}]: partial stats", run.config);
+    }
 }
 
 // ---------------------------------------------------------------------------
 // The srl-bench query workloads, E1–E9: thread count must be unobservable.
+// An input runs in one suite only; this suite holds the sharded sizes.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -111,14 +60,9 @@ fn e1_apath_agrees() {
     use srl_stdlib::agap::{apath_program, names};
     use workloads::altgraph::AlternatingGraph;
 
-    let program = apath_program();
-    for n in [4usize, 6] {
-        let graph = AlternatingGraph::random(n, 0.25, 7 + n as u64);
-        let args = [graph.nodes_value(), graph.edges_value(), graph.ands_value()];
-        assert_identical(&program, EvalLimits::benchmark(), "E1 APATH", |ev| {
-            ev.call(names::APATH, &args)
-        });
-    }
+    let graph = AlternatingGraph::random(5, 0.25, 12);
+    let args = [graph.nodes_value(), graph.edges_value(), graph.ands_value()];
+    Matrix::new(&apath_program()).call("E1 APATH", names::APATH, &args);
 }
 
 /// The fewest atoms whose powerset runs a sift fold at or above the gate.
@@ -135,25 +79,13 @@ fn powerset_shard_atoms(program: &Program) -> u64 {
 fn e2_powerset_agrees() {
     use srl_stdlib::blowup::{names, powerset_program};
 
-    let program = powerset_program();
-    let sharded = powerset_shard_atoms(&program);
-    for n in [0u64, 1, 3, sharded] {
-        let input = atom_set(0..n);
-        let (v, par_folds) =
-            assert_identical(&program, EvalLimits::default(), "E2 powerset", |ev| {
-                ev.call(names::POWERSET, std::slice::from_ref(&input))
-            });
+    // The degenerate sizes: no atom, one atom, fewer atoms than threads.
+    let matrix = Matrix::new(&powerset_program()).limits(EvalLimits::default());
+    for n in [0u64, 1, 3] {
+        let v = matrix
+            .call("E2 powerset", names::POWERSET, &[atom_set(0..n)])
+            .value();
         assert_eq!(v.len(), Some(1 << n));
-        if n == sharded {
-            // The headline assertion of the interprocedural summary: sift's
-            // call-threaded fold (through finsert's spine) is proved a
-            // proper hom and actually reaches the pool once the inner sets
-            // clear the work threshold.
-            assert!(
-                par_folds > 0,
-                "E2 n={n} must engage the pool (call-threaded spine proved), got 0 sharded folds"
-            );
-        }
     }
 }
 
@@ -161,46 +93,29 @@ fn e2_powerset_agrees() {
 fn e2_powerset_is_identical_across_pool_widths() {
     use srl_stdlib::blowup::{names, powerset_program};
 
-    // Byte-identity must hold at every pool width, not just the suite's
-    // default pair: 2 and 4 threads partition the inner sift folds
-    // differently, so each width exercises a different merge shape.
+    // The headline assertion of the interprocedural summary: sift's
+    // call-threaded fold (through finsert's spine) is proved a proper hom
+    // and reaches the pool once the inner sets clear the work threshold.
+    // 2 and 4 threads partition the inner sift folds differently, so each
+    // width exercises a different merge shape.
     let program = powerset_program();
-    let input = atom_set(0..powerset_shard_atoms(&program));
-    let mut outcomes = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let (seq, par, par_folds) = both(&program, EvalLimits::default(), threads.max(2), |ev| {
-            ev.call(names::POWERSET, std::slice::from_ref(&input))
-        });
-        let which = if threads == 1 { seq } else { par };
-        let (value, stats) = which.unwrap_or_else(|e| panic!("E2 threads={threads} failed: {e}"));
-        if threads > 1 {
-            assert!(par_folds > 0, "E2 threads={threads} must shard");
-        }
-        outcomes.push((value, stats));
-    }
-    let (v1, s1) = &outcomes[0];
-    for (i, (v, s)) in outcomes.iter().enumerate().skip(1) {
-        assert_eq!(v1, v, "E2 value differs at width index {i}");
-        assert_eq!(s1, s, "E2 EvalStats differ at width index {i}");
-    }
+    let n = powerset_shard_atoms(&program);
+    let runs = Matrix::new(&program).limits(EvalLimits::default()).call(
+        "E2 powerset",
+        names::POWERSET,
+        &[atom_set(0..n)],
+    );
+    assert_eq!(runs.value().len(), Some(1 << n));
+    assert_pooled_shard("E2 powerset", &runs);
 }
 
 #[test]
 fn e3_basrl_arithmetic_agrees() {
     use srl_stdlib::arith::{arithmetic_program, domain, names};
 
-    let program = arithmetic_program();
-    let d = domain(16);
-    for (name, extra) in [
-        (names::ADD, vec![5u64, 4]),
-        (names::MULT, vec![3, 4]),
-        (names::BIT, vec![1, 5]),
-    ] {
-        let mut args = vec![d.clone()];
-        args.extend(extra.iter().map(|&x| Value::atom(x)));
-        assert_identical(&program, EvalLimits::benchmark(), name, |ev| {
-            ev.call(name, &args)
-        });
+    let matrix = Matrix::new(&arithmetic_program());
+    for (name, x, y) in [(names::ADD, 5, 2), (names::MULT, 3, 2), (names::BIT, 1, 5)] {
+        matrix.call(name, name, &[domain(8), Value::atom(x), Value::atom(y)]);
     }
 }
 
@@ -209,17 +124,13 @@ fn e4_permutation_product_agrees() {
     use srl_stdlib::perm::{names, padded_domain, perm_program};
     use workloads::permutation::IteratedProductInstance;
 
-    let program = perm_program();
-    let n = 6usize;
-    let instance = IteratedProductInstance::random(n, n, 11 + n as u64);
+    let instance = IteratedProductInstance::random(4, 4, 15);
     let args = [
         padded_domain(&instance),
         instance.to_srl_value(),
         Value::atom(2),
     ];
-    assert_identical(&program, EvalLimits::benchmark(), "E4 IP", |ev| {
-        ev.call(names::IP, &args)
-    });
+    Matrix::new(&perm_program()).call("E4 IP", names::IP, &args);
 }
 
 #[test]
@@ -230,43 +141,25 @@ fn e5_tc_dtc_agree_and_shard() {
     let program = Program::new(Dialect::full());
     // Each pivot's join filters the cartesian square of the closure so
     // far, which holds at least the `n` reflexive pairs. From the `n` whose
-    // square clears the gate, every join shards.
+    // square clears the gate, every join shards. A perfect matching keeps
+    // the closure, and so the test, small.
     let filter_cost = expr_folds(&program, &queries::tc_query(), &["D", "E"])
         .into_iter()
         .find(|r| matches!(r.kind, ReduceKind::Filter { .. }))
         .expect("the pivot join filters its product")
         .unit_cost;
     let pairs = shard_cardinality(filter_cost);
-    let sharded = (1..).find(|n| n * n >= pairs).unwrap() as usize;
-    // The report's random graphs (n = 6, 14) check agreement. At the
-    // sharded size a perfect matching keeps the closure, and so the test,
-    // small.
-    let graphs = [6usize, 14]
-        .map(|n| (n, Digraph::random(n, 2.0 / n as f64, 23 + n as u64)))
-        .into_iter()
-        .chain([(
-            sharded,
-            Digraph::new(sharded, (0..sharded / 2).map(|i| (2 * i, 2 * i + 1))),
-        )]);
-    for (n, g) in graphs {
-        let env = Env::new()
-            .bind("D", g.vertices_value())
-            .bind("E", g.edges_value());
-        for (label, expr) in [
-            ("E5 TC", queries::tc_query()),
-            ("E5 DTC", queries::dtc_query()),
-        ] {
-            let (_, par_folds) = assert_identical(&program, EvalLimits::benchmark(), label, |ev| {
-                let lowered = ev.lower(&expr, &env);
-                ev.eval_lowered(&lowered, &env)
-            });
-            // The select-over-cartesian folds clear the work threshold at
-            // this size: the pool really engages, it is not quietly falling
-            // back to sequential.
-            if n == sharded {
-                assert!(par_folds > 0, "{label}: expected sharded folds at n={n}");
-            }
-        }
+    let n = (1..).find(|n| n * n >= pairs).unwrap() as usize;
+    let g = Digraph::new(n, (0..n / 2).map(|i| (2 * i, 2 * i + 1)));
+    let env = Env::new()
+        .bind("D", g.vertices_value())
+        .bind("E", g.edges_value());
+    let matrix = Matrix::new(&program).without_tree_walk();
+    for (label, expr) in [
+        ("E5 TC", queries::tc_query()),
+        ("E5 DTC", queries::dtc_query()),
+    ] {
+        assert_pooled_shard(label, &matrix.eval(label, &expr, &env));
     }
 }
 
@@ -277,17 +170,14 @@ fn e6_primrec_and_lrl_doubling_agree() {
     use srl_stdlib::primrec_compile::{compile, encode_nat};
 
     let add = compile(&library::add()).expect("add compiles");
-    let args = [encode_nat(5), encode_nat(3)];
-    let entry = add.entry.clone();
-    assert_identical(&add.program, EvalLimits::benchmark(), "E6 PR add", |ev| {
-        ev.call(&entry, &args)
-    });
-
-    let doubling = lrl_doubling_program();
-    let input = Value::list((0..5u64).map(Value::atom));
-    assert_identical(&doubling, EvalLimits::default(), "E6 LRL doubling", |ev| {
-        ev.call(blow_names::DOUBLING, std::slice::from_ref(&input))
-    });
+    Matrix::new(&add.program).call("E6 PR add", &add.entry, &[encode_nat(2), encode_nat(6)]);
+    Matrix::new(&lrl_doubling_program())
+        .limits(EvalLimits::default())
+        .call(
+            "E6 LRL doubling",
+            blow_names::DOUBLING,
+            &[Value::list((0..3u64).map(Value::atom))],
+        );
 }
 
 #[test]
@@ -295,33 +185,28 @@ fn e7_tm_simulation_agrees() {
     use machines::tm::library::{even_parity, SYM_A, SYM_B};
     use srl_stdlib::tm_sim::{compile, encode_input, names, position_domain};
 
-    let program = compile(&even_parity());
-    for n in [4usize, 16] {
-        let input: Vec<u8> = (0..n)
-            .map(|i| if i % 3 == 0 { SYM_A } else { SYM_B })
-            .collect();
-        let args = [position_domain(n), encode_input(&input)];
-        assert_identical(&program, EvalLimits::benchmark(), "E7 accepts", |ev| {
-            ev.call(names::ACCEPTS, &args)
-        });
-    }
+    let n = 4;
+    let input: Vec<u8> = (0..n)
+        .map(|i| if i % 3 == 0 { SYM_A } else { SYM_B })
+        .collect();
+    let args = [position_domain(n), encode_input(&input)];
+    Matrix::new(&compile(&even_parity())).call("E7 accepts", names::ACCEPTS, &args);
 }
 
 #[test]
 fn e8_order_dependence_probes_agree() {
     use srl_stdlib::hom;
 
-    let program = Program::srl();
+    let matrix = Matrix::new(&Program::srl());
     let env = Env::new()
-        .bind("S", atom_set([0, 2, 4, 6]))
-        .bind("P", atom_set([6]));
-    assert_expr_identical(
-        &program,
+        .bind("S", atom_set([1, 3, 5, 7, 9]))
+        .bind("P", atom_set([5]));
+    matrix.eval(
+        "E8 purple_first",
         &hom::purple_first(var("S"), var("P")),
         &env,
-        "E8 purple_first",
     );
-    assert_expr_identical(&program, &hom::even(var("S")), &env, "E8 even");
+    matrix.eval("E8 even", &hom::even(var("S")), &env);
 }
 
 #[test]
@@ -329,17 +214,16 @@ fn e9_relational_queries_agree() {
     use srl_bench::queries;
     use workloads::tables::CompanyDatabase;
 
-    let program = Program::new(Dialect::full());
+    let matrix = Matrix::new(&Program::new(Dialect::full()));
     let db = CompanyDatabase::generate(64, 16, 4, 47);
     let env = Env::new()
         .bind("EMP", db.employees_value())
         .bind("DEPT", db.departments_value());
-    assert_expr_identical(&program, &queries::company_join(), &env, "E9 join");
-    assert_expr_identical(
-        &program,
+    matrix.eval("E9 join", &queries::company_join(), &env);
+    matrix.eval(
+        "E9 select/project",
         &queries::employees_in_department(db.departments[0].id),
         &env,
-        "E9 select/project",
     );
 }
 
@@ -421,11 +305,11 @@ fn hom_kind_cases() -> Vec<(&'static str, Expr)> {
 
 #[test]
 fn each_hom_kind_shards_and_stays_identical() {
-    let program = Program::srl();
+    let matrix = Matrix::new(&Program::srl()).without_tree_walk();
     let env = big_env();
-    for (label, expr) in hom_kind_cases() {
-        let (_, par_folds) = assert_expr_identical(&program, &expr, &env, label);
-        assert!(par_folds > 0, "{label}: parallel path did not engage");
+    // The filter kind is `tree_walk_still_matches_the_pooled_vm`'s case.
+    for (label, expr) in hom_kind_cases().into_iter().skip(1) {
+        assert_pooled_shard(label, &matrix.eval(label, &expr, &env));
     }
 
     // Accumulators that cross `ACCUMULATOR_WEIGHT_CAP` (4096): every
@@ -481,64 +365,24 @@ fn each_hom_kind_shards_and_stays_identical() {
         .max()
         .expect("cases are listed")
         .max(4200);
-    let cap_env = || {
-        Env::new()
-            .bind("S", atom_set(0..n))
-            .bind("T", atom_set(n..n + 100))
-    };
+    let cap_env = Env::new()
+        .bind("S", atom_set(0..n))
+        .bind("T", atom_set(n..n + 100));
+    let matrix = Matrix::new(&program);
     for (label, expr) in cap_cases {
-        let runs = engine_matrix(&program, |ev| {
-            ev.eval(&expr, &cap_env()).map(|v| (v, *ev.stats()))
-        });
-        let (first, reference, _) = &runs[0];
-        let (_, stats) = reference
-            .as_ref()
-            .unwrap_or_else(|e| panic!("{label} on {first}: {e}"));
-        assert_eq!(stats.max_accumulator_weight, 4097, "{label}: capped weight");
-        for (config, run, sharded) in &runs[1..] {
-            assert_eq!(run, reference, "{label}: {config} differs from {first}");
-            // The fused union is one bulk merge and never shards; every
-            // other kind takes the shard merge on a pool.
-            let pooled = config.starts_with("vm[2]") || config.starts_with("vm[4]");
-            assert_eq!(
-                *sharded > 0,
-                pooled && label != "union",
-                "{label}: {config}"
-            );
+        let runs = matrix.eval(label, &expr, &cap_env);
+        assert_eq!(
+            runs.stats().max_accumulator_weight,
+            4097,
+            "{label}: capped weight"
+        );
+        // The fused union is one bulk merge and never shards; every other
+        // kind takes the shard merge on a pool.
+        for run in &runs.runs {
+            let sharded = run.pooled() && label != "union";
+            assert_eq!(run.sharded > 0, sharded, "{label} [{}]", run.config);
         }
     }
-}
-
-/// Runs `f` on the tree-walk and the VM at 1, 2 and 4 threads, each with
-/// the columnar tiers on and off (inputs built by `f` under that setting);
-/// returns every outcome, labelled, with its sharded-fold count.
-fn engine_matrix<R>(
-    program: &Program,
-    mut f: impl FnMut(&mut Evaluator) -> R,
-) -> Vec<(String, R, u64)> {
-    let compiled = Arc::new(program.compile());
-    let mut runs = Vec::new();
-    for tier_on in [true, false] {
-        with_atom_tier(tier_on, || {
-            for (name, backend) in [
-                ("tree", ExecBackend::TreeWalk),
-                ("vm[1]", ExecBackend::vm()),
-                ("vm[2]", ExecBackend::vm_with_threads(2)),
-                ("vm[4]", ExecBackend::vm_with_threads(4)),
-            ] {
-                let mut ev =
-                    Evaluator::from_compiled(Arc::clone(&compiled), EvalLimits::benchmark())
-                        .with_backend(backend);
-                let result = f(&mut ev);
-                runs.push((
-                    format!("{name} tier={tier_on}"),
-                    result,
-                    ev.parallel_folds(),
-                ));
-            }
-        });
-    }
-    runs
 }
 
 #[test]
@@ -561,34 +405,40 @@ fn local_spine_over_a_non_set_base_fails_like_the_tree_walk() {
         bool_(false),
         empty_set(),
     );
-    let runs = engine_matrix(&program, |ev| {
-        let err = ev
-            .eval(&expr, &Env::new().bind("S", atom_set(0..5000)))
-            .expect_err("insert into a boolean");
-        (err, *ev.last_error_stats().expect("partial stats"))
-    });
-    let (first, (_, reference), _) = &runs[0];
+    let env = Env::new().bind("S", atom_set(0..5000));
+    let runs = Matrix::new(&program).eval("non-set base", &expr, &env);
+    assert!(
+        matches!(
+            runs.error(),
+            EvalError::Shape {
+                operator: "insert",
+                ..
+            }
+        ),
+        "{:?}",
+        runs.error()
+    );
+    let reference = runs.runs[0].partial.expect("partial stats");
     assert_eq!(reference.reduce_iterations, 1, "{reference:?}");
-    for (config, (err, stats), sharded) in &runs {
-        assert!(
-            matches!(
-                err,
-                EvalError::Shape {
-                    operator: "insert",
-                    ..
-                }
-            ),
-            "{config}: {err:?}"
+    for run in &runs.runs {
+        assert_eq!(
+            run.sharded, 0,
+            "{}: a non-set base never shards",
+            run.config
         );
-        assert_eq!(*sharded, 0, "{config}: a non-set base never shards");
-        assert_eq!(stats, reference, "{config} vs {first}: partial stats");
+        assert_eq!(
+            run.partial,
+            Some(reference),
+            "{}: partial stats",
+            run.config
+        );
     }
 }
 
 #[test]
 fn named_atom_first_wins_survives_shard_merges() {
     // Equal-comparing values that differ only in display (named vs. plain
-    // atoms): value equality cannot see the difference, so this test
+    // atoms): value equality cannot see the difference, so the matrix
     // compares the *printed* results. The projection collides every third
     // element onto the same atom rank under a different name; sequential
     // first-wins keeps the copy from the earliest element, and the ordered
@@ -599,23 +449,14 @@ fn named_atom_first_wins_survives_shard_merges() {
     let pairs = Value::set(
         (0..n).map(|i| Value::tuple([Value::atom(i), Value::named_atom(i / 3, format!("v{i}"))])),
     );
-    let env = Env::new().bind("S", pairs);
-    let compiled = Arc::new(program.compile());
-    let mut shown = Vec::new();
-    for backend in [ExecBackend::vm(), ExecBackend::vm_with_threads(THREADS)] {
-        let mut ev = Evaluator::from_compiled(Arc::clone(&compiled), EvalLimits::benchmark())
-            .with_backend(backend);
-        let v = ev.eval(&expr, &env).expect("projection evaluates");
-        if backend != ExecBackend::vm() {
-            assert!(ev.parallel_folds() > 0, "projection fold should shard");
-        }
-        shown.push(format!("{v}"));
-    }
-    assert_eq!(
-        shown[0], shown[1],
-        "displayed copies drifted across the merge"
+    let runs = Matrix::new(&program).without_tree_walk().eval(
+        "projection",
+        &expr,
+        &Env::new().bind("S", pairs),
     );
-    assert!(shown[0].contains("v0#0"), "{}", shown[0]);
+    assert_pooled_shard("projection", &runs);
+    let shown = runs.value().to_string();
+    assert!(shown.contains("v0#0"), "{shown}");
 }
 
 #[test]
@@ -640,18 +481,13 @@ fn the_gate_shards_from_exactly_par_work_threshold() {
     let cost = u64::from(fold.unit_cost);
     let at = shard_cardinality(fold.unit_cost);
     assert_eq!(at * cost, PAR_WORK_THRESHOLD, "unit cost {cost}");
+    let matrix = Matrix::new(&program).without_tree_walk();
     for n in [at - 1, at] {
-        let env = Env::new().bind("S", atom_set(0..n));
-        let (seq, par, par_folds) = both(&program, EvalLimits::benchmark(), 2, |ev| {
-            ev.eval(&expr, &env)
-        });
-        let seq = seq.unwrap_or_else(|e| panic!("n={n}: sequential failed: {e}"));
-        let par = par.unwrap_or_else(|e| panic!("n={n}: pooled failed: {e}"));
-        assert_eq!(seq, par, "n={n}: value or EvalStats differ");
-        if n * cost < PAR_WORK_THRESHOLD {
-            assert_eq!(par_folds, 0, "{} units is below the gate", n * cost);
-        } else {
-            assert!(par_folds > 0, "{} units is at the gate", n * cost);
+        let label = format!("{} units", n * cost);
+        let runs = matrix.eval(&label, &expr, &Env::new().bind("S", atom_set(0..n)));
+        for run in runs.runs.iter().filter(|r| r.pooled()) {
+            let at_gate = n * cost >= PAR_WORK_THRESHOLD;
+            assert_eq!(run.sharded > 0, at_gate, "{label} [{}]", run.config);
         }
     }
 }
@@ -724,9 +560,15 @@ fn non_hom_folds_never_shard() {
         .bind("T", tuples)
         .bind("p", Value::atom(17))
         .bind("S", atom_set(0..600));
+    let matrix = Matrix::new(&program);
     for (label, expr) in [("scan", scan_fold()), ("generic", cons_collect_fold())] {
-        let (_, par_folds) = assert_expr_identical(&program, &expr, &env, label);
-        assert_eq!(par_folds, 0, "{label}: ordered fold must not shard");
+        for run in matrix.eval(label, &expr, &env).runs {
+            assert_eq!(
+                run.sharded, 0,
+                "{label} [{}]: ordered fold sharded",
+                run.config
+            );
+        }
     }
 }
 
@@ -736,7 +578,7 @@ fn non_hom_folds_never_shard() {
 
 #[test]
 fn shard_count_edge_cases_agree() {
-    let program = Program::srl();
+    let matrix = Matrix::new(&Program::srl());
     for n in [0u64, 1, 3] {
         // Fewer elements than threads (and the empty/singleton degenerate
         // cases): sequential fallback or degenerate sharding, either way
@@ -756,19 +598,14 @@ fn shard_count_edge_cases_agree() {
                 ),
             ),
         ] {
-            assert_expr_identical(&program, &expr, &env, &format!("{label} n={n}"));
+            matrix.eval(&format!("{label} n={n}"), &expr, &env);
         }
     }
-    // One more: n exactly equal to the pool width.
+    // One more: n exactly equal to the widest pool.
     let env = Env::new()
-        .bind("S", atom_set(0..THREADS as u64))
+        .bind("S", atom_set(0..4))
         .bind("T", atom_set(0..3));
-    assert_expr_identical(
-        &program,
-        &intersection(var("S"), var("T")),
-        &env,
-        "n == threads",
-    );
+    matrix.eval("n == threads", &intersection(var("S"), var("T")), &env);
 }
 
 #[test]
@@ -788,13 +625,15 @@ fn nested_hom_folds_agree_under_limits() {
     let env = Env::new()
         .bind("S", atom_set(0..n))
         .bind("T", atom_set(0..24));
-    let limits = EvalLimits::default();
-    let (_, par_folds) =
-        assert_identical(&program, limits, "nested folds", |ev| ev.eval(&expr, &env));
-    assert!(par_folds > 0, "outer fold should shard");
+    let runs =
+        Matrix::new(&program)
+            .limits(EvalLimits::default())
+            .eval("nested folds", &expr, &env);
+    assert_pooled_shard("nested folds", &runs);
 
-    // The same program against budgets that cross mid-fold: the error kind
-    // must match the sequential run's (partial counters may differ).
+    // The same program against budgets that cross mid-fold: every engine
+    // raises the same error, and the pooled VMs leave the sequential VM's
+    // partial counters.
     for (label, limits) in [
         (
             "nested step limit",
@@ -805,7 +644,12 @@ fn nested_hom_folds_agree_under_limits() {
             EvalLimits::default().with_max_value_weight(40),
         ),
     ] {
-        assert_same_error(&program, limits, label, |ev| ev.eval(&expr, &env));
+        let runs = Matrix::new(&program)
+            .limits(limits)
+            .eval(label, &expr, &env);
+        assert!(runs.error().is_limit(), "{label}: {:?}", runs.error());
+        assert_pooled_shard(label, &runs);
+        assert_pooled_partials_match_sequential(label, &runs);
     }
 }
 
@@ -854,35 +698,26 @@ fn limit_and_shape_error_kinds_agree() {
         ),
     ];
     for (label, limits, expr) in cases {
-        let par_folds = assert_same_error(&program, limits, label, |ev| ev.eval(&expr, &env));
+        let runs = Matrix::new(&program)
+            .limits(limits)
+            .eval(label, &expr, &env);
         // The failure must come from inside the pool, not from a fold that
         // quietly ran sequentially below the gate.
-        assert!(par_folds > 0, "{label}: the failing fold did not shard");
+        assert_pooled_shard(label, &runs);
+        assert_pooled_partials_match_sequential(label, &runs);
     }
 }
 
 #[test]
 fn tree_walk_still_matches_the_pooled_vm() {
-    // Transitivity spot-check across the full engine matrix: tree-walk,
-    // sequential VM, pooled VM — one workload, three engines, one answer.
-    let program = Program::srl();
+    // One workload with a known answer: the sharded intersection over the
+    // big inputs is the native one on every engine.
     let env = big_env();
-    let expr = intersection(var("S"), var("T"));
-    let compiled = Arc::new(program.compile());
-    let mut results = Vec::new();
-    for backend in [
-        ExecBackend::TreeWalk,
-        ExecBackend::vm(),
-        ExecBackend::vm_with_threads(THREADS),
-    ] {
-        let mut ev = Evaluator::from_compiled(Arc::clone(&compiled), EvalLimits::benchmark())
-            .with_backend(backend);
-        let v = ev.eval(&expr, &env).expect("evaluates");
-        results.push((v, *ev.stats()));
-        if let ExecBackend::Vm { threads: 2.. } = backend {
-            assert!(ev.parallel_folds() > 0, "the pooled VM must shard");
-        }
-    }
-    assert_eq!(results[0], results[1]);
-    assert_eq!(results[1], results[2]);
+    let runs = Matrix::new(&Program::srl()).eval("filter", &intersection(var("S"), var("T")), &env);
+    assert_pooled_shard("filter", &runs);
+    let (s, t) = (
+        env.get("S").and_then(Value::as_set).expect("S is a set"),
+        env.get("T").and_then(Value::as_set).expect("T is a set"),
+    );
+    assert_eq!(runs.value(), Value::set(s.iter().filter(|x| t.contains(x))));
 }

@@ -19,7 +19,8 @@
 use srl_core::ast::Expr;
 use srl_core::pipeline::Pipeline;
 use srl_core::program::Program;
-use srl_core::{EvalLimits, ExecBackend, Value};
+use srl_core::{EvalLimits, Value};
+use srl_integration_tests::ENGINES;
 use srl_syntax::parser::{parse_expr, parse_program_in, ParseErrorKind};
 use srl_syntax::printer::{print_expr, print_program};
 use srl_syntax::Span;
@@ -131,13 +132,13 @@ fn derived_operator_library_roundtrips() {
 
 /// The acceptance gate: a program that flows in as *text* evaluates with
 /// `EvalStats` byte-identical to the same program built from the DSL, on
-/// both backends.
+/// every engine of the shared matrix.
 #[test]
 fn text_programs_match_dsl_stats_on_both_backends() {
     let program = srl_stdlib::blowup::powerset_program();
     let text = print_program(&program);
     let input = Value::set((0..6).map(Value::atom));
-    for backend in [ExecBackend::TreeWalk, ExecBackend::vm()] {
+    for (_, backend) in ENGINES {
         let pipeline = Pipeline::new()
             .with_limits(EvalLimits::default())
             .with_backend(backend);

@@ -1,52 +1,25 @@
 //! Property-style tests on the core invariants.
 //!
 //! The build runs offline (no proptest), so these drive the same properties
-//! with a small deterministic case generator: a SplitMix64 stream per test
-//! seed, 64 cases per property — failures print the generating seed so the
-//! case can be replayed exactly.
+//! with the shared deterministic case generator (`srl_integration_tests::Gen`,
+//! SplitMix64): one stream per test seed, 64 cases per property — failures
+//! print the generating seed so the case can be replayed exactly.
 
 use srl_core::dsl::*;
 use srl_core::eval::eval_expr;
 use srl_core::{BigNat, Env, EvalLimits, Value};
-use srl_integration_tests::atom_set;
+use srl_integration_tests::{atom_set, Gen};
 use srl_stdlib::derived::{difference, intersection, member, set_eq, subset, union};
 use srl_stdlib::hom;
 use workloads::orderings::DomainRenaming;
 
 const CASES: u64 = 64;
 
-/// Deterministic case stream (SplitMix64 — same construction as the vendored
-/// `rand` shim, but independent of it so core invariants don't depend on the
-/// shim's stream).
-struct Gen {
-    state: u64,
-}
-
-impl Gen {
-    fn new(seed: u64) -> Self {
-        Gen {
-            state: seed ^ 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n.max(1)
-    }
-
-    /// A vector of up to 9 atom ranks drawn from `0..24` (duplicates kept, as
-    /// proptest's `vec(0u64..24, 0..10)` would produce).
-    fn small_set(&mut self) -> Vec<u64> {
-        let len = self.below(10);
-        (0..len).map(|_| self.below(24)).collect()
-    }
+/// A vector of up to 9 atom ranks drawn from `0..24` (duplicates kept, as
+/// proptest's `vec(0u64..24, 0..10)` would produce).
+fn small_set(g: &mut Gen) -> Vec<u64> {
+    let len = g.below(10);
+    (0..len).map(|_| g.below(24)).collect()
 }
 
 fn eval(expr: &srl_core::Expr, env: &Env) -> Value {
@@ -82,8 +55,8 @@ fn bignat_shifts_invert() {
 fn srl_union_is_commutative_idempotent_and_matches_native() {
     let mut g = Gen::new(3);
     for case in 0..CASES {
-        let a = g.small_set();
-        let b = g.small_set();
+        let a = small_set(&mut g);
+        let b = small_set(&mut g);
         let env = Env::new()
             .bind("A", atom_set(a.clone()))
             .bind("B", atom_set(b.clone()));
@@ -101,8 +74,8 @@ fn srl_union_is_commutative_idempotent_and_matches_native() {
 fn srl_set_algebra_matches_native() {
     let mut g = Gen::new(4);
     for case in 0..CASES {
-        let a = g.small_set();
-        let b = g.small_set();
+        let a = small_set(&mut g);
+        let b = small_set(&mut g);
         let env = Env::new()
             .bind("A", atom_set(a.clone()))
             .bind("B", atom_set(b.clone()));
@@ -131,7 +104,7 @@ fn srl_set_algebra_matches_native() {
 fn srl_membership_matches_native() {
     let mut g = Gen::new(5);
     for case in 0..CASES {
-        let a = g.small_set();
+        let a = small_set(&mut g);
         let probe = g.below(24);
         let env = Env::new().bind("A", atom_set(a.clone()));
         let v = eval(&member(atom(probe), var("A")), &env);
@@ -147,7 +120,7 @@ fn srl_membership_matches_native() {
 fn proper_hom_queries_are_invariant_under_renaming() {
     let mut g = Gen::new(6);
     for case in 0..CASES {
-        let a = g.small_set();
+        let a = small_set(&mut g);
         let seed = g.below(1000);
         let s = atom_set(a.clone());
         let renaming = DomainRenaming::random(24, seed);
@@ -197,7 +170,7 @@ fn basrl_arithmetic_matches_native_addition() {
 fn evaluation_is_deterministic() {
     let mut g = Gen::new(8);
     for case in 0..CASES {
-        let a = g.small_set();
+        let a = small_set(&mut g);
         let env = Env::new().bind("A", atom_set(a.clone()));
         let q = hom::count(var("A"));
         let program = srl_core::Program::new(srl_core::Dialect::full());

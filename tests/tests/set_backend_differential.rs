@@ -5,7 +5,7 @@
 //! insert deduplication (first-wins), the choose/rest ascending order, the
 //! `set-reduce` fold order and every `EvalStats` counter. These tests drive
 //! both structures through the same randomized operation sequences
-//! (deterministic SplitMix64 streams, like `property_tests.rs`) and demand
+//! (deterministic streams of the shared SplitMix64 `Gen`) and demand
 //! exact agreement, including on partially-drained sets whose slice window
 //! has advanced.
 
@@ -15,46 +15,22 @@ use std::sync::Arc;
 use srl_core::dsl::*;
 use srl_core::eval::eval_expr_with_stats;
 use srl_core::{Env, EvalLimits, Lambda, SetRepr, Value};
+use srl_integration_tests::Gen;
 
 const CASES: u64 = 64;
 
-/// Deterministic case stream (SplitMix64, as in `property_tests.rs`).
-struct Gen {
-    state: u64,
-}
-
-impl Gen {
-    fn new(seed: u64) -> Self {
-        Gen {
-            state: seed ^ 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n.max(1)
-    }
-
-    /// A value of mixed shape: atoms (sometimes named, to exercise first-wins
-    /// deduplication of equal-but-distinguishable values), bools, nats,
-    /// pairs, and small sets of atoms (nesting exercises the recursive
-    /// `Value` order).
-    fn value(&mut self) -> Value {
-        match self.below(6) {
-            0 => Value::bool(self.below(2) == 0),
-            1 => Value::atom(self.below(12)),
-            2 => Value::named_atom(self.below(12), "n"),
-            3 => Value::nat(self.below(40)),
-            4 => Value::tuple([Value::atom(self.below(6)), Value::atom(self.below(6))]),
-            _ => Value::set((0..self.below(4)).map(|_| Value::atom(self.below(8)))),
-        }
+/// A value of mixed shape: atoms (sometimes named, to exercise first-wins
+/// deduplication of equal-but-distinguishable values), bools, nats,
+/// pairs, and small sets of atoms (nesting exercises the recursive
+/// `Value` order).
+fn value(g: &mut Gen) -> Value {
+    match g.below(6) {
+        0 => Value::bool(g.below(2) == 0),
+        1 => Value::atom(g.below(12)),
+        2 => Value::named_atom(g.below(12), "n"),
+        3 => Value::nat(g.below(40)),
+        4 => Value::tuple([Value::atom(g.below(6)), Value::atom(g.below(6))]),
+        _ => Value::set((0..g.below(4)).map(|_| Value::atom(g.below(8)))),
     }
 }
 
@@ -73,7 +49,7 @@ fn insert_and_membership_agree_with_btreeset() {
         let mut repr = SetRepr::new();
         let mut oracle: BTreeSet<Value> = BTreeSet::new();
         for step in 0..1 + g.below(30) {
-            let v = g.value();
+            let v = value(&mut g);
             let novel_repr = repr.insert(v.clone());
             let novel_oracle = oracle.insert(v.clone());
             assert_eq!(
@@ -81,7 +57,7 @@ fn insert_and_membership_agree_with_btreeset() {
                 "case {case} step {step}: insert novelty differs for {v}"
             );
             assert_eq!(repr.len(), oracle.len(), "case {case} step {step}");
-            let probe = g.value();
+            let probe = value(&mut g);
             assert_eq!(
                 repr.contains(&probe),
                 oracle.contains(&probe),
@@ -128,7 +104,7 @@ fn duplicate_inserts_keep_the_first_element_like_btreeset() {
 fn choose_rest_drain_agrees_with_btreeset_and_cow_is_invisible() {
     let mut g = Gen::new(13);
     for case in 0..CASES {
-        let values: Vec<Value> = (0..g.below(20)).map(|_| g.value()).collect();
+        let values: Vec<Value> = (0..g.below(20)).map(|_| value(&mut g)).collect();
         let mut repr: Arc<SetRepr> = Arc::new(values.iter().cloned().collect());
         let mut oracle: BTreeSet<Value> = values.iter().cloned().collect();
         let mut held: Vec<(Arc<SetRepr>, Vec<Value>)> = Vec::new();
@@ -169,7 +145,7 @@ fn set_reduce_fold_order_matches_btreeset_ascending_order() {
     );
     let mut g = Gen::new(14);
     for case in 0..CASES {
-        let values: Vec<Value> = (0..g.below(16)).map(|_| g.value()).collect();
+        let values: Vec<Value> = (0..g.below(16)).map(|_| value(&mut g)).collect();
         let oracle: BTreeSet<Value> = values.iter().cloned().collect();
         let env = Env::new().bind("S", Value::set(values));
         let (folded, _) =
@@ -197,7 +173,7 @@ fn stats_are_identical_across_representation_states() {
     );
     let mut g = Gen::new(15);
     for case in 0..CASES {
-        let values: Vec<Value> = (0..1 + g.below(12)).map(|_| g.value()).collect();
+        let values: Vec<Value> = (0..1 + g.below(12)).map(|_| value(&mut g)).collect();
         let literal = Value::set(values.clone());
 
         let mut inserted = SetRepr::new();

@@ -3,90 +3,25 @@
 //! The VM backend (`srl_core::ExecBackend::Vm`) promises **identical
 //! `Value` results and byte-identical `EvalStats`** on every successful
 //! evaluation — superinstruction fusion, batched accounting and last-use
-//! register moves are pure machine-level changes. This suite drives both
-//! backends over every srl-bench query workload (E1–E9), the derived-operator
-//! library, deterministic property-style random programs, and the error
-//! paths, comparing results and statistics field-for-field (and, for error
-//! cases, the error kind).
+//! register moves are pure machine-level changes — and an identical
+//! `EvalError` on every failure. This suite drives every case through the
+//! shared engine matrix (`srl_integration_tests::Matrix`): the srl-bench
+//! query workloads (E1–E9), the derived-operator library, deterministic
+//! property-style random programs, and the error paths.
 
 use std::sync::Arc;
 
 use srl_core::dsl::*;
-use srl_core::{
-    Dialect, Env, EvalError, EvalLimits, EvalStats, Evaluator, ExecBackend, Expr, Lambda, Program,
-    Value,
-};
-use srl_integration_tests::atom_set;
-
-/// Runs `f` under both backends over one shared compiled program and
-/// returns the two `(result, stats)` outcomes.
-#[allow(clippy::type_complexity)]
-fn both<R>(
-    program: &Program,
-    limits: EvalLimits,
-    mut f: impl FnMut(&mut Evaluator) -> Result<R, EvalError>,
-) -> (
-    Result<(R, EvalStats), EvalError>,
-    Result<(R, EvalStats), EvalError>,
-) {
-    let compiled = Arc::new(program.compile());
-    let mut run = |backend: ExecBackend| {
-        let mut ev = Evaluator::from_compiled(Arc::clone(&compiled), limits).with_backend(backend);
-        let value = f(&mut ev)?;
-        Ok((value, *ev.stats()))
-    };
-    (run(ExecBackend::TreeWalk), run(ExecBackend::vm()))
-}
-
-/// Asserts both backends succeed with the same value and byte-identical
-/// statistics; returns the value.
-fn assert_identical<R: PartialEq + std::fmt::Debug>(
-    program: &Program,
-    limits: EvalLimits,
-    label: &str,
-    f: impl FnMut(&mut Evaluator) -> Result<R, EvalError>,
-) -> R {
-    let (tree, vm) = both(program, limits, f);
-    let (tree_value, tree_stats) =
-        tree.unwrap_or_else(|e| panic!("{label}: tree-walk failed: {e}"));
-    let (vm_value, vm_stats) = vm.unwrap_or_else(|e| panic!("{label}: VM failed: {e}"));
-    assert_eq!(tree_value, vm_value, "{label}: values differ");
-    assert_eq!(tree_stats, vm_stats, "{label}: EvalStats differ");
-    tree_value
-}
-
-/// Asserts both backends fail with the same error kind.
-fn assert_same_error(
-    program: &Program,
-    limits: EvalLimits,
-    label: &str,
-    f: impl FnMut(&mut Evaluator) -> Result<Value, EvalError>,
-) -> EvalError {
-    let (tree, vm) = both(program, limits, f);
-    let tree_err = match tree {
-        Err(e) => e,
-        Ok((v, _)) => panic!("{label}: tree-walk unexpectedly succeeded with {v}"),
-    };
-    let vm_err = match vm {
-        Err(e) => e,
-        Ok((v, _)) => panic!("{label}: VM unexpectedly succeeded with {v}"),
-    };
-    assert_eq!(
-        std::mem::discriminant(&tree_err),
-        std::mem::discriminant(&vm_err),
-        "{label}: error kinds differ (tree: {tree_err:?}, vm: {vm_err:?})"
-    );
-    tree_err
-}
+use srl_core::{Dialect, Env, EvalError, EvalLimits, Expr, Lambda, Program, Value};
+use srl_integration_tests::{atom_set, Gen, Matrix};
 
 fn assert_expr_identical(program: &Program, expr: &Expr, env: &Env, label: &str) -> Value {
-    assert_identical(program, EvalLimits::benchmark(), label, |ev| {
-        ev.eval(expr, env)
-    })
+    Matrix::new(program).eval(label, expr, env).value()
 }
 
 // ---------------------------------------------------------------------------
-// The srl-bench query workloads, E1–E9.
+// The srl-bench query workloads, E1–E9. An input runs in one suite only:
+// the other differential suites hold the family's other sizes.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -94,13 +29,11 @@ fn e1_apath_agrees() {
     use srl_stdlib::agap::{apath_program, names};
     use workloads::altgraph::AlternatingGraph;
 
-    let program = apath_program();
+    let matrix = Matrix::new(&apath_program());
     for n in [4usize, 6] {
         let graph = AlternatingGraph::random(n, 0.25, 7 + n as u64);
         let args = [graph.nodes_value(), graph.edges_value(), graph.ands_value()];
-        assert_identical(&program, EvalLimits::benchmark(), "E1 APATH", |ev| {
-            ev.call(names::APATH, &args)
-        });
+        matrix.call("E1 APATH", names::APATH, &args);
     }
 }
 
@@ -108,33 +41,20 @@ fn e1_apath_agrees() {
 fn e2_powerset_agrees() {
     use srl_stdlib::blowup::{names, powerset_program};
 
-    let program = powerset_program();
-    for n in [0u64, 1, 3, 6, 8] {
-        let input = atom_set(0..n);
-        let v = assert_identical(&program, EvalLimits::default(), "E2 powerset", |ev| {
-            ev.call(names::POWERSET, std::slice::from_ref(&input))
-        });
-        assert_eq!(v.len(), Some(1 << n));
-    }
+    let matrix = Matrix::new(&powerset_program()).limits(EvalLimits::default());
+    let v = matrix
+        .call("E2 powerset", names::POWERSET, &[atom_set(0..6)])
+        .value();
+    assert_eq!(v.len(), Some(1 << 6));
 }
 
 #[test]
 fn e3_basrl_arithmetic_agrees() {
     use srl_stdlib::arith::{arithmetic_program, domain, names};
 
-    let program = arithmetic_program();
-    let n = 16u64;
-    let d = domain(n);
-    for (name, extra) in [
-        (names::ADD, vec![5u64, 4]),
-        (names::MULT, vec![3, 4]),
-        (names::BIT, vec![1, 5]),
-    ] {
-        let mut args = vec![d.clone()];
-        args.extend(extra.iter().map(|&x| Value::atom(x)));
-        assert_identical(&program, EvalLimits::benchmark(), name, |ev| {
-            ev.call(name, &args)
-        });
+    let matrix = Matrix::new(&arithmetic_program());
+    for (name, x, y) in [(names::ADD, 5, 4), (names::MULT, 3, 4), (names::BIT, 1, 5)] {
+        matrix.call(name, name, &[domain(16), Value::atom(x), Value::atom(y)]);
     }
 }
 
@@ -143,17 +63,13 @@ fn e4_permutation_product_agrees() {
     use srl_stdlib::perm::{names, padded_domain, perm_program};
     use workloads::permutation::IteratedProductInstance;
 
-    let program = perm_program();
-    let n = 6usize;
-    let instance = IteratedProductInstance::random(n, n, 11 + n as u64);
+    let instance = IteratedProductInstance::random(6, 6, 17);
     let args = [
         padded_domain(&instance),
         instance.to_srl_value(),
         Value::atom(2),
     ];
-    assert_identical(&program, EvalLimits::benchmark(), "E4 IP", |ev| {
-        ev.call(names::IP, &args)
-    });
+    Matrix::new(&perm_program()).call("E4 IP", names::IP, &args);
 }
 
 #[test]
@@ -161,22 +77,21 @@ fn e5_tc_dtc_agree_lowered_and_direct() {
     use srl_bench::queries;
     use workloads::digraph::Digraph;
 
-    let program = Program::new(Dialect::full());
-    for n in [6usize, 10] {
-        let g = Digraph::random(n, 2.0 / n as f64, 23 + n as u64);
-        let env = Env::new()
-            .bind("D", g.vertices_value())
-            .bind("E", g.edges_value());
-        for (label, expr) in [
-            ("E5 TC", queries::tc_query()),
-            ("E5 DTC", queries::dtc_query()),
-        ] {
-            // The lower-once / evaluate-many path both times.
-            assert_identical(&program, EvalLimits::benchmark(), label, |ev| {
-                let lowered = ev.lower(&expr, &env);
-                ev.eval_lowered(&lowered, &env)
-            });
-        }
+    let matrix = Matrix::new(&Program::new(Dialect::full()));
+    let g = Digraph::random(6, 2.0 / 6.0, 29);
+    let inputs = [g.vertices_value(), g.edges_value()];
+    for (label, expr) in [
+        ("E5 TC", queries::tc_query()),
+        ("E5 DTC", queries::dtc_query()),
+    ] {
+        // The lower-once / evaluate-many path.
+        matrix.run(label, &inputs, |ev, inputs| {
+            let env = Env::new()
+                .bind("D", inputs[0].clone())
+                .bind("E", inputs[1].clone());
+            let lowered = ev.lower(&expr, &env);
+            ev.eval_lowered(&lowered, &env)
+        });
     }
 }
 
@@ -187,17 +102,14 @@ fn e6_primrec_and_lrl_doubling_agree() {
     use srl_stdlib::primrec_compile::{compile, encode_nat};
 
     let add = compile(&library::add()).expect("add compiles");
-    let args = [encode_nat(5), encode_nat(3)];
-    let entry = add.entry.clone();
-    assert_identical(&add.program, EvalLimits::benchmark(), "E6 PR add", |ev| {
-        ev.call(&entry, &args)
-    });
-
-    let doubling = lrl_doubling_program();
-    let input = Value::list((0..5u64).map(Value::atom));
-    assert_identical(&doubling, EvalLimits::default(), "E6 LRL doubling", |ev| {
-        ev.call(blow_names::DOUBLING, std::slice::from_ref(&input))
-    });
+    Matrix::new(&add.program).call("E6 PR add", &add.entry, &[encode_nat(5), encode_nat(3)]);
+    Matrix::new(&lrl_doubling_program())
+        .limits(EvalLimits::default())
+        .call(
+            "E6 LRL doubling",
+            blow_names::DOUBLING,
+            &[Value::list((0..5u64).map(Value::atom))],
+        );
 }
 
 #[test]
@@ -205,16 +117,12 @@ fn e7_tm_simulation_agrees() {
     use machines::tm::library::{even_parity, SYM_A, SYM_B};
     use srl_stdlib::tm_sim::{compile, encode_input, names, position_domain};
 
-    let program = compile(&even_parity());
-    for n in [4usize, 9, 16] {
-        let input: Vec<u8> = (0..n)
-            .map(|i| if i % 3 == 0 { SYM_A } else { SYM_B })
-            .collect();
-        let args = [position_domain(n), encode_input(&input)];
-        assert_identical(&program, EvalLimits::benchmark(), "E7 accepts", |ev| {
-            ev.call(names::ACCEPTS, &args)
-        });
-    }
+    let n = 9;
+    let input: Vec<u8> = (0..n)
+        .map(|i| if i % 3 == 0 { SYM_A } else { SYM_B })
+        .collect();
+    let args = [position_domain(n), encode_input(&input)];
+    Matrix::new(&compile(&even_parity())).call("E7 accepts", names::ACCEPTS, &args);
 }
 
 #[test]
@@ -257,22 +165,9 @@ fn e8_order_dependence_probes_agree() {
 // The derived-operator library (which the fused folds target directly).
 // ---------------------------------------------------------------------------
 
-/// SplitMix64, as in `property_tests.rs`.
-struct Gen(u64);
-
-impl Gen {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn small_set(&mut self) -> Value {
-        let len = self.next_u64() % 10;
-        atom_set((0..len).map(|_| self.next_u64() % 24).collect::<Vec<_>>())
-    }
+fn small_set(g: &mut Gen) -> Value {
+    let len = g.next_u64() % 10;
+    atom_set((0..len).map(|_| g.next_u64() % 24).collect::<Vec<_>>())
 }
 
 #[test]
@@ -285,8 +180,8 @@ fn derived_operators_agree_on_random_sets() {
     let mut g = Gen(42);
     for case in 0..24 {
         let env = Env::new()
-            .bind("A", g.small_set())
-            .bind("B", g.small_set())
+            .bind("A", small_set(&mut g))
+            .bind("B", small_set(&mut g))
             .bind("x", Value::atom(g.next_u64() % 24));
         for (label, expr) in [
             ("union", union(var("A"), var("B"))),
@@ -327,7 +222,7 @@ fn derived_operators_agree_on_random_sets() {
         }
         let nested = Env::new().bind(
             "SS",
-            Value::set([g.small_set(), g.small_set(), g.small_set()]),
+            Value::set([small_set(&mut g), small_set(&mut g), small_set(&mut g)]),
         );
         assert_expr_identical(
             &program,
@@ -486,21 +381,14 @@ fn big_naturals_weigh_the_same_on_every_backend() {
         ),
     );
     let input = Value::set([64, 65, 66].map(|k| Value::Nat(srl_core::BigNat::pow2(k))));
-    let args = [input.clone()];
-    let compiled = Arc::new(program.compile());
-    let run = |backend: ExecBackend| {
-        let mut ev = Evaluator::from_compiled(Arc::clone(&compiled), EvalLimits::default())
-            .with_backend(backend);
-        let v = ev.call("big", &args).expect("big(S) evaluates");
-        (v, *ev.stats())
-    };
-    let tree = run(ExecBackend::TreeWalk);
-    assert_eq!(tree.0, input);
+    let runs = Matrix::new(&program).limits(EvalLimits::default()).call(
+        "big naturals",
+        "big",
+        std::slice::from_ref(&input),
+    );
+    assert_eq!(runs.value(), input);
     // The empty base weighs 1; each 65–67-bit natural weighs 2.
-    assert_eq!(tree.1.max_accumulator_weight, 7);
-    for backend in [ExecBackend::vm(), ExecBackend::vm_with_threads(2)] {
-        assert_eq!(run(backend), tree, "{backend:?} differs from the tree-walk");
-    }
+    assert_eq!(runs.stats().max_accumulator_weight, 7);
 }
 
 #[test]
@@ -630,7 +518,8 @@ fn scan_fold_keeps_last_match() {
 }
 
 // ---------------------------------------------------------------------------
-// Error-path parity (kinds must match; partial stats may differ).
+// Error-path parity: every engine raises the same `EvalError`, payload
+// included; partial stats may differ.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -737,14 +626,18 @@ fn error_kinds_agree() {
         ),
     ];
     for (label, program, expr, env, limits) in cases {
-        assert_same_error(program, limits, label, |ev| ev.eval(&expr, &env));
+        Matrix::new(program)
+            .limits(limits)
+            .eval(label, &expr, &env)
+            .error();
     }
 
     // Arity mismatch through the compiled call path.
     let program = Program::srl().define("pair", ["a", "b"], tuple([var("a"), var("b")]));
-    assert_same_error(&program, EvalLimits::default(), "arity mismatch", |ev| {
-        ev.eval(&call("pair", [atom(1)]), &Env::new())
-    });
+    Matrix::new(&program)
+        .limits(EvalLimits::default())
+        .eval("arity mismatch", &call("pair", [atom(1)]), &Env::new())
+        .error();
 }
 
 #[test]
@@ -754,10 +647,8 @@ fn depth_limit_kind_agrees() {
     for _ in 0..100 {
         e = tuple([e]);
     }
-    assert_same_error(
-        &program,
-        EvalLimits::default().with_max_depth(10),
-        "depth limit",
-        |ev| ev.eval(&e, &Env::new()),
-    );
+    let runs = Matrix::new(&program)
+        .limits(EvalLimits::default().with_max_depth(10))
+        .eval("depth limit", &e, &Env::new());
+    assert_eq!(runs.error(), &EvalError::DepthLimitExceeded { limit: 10 });
 }
