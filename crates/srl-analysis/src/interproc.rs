@@ -39,7 +39,8 @@ pub struct FoldRow {
     /// `true` for a `list-reduce`.
     pub is_list: bool,
     /// Fold strategy label (see `ReduceKind::label`): `generic`, `member`,
-    /// `union`, `product`, `insert-app`, `filter`, `bool-acc`, `scan`.
+    /// `quantifier`, `union`, `product`, `insert-app`, `filter`, `bool-acc`,
+    /// `scan`.
     pub kind: &'static str,
     /// The compile-time algebraic class — [`FoldClass::ProperHom`] folds
     /// may be sharded across the worker pool.
@@ -178,6 +179,9 @@ fn render_reason(program: &CompiledProgram, r: &ReduceInsn) -> String {
         ),
         FoldOrigin::Shape => match r.kind.label() {
             "member" => "fused shape: membership scan (or-fold of equality)".to_string(),
+            "quantifier" => {
+                "fused shape: comparison quantifier (decided from the set's ends)".to_string()
+            }
             "union" => "fused shape: union by insertion (bulk sorted merge)".to_string(),
             "product" => "fused shape: cartesian product (union of map slices)".to_string(),
             "insert-app" => "fused shape: map-style insert fold".to_string(),

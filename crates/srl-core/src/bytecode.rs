@@ -62,7 +62,10 @@
 //!   merges the slice into it in place;
 //! * **fold superinstructions** — a `set-reduce` whose lambdas match one of
 //!   the stdlib's shapes compiles to a single fused [`ReduceKind`]:
-//!   [`ReduceKind::Member`] (the `member` scan becomes a binary search),
+//!   [`ReduceKind::Quantifier`] (an `∃`/`∀` over `x = y`, `x <= y` or
+//!   `y <= x` against the extra — the `member` scan, BASRL's
+//!   `is_min`/`is_max` — is decided from the set's first and last
+//!   elements, plus one binary search for `member`),
 //!   [`ReduceKind::Union`] (the `union` insert-fold becomes one bulk
 //!   `SetMerge` over [`SetRepr::merge_union`](crate::setrepr::SetRepr)),
 //!   [`ReduceKind::Product`] (the stdlib `cartesian` — a fold of per-element
@@ -442,9 +445,10 @@ pub struct ReduceInsn {
 /// independently and merged in shard order. The recognized fused shapes map
 /// as follows:
 ///
-/// * [`ReduceKind::Member`], [`ReduceKind::Union`], [`ReduceKind::Product`]
-///   — proper homs whose data path is already a single closed-form operation
-///   (binary search / bulk merge / one ordered pass over `A × B`);
+/// * [`ReduceKind::Quantifier`], [`ReduceKind::Union`],
+///   [`ReduceKind::Product`] — proper homs whose data path is already a
+///   single closed-form operation (a look at the set's ends or one binary
+///   search / bulk merge / one ordered pass over `A × B`);
 ///   splittable in principle, nothing left to parallelize. The product's
 ///   combiner is a union of slices, hence commutative-associative, but its
 ///   per-pair work is a push, so it is never sharded.
@@ -479,7 +483,7 @@ impl FoldClass {
             return FoldClass::Ordered;
         }
         match kind {
-            ReduceKind::Member
+            ReduceKind::Quantifier { .. }
             | ReduceKind::Union
             | ReduceKind::Product
             | ReduceKind::InsertApp { .. }
@@ -549,9 +553,20 @@ pub enum ReduceKind {
         /// Block of the `acc` lambda body.
         acc: BlockId,
     },
-    /// `app = λ(x,y). x = y`, `acc = or`: the `member` scan. Fully
-    /// arithmetic — the result is a binary search.
-    Member,
+    /// `app = λ(x,y). x ⋈ y` with `⋈` one of `=`, `x <= y`, `y <= x`
+    /// (operands in either order), `acc = or`/`and`: a quantifier over a
+    /// comparison of each element `x` with the fold's extra `y` — the
+    /// `member` scan (`∃`, `=`) and BASRL's `is_min`/`is_max` (`∀`, `≤`).
+    /// Fully arithmetic: over the ascending scan `x = y` holds on at most
+    /// one element, `x <= y` on a prefix and `y <= x` on a suffix, so the
+    /// result and the accumulator's weight trajectory follow from the set's
+    /// first and last elements (and, for `∃`/`=`, one binary search).
+    Quantifier {
+        /// True for `or` (`∃`), false for `and` (`∀`).
+        is_or: bool,
+        /// The comparison of the element with the extra.
+        test: QuantTest,
+    },
     /// `app = identity`, `acc = λ(x,y). insert(x, y)`: the `union`
     /// insert-fold. One bulk sorted merge (`SetRepr::merge_union`).
     Union,
@@ -609,6 +624,40 @@ pub enum ReduceKind {
     },
 }
 
+/// The comparison a [`ReduceKind::Quantifier`] fold applies to each element
+/// `x` and the fold's extra `y`. Each one's truth set is contiguous in the
+/// ascending order, which is what lets the kernel decide the fold from the
+/// set's ends.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum QuantTest {
+    /// `x = y` (or `y = x`): at most one element.
+    Eq,
+    /// `x <= y`: a prefix.
+    XLeqY,
+    /// `y <= x`: a suffix.
+    YLeqX,
+}
+
+impl QuantTest {
+    /// Whether element `x` passes against the extra `y`.
+    pub fn holds(self, x: &Value, y: &Value) -> bool {
+        match self {
+            QuantTest::Eq => x == y,
+            QuantTest::XLeqY => x <= y,
+            QuantTest::YLeqX => y <= x,
+        }
+    }
+
+    /// The comparison as the source writes it, for the disassembler.
+    pub fn label(self) -> &'static str {
+        match self {
+            QuantTest::Eq => "x = y",
+            QuantTest::XLeqY => "x <= y",
+            QuantTest::YLeqX => "y <= x",
+        }
+    }
+}
+
 /// The part of a `select`-shaped [`ReduceKind::Filter`] app that codegen
 /// did not compile: the element read `x` and the tuple `[x, pred]` around
 /// the predicate. The app block computes `pred` alone (at the depth it had
@@ -629,12 +678,18 @@ pub struct ElidedPair {
 
 impl ReduceKind {
     /// Short lowercase label naming the fold strategy (`generic`, `member`,
-    /// `union`, `product`, `insert-app`, `filter`, `bool-acc`, `scan`) for
-    /// diagnostics and the `srl analyze` report.
+    /// `quantifier`, `union`, `product`, `insert-app`, `filter`, `bool-acc`,
+    /// `scan`) for diagnostics and the `srl analyze` report. The
+    /// [`ReduceKind::Quantifier`] kind keeps the name `member` for its
+    /// `∃`/`=` form, the membership scan.
     pub fn label(&self) -> &'static str {
         match self {
             ReduceKind::Generic { .. } => "generic",
-            ReduceKind::Member => "member",
+            ReduceKind::Quantifier {
+                is_or: true,
+                test: QuantTest::Eq,
+            } => "member",
+            ReduceKind::Quantifier { .. } => "quantifier",
             ReduceKind::Union => "union",
             ReduceKind::Product => "product",
             ReduceKind::InsertApp { .. } => "insert-app",
@@ -816,7 +871,8 @@ struct Codegen<'a> {
 /// The recognized `app` lambda shapes.
 enum AppShape {
     Identity,
-    EqXY,
+    /// A comparison of the element with the extra.
+    Compare(QuantTest),
     Other,
 }
 
@@ -1377,12 +1433,12 @@ impl<'a> Codegen<'a> {
     /// instruction count of the lambda blocks it runs per element. A nested
     /// reduce or a call hides an unknown amount of work behind one
     /// instruction, so both weigh far more than a plain instruction. The
-    /// weights are flat: a nested fused `Member` (one binary search) weighs
-    /// as much as a nested fold over a whole relation.
+    /// weights are flat: a nested fused `Quantifier` (one binary search at
+    /// most) weighs as much as a nested fold over a whole relation.
     fn unit_cost(&self, kind: &ReduceKind) -> u32 {
         const BASE: u32 = 4; // the fused accumulator arithmetic per element
         match kind {
-            ReduceKind::Member | ReduceKind::Union | ReduceKind::Product => 0,
+            ReduceKind::Quantifier { .. } | ReduceKind::Union | ReduceKind::Product => 0,
             // An elided `select` pair counts as the two instructions (the
             // element read and the tuple) its source lambda compiles to, so
             // the shard gate sees the same cost either way.
@@ -1431,7 +1487,12 @@ impl<'a> Codegen<'a> {
         let app_shape = self.app_shape(app.body, x, y);
         let acc_shape = self.acc_shape(acc.body, x, y);
         let kind = match (app_shape, acc_shape) {
-            (AppShape::EqXY, AccShape::OrXY) => ReduceKind::Member,
+            (AppShape::Compare(test), acc @ (AccShape::OrXY | AccShape::AndXY)) => {
+                ReduceKind::Quantifier {
+                    is_or: matches!(acc, AccShape::OrXY),
+                    test,
+                }
+            }
             (AppShape::Identity, AccShape::InsertXY) => ReduceKind::Union,
             (_, AccShape::InsertXY) => ReduceKind::InsertApp {
                 app: self.gen_parked_app_block(fs, app.body, 0, true),
@@ -1581,13 +1642,18 @@ impl<'a> Codegen<'a> {
     fn app_shape(&self, body: LId, x: u16, y: u16) -> AppShape {
         match self.node(body) {
             LExpr::Local(s) if *s == x as u32 => AppShape::Identity,
-            LExpr::Eq(a, b)
-                if (self.is_local(*a, x) && self.is_local(*b, y))
-                    || (self.is_local(*a, y) && self.is_local(*b, x)) =>
-            {
-                // Value equality is symmetric and both orders charge the
-                // same two slot-read steps.
-                AppShape::EqXY
+            // Every form charges the same three steps: the comparison and
+            // its two slot reads. Value equality is symmetric.
+            LExpr::Eq(a, b) | LExpr::Leq(a, b) => {
+                let eq = matches!(self.node(body), LExpr::Eq(..));
+                let xy = self.is_local(*a, x) && self.is_local(*b, y);
+                let yx = self.is_local(*a, y) && self.is_local(*b, x);
+                match (eq, xy, yx) {
+                    (true, true, _) | (true, _, true) => AppShape::Compare(QuantTest::Eq),
+                    (false, true, _) => AppShape::Compare(QuantTest::XLeqY),
+                    (false, _, true) => AppShape::Compare(QuantTest::YLeqX),
+                    _ => AppShape::Other,
+                }
             }
             _ => AppShape::Other,
         }
@@ -1827,7 +1893,7 @@ fn max_lexical_height(nodes: &[LExpr], id: LId, h: u16) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Lambda;
+    use crate::ast::{Expr, Lambda};
     use crate::dsl::*;
     use crate::program::Program;
 
@@ -1877,7 +1943,57 @@ mod tests {
             var("target"),
         );
         let (_, chunk) = expr_chunk(&e, &["S", "target"]);
-        assert!(matches!(main_kind(&chunk), ReduceKind::Member));
+        let kind = main_kind(&chunk);
+        assert!(matches!(
+            kind,
+            ReduceKind::Quantifier {
+                is_or: true,
+                test: QuantTest::Eq
+            }
+        ));
+        assert_eq!(kind.label(), "member");
+    }
+
+    #[test]
+    fn comparison_quantifiers_fuse_to_one_kind() {
+        let quantifier = |app: Expr, is_or: bool| {
+            let acc = if is_or {
+                or(var("h"), var("acc"))
+            } else {
+                and(var("h"), var("acc"))
+            };
+            let e = set_reduce(
+                var("S"),
+                lam("x", "t", app),
+                lam("h", "acc", acc),
+                bool_(!is_or),
+                var("target"),
+            );
+            let (_, chunk) = expr_chunk(&e, &["S", "target"]);
+            let r = main_reduce(&chunk);
+            (r.kind.clone(), r.unit_cost)
+        };
+        let cases = [
+            (eq(var("x"), var("t")), QuantTest::Eq),
+            (eq(var("t"), var("x")), QuantTest::Eq),
+            (leq(var("x"), var("t")), QuantTest::XLeqY),
+            (leq(var("t"), var("x")), QuantTest::YLeqX),
+        ];
+        for (app, want) in cases {
+            for is_or in [true, false] {
+                let (kind, unit_cost) = quantifier(app.clone(), is_or);
+                assert!(
+                    matches!(kind, ReduceKind::Quantifier { is_or: o, test } if o == is_or && test == want),
+                    "{kind:?}"
+                );
+                assert_eq!(unit_cost, 0, "no app block runs");
+                let member = is_or && want == QuantTest::Eq;
+                assert_eq!(kind.label(), if member { "member" } else { "quantifier" });
+            }
+        }
+        // A comparison that does not read the extra stays a per-element fold.
+        let (kind, _) = quantifier(leq(var("x"), var("x")), false);
+        assert!(matches!(kind, ReduceKind::BoolAcc { .. }), "{kind:?}");
     }
 
     #[test]

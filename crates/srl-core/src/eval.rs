@@ -595,6 +595,36 @@ impl EvalCore {
         Ok(())
     }
 
+    /// Counts a batch of `n` fold iterations that each charge `steps` steps
+    /// no deeper than `max_depth` — the closed-form kinds' replacement for
+    /// `n` calls of [`EvalCore::note_iteration`] and their step bumps. An
+    /// armed [`crate::faultpoint::DEADLINE_MID_FOLD`] that falls inside the
+    /// batch fires where the per-element loop would: after the earlier
+    /// iterations' steps, with `reduce_iterations` at the faulted one.
+    #[inline]
+    pub(crate) fn note_iterations(
+        &mut self,
+        n: u64,
+        steps: u64,
+        max_depth: usize,
+    ) -> Result<(), EvalError> {
+        let done = self.stats.reduce_iterations;
+        if let Some(k) = crate::faultpoint::armed(crate::faultpoint::DEADLINE_MID_FOLD)
+            .filter(|&k| k <= done + n)
+        {
+            let fired = k.max(done + 1);
+            let completed = fired - done - 1;
+            if completed > 0 {
+                self.stats.reduce_iterations += completed;
+                self.bump_batch(steps * completed, max_depth)?;
+            }
+            self.stats.reduce_iterations = fired;
+            return Err(self.deadline_error());
+        }
+        self.stats.reduce_iterations += n;
+        self.bump_batch(steps * n, max_depth)
+    }
+
     #[inline]
     pub(crate) fn charge_allocation(&mut self, leaves: usize) -> Result<(), EvalError> {
         self.allocated_leaves = self.allocated_leaves.saturating_add(leaves);

@@ -95,10 +95,11 @@
 //! `ProperHom` *and* whose kind has real per-element lambda work:
 //! `InsertApp`, `Filter`, `BoolAcc`, and `Generic` folds whose accumulator
 //! body was proved an insert spine, local or call-threaded
-//! ([`FoldOrigin::Spine`](crate::bytecode::FoldOrigin::Spine)). `Member`,
-//! `Union` and `Product` are proper homs too, but their data path is
-//! already one binary search / one bulk merge / one ordered pass over
-//! `A × B` — there is nothing left to fan out. Set-building folds are
+//! ([`FoldOrigin::Spine`](crate::bytecode::FoldOrigin::Spine)).
+//! `Quantifier`, `Union` and `Product` are proper homs too, but their data
+//! path is already a look at the set's ends (one binary search at most) /
+//! one bulk merge / one ordered pass over `A × B` — there is nothing left
+//! to fan out. Set-building folds are
 //! sharded only when the base is a set (any other base is an error or
 //! degenerate case the sequential path reproduces exactly). The handoff is
 //! gated by [`PAR_WORK_THRESHOLD`]: input cardinality times the fold's
@@ -209,7 +210,7 @@ pub(crate) fn try_run(
     let base_is_set = matches!(base_v, Value::Set(_));
     match &r.kind {
         // Already closed-form single-pass operations: nothing to fan out.
-        ReduceKind::Member | ReduceKind::Union | ReduceKind::Product => None,
+        ReduceKind::Quantifier { .. } | ReduceKind::Union | ReduceKind::Product => None,
         ReduceKind::BoolAcc { .. } => {
             Some(run_sharded(core, ctx, chunk, r, d, items, base_v, extra_v))
         }

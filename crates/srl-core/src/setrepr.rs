@@ -908,6 +908,20 @@ impl SetRepr {
         }
     }
 
+    /// The maximal element, if non-empty: the other end of
+    /// [`SetRepr::first`], in O(1) on every tier (the bitset's highest set
+    /// bit sits in its last word).
+    #[inline]
+    pub fn last(&self) -> Option<Value> {
+        match &self.store {
+            Store::Small { len, slots } => slots[..*len as usize].last().cloned(),
+            Store::Spilled { items, start, .. } => items[*start..].last().cloned(),
+            Store::Atoms { .. } | Store::Bits { .. } => {
+                self.columnar_max_id().flatten().map(Value::atom)
+            }
+        }
+    }
+
     /// Membership test: binary search on the sorted tiers, one word probe
     /// on the bitset tier. Columnar tests compare by atom index (names do
     /// not participate in equality).
@@ -1920,6 +1934,44 @@ mod tests {
                 assert_eq!(thirds, all, "tier {}", s.tier_label());
             }
         }
+    }
+
+    #[test]
+    fn last_is_the_iteration_maximum_on_every_tier() {
+        let sets = [
+            (atoms([3, 1, 4]), "inline"),
+            (atoms(0..10), "atoms"),
+            (atoms(0..100), "bits"),
+            (
+                (0..8).map(|i| Value::named_atom(i, "n")).collect(),
+                "spilled",
+            ),
+        ];
+        for (mut s, tier) in sets {
+            assert_eq!(s.tier_label(), tier);
+            // Draining from the front moves the live window, never the end.
+            loop {
+                assert_eq!(s.last(), s.iter().last(), "tier {tier} len {}", s.len());
+                if s.pop_first().is_none() {
+                    break;
+                }
+            }
+            assert_eq!(s.last(), None, "tier {tier} drained");
+        }
+
+        // Tier moves: a sparse id demotes the bitset to sorted ids, a named
+        // atom widens to the value tier, and a tuple sorts above every atom.
+        let mut s = atoms(0..100);
+        s.pop_first();
+        assert!(s.insert(Value::atom(1_000_000)));
+        assert_eq!(s.tier_label(), "atoms");
+        assert_eq!(s.last(), Some(Value::atom(1_000_000)));
+        assert!(s.insert(Value::named_atom(2_000_000, "far")));
+        assert_eq!(s.tier_label(), "spilled");
+        assert_eq!(s.last(), s.iter().last());
+        let pair = Value::tuple([Value::atom(0), Value::atom(1)]);
+        assert!(s.insert(pair.clone()));
+        assert_eq!(s.last(), Some(pair));
     }
 
     #[test]

@@ -14,11 +14,15 @@
 //! The interesting work is in the fused [`ReduceKind`]s, which replay the
 //! tree-walk's per-iteration accounting in closed form (batched step/depth
 //! charges, arithmetic accumulator-weight tracking) while the data path runs
-//! as a binary search ([`ReduceKind::Member`]), a bulk sorted merge
+//! as a look at the set's first and last elements, plus a binary search for
+//! `member` ([`ReduceKind::Quantifier`]), a bulk sorted merge
 //! ([`ReduceKind::Union`] over [`SetRepr::merge_union`]), or an in-place
 //! insert loop on a uniquely-held accumulator (the other fused kinds).
 //! Batching is sound because every limit counter is monotone: a batch total
 //! crosses the budget if and only if some step inside the batch crossed it.
+//! The batched kinds count their iterations through
+//! `EvalCore::note_iterations`, so a `DEADLINE_MID_FOLD` fault armed inside
+//! the batch stops them at the same iteration as the per-element loops.
 //!
 //! The `Union` merge is in place too: codegen moves a last-use base into
 //! the reduce (see `bytecode`'s last-use moves), so the accumulator arrives
@@ -69,7 +73,7 @@
 use std::sync::Arc;
 
 use crate::bytecode::{
-    BlockId, Chunk, DialectOp, ElidedPair, Insn, Operand, ReduceInsn, ReduceKind,
+    BlockId, Chunk, DialectOp, ElidedPair, Insn, Operand, QuantTest, ReduceInsn, ReduceKind,
 };
 use crate::error::EvalError;
 use crate::eval::{
@@ -739,30 +743,29 @@ fn run_reduce(
             lb,
         )?,
         ReduceKind::Product => product_fold(core, &items, &extra_v, d)?,
-        ReduceKind::Member => {
-            // Per element: app `x = y` is 3 steps (Eq at d+2, two slot reads
-            // at d+3), acc `or` is 3 steps (if at d+2, cond at d+3, taken
-            // branch at d+3) — value-independent, so the whole scan batches
-            // and the hit test is one binary search.
+        ReduceKind::Quantifier { is_or, test } => {
+            // Per element: app `x ⋈ y` is 3 steps (the comparison at d+2,
+            // two slot reads at d+3), acc `or`/`and` is 3 steps (if at d+2,
+            // cond at d+3, taken branch at d+3) — value-independent, so the
+            // whole scan batches and the ends of the set decide the rest.
             if n == 0 {
                 base_v
             } else {
-                core.stats.reduce_iterations += n as u64;
-                core.bump_batch(6 * n as u64, d + 3)?;
+                core.note_iterations(n as u64, 6, d + 3)?;
                 let w0 = weight_capped(&base_v, ACCUMULATOR_WEIGHT_CAP);
-                // Tier-aware membership: a binary search on the sorted
-                // tiers, one word probe on the dense bitset tier.
-                if items.contains(&extra_v) {
-                    if items.first().is_some_and(|m| m == extra_v) {
-                        // Hit on the first element: the accumulator is a
-                        // boolean after every iteration.
-                        core.note_accumulator_weight(1);
-                    } else {
-                        core.note_accumulator_weight(w0.max(1));
-                    }
-                    Value::Bool(true)
+                let (first_flips, any_flips) = quantifier_flips(&items, &extra_v, *is_or, *test);
+                // Once an element flips the accumulator it is a boolean for
+                // every later iteration.
+                core.note_accumulator_weight(if first_flips {
+                    1
+                } else if any_flips {
+                    w0.max(1)
                 } else {
-                    core.note_accumulator_weight(w0);
+                    w0
+                });
+                if any_flips {
+                    Value::Bool(*is_or)
+                } else {
                     base_v
                 }
             }
@@ -776,8 +779,7 @@ fn run_reduce(
                         // Per element: identity app is 1 step at d+2, the
                         // insert body 3 steps (insert at d+2, two slot reads
                         // at d+3); each insert charges the element's weight.
-                        core.stats.reduce_iterations += n as u64;
-                        core.bump_batch(4 * n as u64, d + 3)?;
+                        core.note_iterations(n as u64, 4, d + 3)?;
                         core.stats.inserts += n as u64;
                         core.charge_allocation(items.weight_sum())?;
                         // One bulk merge into the accumulator — in place
@@ -915,6 +917,34 @@ fn run_reduce(
     core.record_tier_engagement(&items, &result);
     core.set_reg(r.dst, result);
     Ok(())
+}
+
+/// The [`ReduceKind::Quantifier`] decision over a non-empty set: whether
+/// its first element flips the accumulator, and whether any element does.
+/// An element flips an `or` fold when `test` holds and an `and` fold when
+/// it fails. Over the ascending order `x = y` holds on at most one element,
+/// `x <= y` on a prefix and `y <= x` on a suffix, so the first and last
+/// elements settle both facts; only `∃`/`=` needs a search (`contains`: a
+/// binary search, or one word probe on the bitset tier).
+fn quantifier_flips(items: &SetRepr, y: &Value, is_or: bool, test: QuantTest) -> (bool, bool) {
+    let holds = |end: Option<Value>| test.holds(&end.expect("the set is non-empty"), y);
+    if is_or {
+        let some_holds = match test {
+            QuantTest::Eq => items.contains(y),
+            QuantTest::XLeqY => holds(items.first()),
+            QuantTest::YLeqX => holds(items.last()),
+        };
+        let first_holds = some_holds && (test == QuantTest::XLeqY || holds(items.first()));
+        (first_holds, some_holds)
+    } else {
+        let first_fails = !holds(items.first());
+        let some_fails = first_fails
+            || match test {
+                QuantTest::Eq | QuantTest::XLeqY => !holds(items.last()),
+                QuantTest::YLeqX => false,
+            };
+        (first_fails, some_fails)
+    }
 }
 
 /// The elements a sequential set fold walks. An input this fold holds the

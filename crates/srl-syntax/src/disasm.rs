@@ -5,8 +5,9 @@
 //! actually executes — register instructions with their static depth
 //! offsets, the fused superinstructions a fold compiled to, and the block
 //! structure of the reduce lambdas. Read it when auditing which folds fused (a `reduce`
-//! line names its kind: `member`, `union/merge`, `product`, `insert-app`,
-//! `filter`, `bool-acc`, `scan`, or `generic`) or when debugging codegen.
+//! line names its kind: `member`, `quantifier`, `union/merge`, `product`,
+//! `insert-app`, `filter`, `bool-acc`, `scan`, or `generic`) or when
+//! debugging codegen.
 //!
 //! Registers print as `r<n>`; frame slots and temporaries share one
 //! register space (slots below each frame's lexical height, temporaries
@@ -19,7 +20,7 @@
 //! decision: `srl_core::setrepr` picks them from a set's contents at run
 //! time, so no reduce line names one.
 
-use srl_core::bytecode::{Block, Chunk, FoldOrigin, Insn, Operand, ReduceKind};
+use srl_core::bytecode::{Block, Chunk, FoldOrigin, Insn, Operand, QuantTest, ReduceKind};
 use srl_core::lower::{CompiledProgram, LoweredExpr};
 use srl_core::SpineBlock;
 
@@ -179,7 +180,15 @@ fn render_insn(chunk: &Chunk, insn: &Insn) -> String {
         Insn::Reduce(r) => {
             let kind = match &r.kind {
                 ReduceKind::Generic { app, acc } => format!("generic app=b{app} acc=b{acc}"),
-                ReduceKind::Member => "member [fused: binary search]".to_string(),
+                ReduceKind::Quantifier {
+                    is_or: true,
+                    test: QuantTest::Eq,
+                } => "member [fused: binary search]".to_string(),
+                ReduceKind::Quantifier { is_or, test } => format!(
+                    "quantifier {} {} [fused: set ends]",
+                    if *is_or { "or" } else { "and" },
+                    test.label()
+                ),
                 ReduceKind::Union => "union [fused: SetMerge]".to_string(),
                 ReduceKind::Product => "product [fused: one pass over A x B]".to_string(),
                 ReduceKind::InsertApp { app } => format!("insert-app app=b{app}"),
@@ -276,6 +285,40 @@ mod tests {
         let text = disasm_lowered(&c, &lowered);
         assert!(text.contains("union [fused: SetMerge]"), "{text}");
         assert!(text.contains("scope [A, B]"), "{text}");
+    }
+
+    #[test]
+    fn comparison_quantifiers_disassemble_with_their_form() {
+        // BASRL's is_min and is_max, and the membership scan.
+        let quantifier = |app: Expr, acc: Expr| {
+            let e = set_reduce(
+                var("D"),
+                lam("d", "a", app),
+                lam("ok", "acc", acc),
+                bool_(true),
+                var("a"),
+            );
+            let c = Program::srl().compile();
+            disasm_lowered(&c, &c.lower_expr(&e, &["D", "a"]))
+        };
+        let and_acc = || and(var("ok"), var("acc"));
+        let text = quantifier(leq(var("a"), var("d")), and_acc());
+        assert!(
+            text.contains(
+                "reduce[quantifier and y <= x [fused: set ends]] class=proper-hom cost=0"
+            ),
+            "{text}"
+        );
+        let text = quantifier(leq(var("d"), var("a")), and_acc());
+        assert!(
+            text.contains("reduce[quantifier and x <= y [fused: set ends]]"),
+            "{text}"
+        );
+        let text = quantifier(eq(var("d"), var("a")), or(var("ok"), var("acc")));
+        assert!(
+            text.contains("reduce[member [fused: binary search]]"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -600,7 +643,7 @@ mod tests {
             | ReduceKind::Filter { app, .. }
             | ReduceKind::BoolAcc { app, .. }
             | ReduceKind::Scan { app, .. } => vec![*app],
-            ReduceKind::Member | ReduceKind::Union | ReduceKind::Product => Vec::new(),
+            ReduceKind::Quantifier { .. } | ReduceKind::Union | ReduceKind::Product => Vec::new(),
         }
     }
 

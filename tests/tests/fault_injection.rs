@@ -16,7 +16,7 @@ use srl_core::dsl::*;
 use srl_core::{
     faultpoint, Env, EvalError, EvalLimits, EvalStats, Evaluator, ExecBackend, Program, Value,
 };
-use srl_integration_tests::{atom_set, root_fold, shard_cardinality, Matrix};
+use srl_integration_tests::{atom_set, def_fold, root_fold, shard_cardinality, Matrix};
 use srl_stdlib::derived::map_set;
 
 /// Pool width for the sharded runs (matches `par_differential.rs`).
@@ -212,6 +212,68 @@ fn deadline_inside_the_product_stops_every_engine_at_that_iteration() {
         for run in &runs.runs {
             let partial = run.partial.expect("failed run leaves a snapshot");
             assert_eq!(partial.reduce_iterations, k, "{label} [{}]", run.config);
+        }
+    }
+}
+
+#[test]
+fn deadline_inside_a_batched_fold_stops_every_engine_at_that_iteration() {
+    let _g = serialized();
+    // The closed-form kinds charge their iterations in one batch; a
+    // deadline armed inside the batch must stop them where the tree-walk's
+    // per-element loop stops.
+    use srl_stdlib::arith::{arithmetic_program, names};
+    use srl_stdlib::derived::{member, union};
+
+    let limits = EvalLimits::benchmark().with_deadline_ms(3_600_000);
+    let env = Env::new()
+        .bind("S", atom_set(0..12))
+        .bind("T", atom_set(20..30));
+    let scope = ["S", "T"];
+    let arith = arithmetic_program();
+    let is_min = call(names::IS_MIN, [var("S"), atom(0)]);
+    let (member, union) = (member(atom(9), var("S")), union(var("S"), var("T")));
+    let folds = [
+        (
+            "member",
+            "member",
+            Program::srl(),
+            member.clone(),
+            root_fold(&Program::srl(), &member, &scope),
+        ),
+        (
+            "is_min",
+            "quantifier",
+            arith.clone(),
+            is_min,
+            def_fold(&arith, names::IS_MIN),
+        ),
+        (
+            "union",
+            "union",
+            Program::srl(),
+            union.clone(),
+            root_fold(&Program::srl(), &union, &scope),
+        ),
+    ];
+    for (name, kind, program, expr, fold) in folds {
+        assert_eq!(fold.kind.label(), kind, "{name} runs a batched kind");
+        let matrix = Matrix::new(&program).limits(limits);
+        let full = matrix.eval(name, &expr, &env).stats();
+        assert_eq!(full.reduce_iterations, 12, "{name}");
+        for k in 1..=full.reduce_iterations {
+            let label = format!("{name}: deadline at {k}");
+            let runs = matrix.run(&label, &[], |ev, _| {
+                faultpoint::arm(faultpoint::DEADLINE_MID_FOLD, k);
+                let outcome = ev.eval(&expr, &env);
+                faultpoint::disarm_all();
+                outcome
+            });
+            assert_eq!(runs.error().kind(), "deadline_exceeded", "{label}");
+            for run in &runs.runs {
+                let partial = run.partial.expect("failed run leaves a snapshot");
+                assert_eq!(partial.reduce_iterations, k, "{label} [{}]", run.config);
+            }
         }
     }
 }

@@ -105,8 +105,8 @@ fn e3_arith_classification_pinned() {
     assert_eq!(
         brief(&rows),
         vec![
-            "is_min bool-acc proper-hom",
-            "is_max bool-acc proper-hom",
+            "is_min quantifier proper-hom",
+            "is_max quantifier proper-hom",
             "inc_state generic ordered",
             "dec generic ordered",
             "add generic ordered",
@@ -124,8 +124,8 @@ fn e4_perm_classification_pinned() {
     assert_eq!(
         brief(&rows),
         vec![
-            "is_min bool-acc proper-hom",
-            "is_max bool-acc proper-hom",
+            "is_min quantifier proper-hom",
+            "is_max quantifier proper-hom",
             "inc_state generic ordered",
             "dec generic ordered",
             "add generic ordered",
@@ -205,8 +205,8 @@ fn e7_tm_simulation_classification_pinned() {
     assert_eq!(
         brief(&rows),
         vec![
-            "is_min bool-acc proper-hom",
-            "is_max bool-acc proper-hom",
+            "is_min quantifier proper-hom",
+            "is_max quantifier proper-hom",
             "inc_state generic ordered",
             "dec generic ordered",
             "add generic ordered",

@@ -427,6 +427,172 @@ fn random_id_set_algebra_is_tier_invariant() {
 }
 
 // ---------------------------------------------------------------------------
+// The closed-form quantifier kernel: `∃`/`∀` over `x = y`, `y = x`,
+// `x <= y` and `y <= x` against the fold's extra, decided from the set's
+// ends on every tier.
+// ---------------------------------------------------------------------------
+
+/// The sets the quantifier kernel runs over, each with the extras it is
+/// compared against: below the minimum, the minimum, strictly inside (a
+/// member and, where there is a gap, a non-member), the maximum, above the
+/// maximum, and values of other kinds (the order is total across kinds).
+fn quantifier_cases() -> Vec<(&'static str, Value, Vec<Value>)> {
+    let a = Value::atom;
+    let pair = |i, j| Value::tuple([a(i), a(j)]);
+    let mut cases = vec![
+        ("empty", Value::empty_set(), vec![a(5)]),
+        ("singleton", atom_set([5]), vec![a(4), a(5), a(6)]),
+        ("two", atom_set([3, 7]), vec![a(2), a(3), a(5), a(7), a(8)]),
+        // The bitset tier.
+        (
+            "80 dense atoms",
+            atom_set(1..=80),
+            vec![a(0), a(1), a(40), a(80), a(81)],
+        ),
+        // The sorted-id tier.
+        (
+            "sparse atoms",
+            atom_set((1..=20).map(|i| i * 10)),
+            vec![a(5), a(10), a(15), a(100), a(200), a(205)],
+        ),
+        // Named atoms stay in a value tier; the plain `d5` is a duplicate of
+        // `b#5` and the first copy wins. Equality ignores names.
+        (
+            "named atoms",
+            Value::set([
+                Value::named_atom(3, "a"),
+                Value::named_atom(5, "b"),
+                a(5),
+                Value::named_atom(9, "c"),
+                Value::named_atom(12, "d"),
+                Value::named_atom(20, "e"),
+            ]),
+            vec![a(2), Value::named_atom(3, "z"), a(5), a(7), a(20), a(21)],
+        ),
+        (
+            "tuples",
+            Value::set([pair(1, 2), pair(1, 5), pair(3, 0), pair(4, 4), pair(6, 1)]),
+            vec![
+                pair(0, 9),
+                pair(1, 2),
+                pair(2, 2),
+                pair(3, 0),
+                pair(6, 1),
+                pair(6, 2),
+            ],
+        ),
+        (
+            "sets of sets",
+            Value::set([
+                atom_set([1]),
+                atom_set([1, 2]),
+                atom_set([3]),
+                atom_set([3, 4]),
+                atom_set([6]),
+            ]),
+            vec![
+                Value::empty_set(),
+                atom_set([1]),
+                atom_set([2]),
+                atom_set([3]),
+                atom_set([6]),
+                atom_set([7]),
+            ],
+        ),
+    ];
+    for (_, _, ys) in &mut cases {
+        ys.extend([Value::Bool(true), Value::nat(3), Value::tuple([a(1)])]);
+    }
+    cases
+}
+
+#[test]
+fn comparison_quantifiers_agree_on_every_tier() {
+    use srl_core::bytecode::{QuantTest, ReduceKind};
+    use srl_integration_tests::root_fold;
+
+    let program = Program::srl();
+    let matrix = Matrix::new(&program);
+    let forms = [
+        (eq(var("x"), var("t")), QuantTest::Eq, "x = y"),
+        (eq(var("t"), var("x")), QuantTest::Eq, "y = x"),
+        (leq(var("x"), var("t")), QuantTest::XLeqY, "x <= y"),
+        (leq(var("t"), var("x")), QuantTest::YLeqX, "y <= x"),
+    ];
+    for (app, test, form) in forms {
+        for is_or in [true, false] {
+            let acc = if is_or {
+                or(var("h"), var("acc"))
+            } else {
+                and(var("h"), var("acc"))
+            };
+            let expr = set_reduce(
+                var("S"),
+                lam("x", "t", app.clone()),
+                lam("h", "acc", acc),
+                var("B"),
+                var("Y"),
+            );
+            let quant = if is_or { "exists" } else { "forall" };
+            // A silent fallback to a per-element kind fails here.
+            let kind = root_fold(&program, &expr, &["S", "B", "Y"]).kind;
+            assert!(
+                matches!(kind, ReduceKind::Quantifier { is_or: o, test: t } if o == is_or && t == test),
+                "{quant} {form}: compiled to {kind:?}"
+            );
+            // The boolean identity, and a base of weight > 1 that the
+            // untyped policy admits: it is the result when nothing flips.
+            for base in [Value::Bool(!is_or), atom_set([1, 2, 3])] {
+                for (set_label, set, ys) in quantifier_cases() {
+                    for y in ys {
+                        let label =
+                            format!("{quant} {form} over {set_label}, y = {y}, base {base}");
+                        let env = Env::new()
+                            .bind("S", set.clone())
+                            .bind("B", base.clone())
+                            .bind("Y", y.clone());
+                        let runs = matrix.eval(&label, &expr, &env);
+                        let flips = set
+                            .as_set()
+                            .expect("a set")
+                            .iter()
+                            .any(|x| test.holds(&x, &y) == is_or);
+                        let expect = if flips {
+                            Value::Bool(is_or)
+                        } else {
+                            base.clone()
+                        };
+                        assert_eq!(runs.value(), expect, "{label}");
+                        match set_label {
+                            "80 dense atoms" => {
+                                assert!(runs.runs.iter().all(|r| !r.tier_on || r.tiers.bits > 0))
+                            }
+                            "sparse atoms" => {
+                                assert!(runs.runs.iter().all(|r| !r.tier_on || r.tiers.atoms > 0))
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+            }
+            // A step budget that runs out halfway through the batch fails
+            // with the same error on every engine.
+            let env = Env::new()
+                .bind("S", atom_set(1..=80))
+                .bind("B", Value::Bool(!is_or))
+                .bind("Y", Value::atom(40));
+            let full = matrix.eval("full", &expr, &env).stats();
+            let starved = EvalLimits::benchmark().with_max_steps(full.steps - 6 * 40);
+            let label = format!("{quant} {form} under a step budget");
+            let runs = Matrix::new(&program)
+                .limits(starved)
+                .eval(&label, &expr, &env);
+            assert_eq!(runs.error().kind(), "step_limit_exceeded", "{label}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Property test: the cached set weight under every mutation and tier move.
 // ---------------------------------------------------------------------------
 
