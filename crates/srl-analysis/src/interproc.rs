@@ -24,7 +24,7 @@
 //! classification the VM and the worker pool will act on, so what
 //! `srl analyze` says is by construction what `srl run --threads N` does.
 
-use srl_core::bytecode::{Chunk, Insn, ReduceInsn};
+use srl_core::bytecode::{Chunk, Insn, ReduceInsn, ReduceKind};
 use srl_core::lower::LoweredExpr;
 use srl_core::{CompiledProgram, DefSummaries, FoldClass, FoldOrigin, SpineBlock};
 
@@ -178,6 +178,13 @@ fn render_reason(program: &CompiledProgram, r: &ReduceInsn) -> String {
             def_name(program, *def)
         ),
         FoldOrigin::Shape => match r.kind.label() {
+            "product" if matches!(r.kind, ReduceKind::Product { join: true }) => {
+                "fused shape: cartesian product, walked in place by the join filter reading it"
+                    .to_string()
+            }
+            "filter" if matches!(r.kind, ReduceKind::Filter { join: Some(_), .. }) => {
+                "fused shape: join filter over the product (A × B never built)".to_string()
+            }
             "member" => "fused shape: membership scan (or-fold of equality)".to_string(),
             "quantifier" => {
                 "fused shape: comparison quantifier (decided from the set's ends)".to_string()

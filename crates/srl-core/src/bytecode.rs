@@ -70,8 +70,9 @@
 //!   `SetMerge` over [`SetRepr::merge_union`](crate::setrepr::SetRepr)),
 //!   [`ReduceKind::Product`] (the stdlib `cartesian` — a fold of per-element
 //!   map slices unioned into the accumulator, three nested folds in all —
-//!   becomes one nested loop that pushes the pairs in order and builds the
-//!   set once),
+//!   charges in closed form per element of A and becomes one nested loop
+//!   that pushes the pairs in order and builds the set once, or, read by a
+//!   join filter, hands A and B to it and builds nothing),
 //!   and [`ReduceKind::InsertApp`]/[`ReduceKind::Filter`]/
 //!   [`ReduceKind::Scan`]/[`ReduceKind::BoolAcc`] (`map`/`select`/
 //!   `difference`-style folds with the accumulator lambda emulated
@@ -86,12 +87,19 @@
 //!   fold (`Codegen::gen_parked_app_block`), and a `Filter` whose app is
 //!   the stdlib `select` pair `[x, pred]` (or `[pred, x]`) compiles `pred`
 //!   alone and records the skipped nodes' depths in an [`ElidedPair`], so
-//!   the kernel keeps the element instead of building a pair around it.
+//!   the kernel keeps the element instead of building a pair around it;
+//! * **joins** — such a filter over a product whose `pred` only unpacks
+//!   the pair (`let a = x.1 in let b = x.2 in body`, the stdlib `join`)
+//!   compiles `body` alone with the two `let` slots held by its kernel,
+//!   and records the skipped `let`s' steps in a [`JoinPrologue`]; the
+//!   product before it leaves A and B in its destination register, so A ×
+//!   B is walked in place and `[a, b]` built only for the pairs kept.
 
 use crate::analysis::{self, DefSummaries, SpineBlock};
 use crate::bignat::BigNat;
 use crate::lower::{CompiledProgram, LExpr, LId, LLambda, LoweredExpr};
 use crate::value::Value;
+use std::ops::Range;
 
 /// A register index within the current frame.
 pub type Reg = u16;
@@ -485,7 +493,7 @@ impl FoldClass {
         match kind {
             ReduceKind::Quantifier { .. }
             | ReduceKind::Union
-            | ReduceKind::Product
+            | ReduceKind::Product { .. }
             | ReduceKind::InsertApp { .. }
             | ReduceKind::Filter { .. }
             | ReduceKind::BoolAcc { .. } => FoldClass::ProperHom,
@@ -573,10 +581,17 @@ pub enum ReduceKind {
     /// The stdlib `cartesian(A, B)`, exactly as `derived::cartesian`
     /// prints it: `set-reduce(A, λ(a, bs) set-reduce(bs, λ(b, aa) [aa, b],
     /// λ(o, s) insert(o, s), emptyset, a), λ(slice, acc) set-reduce(slice,
-    /// λ(x, y) x, λ(e, s) insert(e, s), acc, emptyset), emptyset, B)`. One
-    /// nested loop pushes every `[a, b]` in order and builds the set once;
-    /// the charges of the three folds it replaces are replayed per pair.
-    Product,
+    /// λ(x, y) x, λ(e, s) insert(e, s), acc, emptyset), emptyset, B)`. The
+    /// charges of the three folds it replaces are made in closed form per
+    /// element of A; one nested loop pushes every `[a, b]` in order and
+    /// builds the set once.
+    Product {
+        /// Set when the fold's only reader is a join [`ReduceKind::Filter`]
+        /// (see [`JoinPrologue`]): the product still charges everything,
+        /// but leaves A and B in its destination register, a temporary
+        /// nothing but that filter reads, instead of building A × B.
+        join: bool,
+    },
     /// Arbitrary `app`, `acc = λ(x,y). insert(x, y)`: map-style folds. The
     /// accumulator lambda is emulated arithmetically; inserts land in a
     /// uniquely-held accumulator.
@@ -602,6 +617,12 @@ pub enum ReduceKind {
         /// `[pred, x]`) whose flag is `pred` and whose value is the element
         /// itself: no pair is built, see [`ElidedPair`].
         pair: Option<ElidedPair>,
+        /// Set when the filter is a join: its set is a
+        /// [`ReduceKind::Product`] that hands it A and B, `pair` is set,
+        /// and `pred` is `let a = x.1 in let b = x.2 in body` with a body
+        /// that does not read `x`. The filter walks A × B in place and
+        /// `app` is the block of `body` alone; see [`JoinPrologue`].
+        join: Option<JoinPrologue>,
     },
     /// Arbitrary `app`, `acc = or`/`and`: quantifier folds
     /// (`forall`/`forsome`/`subset`).
@@ -676,6 +697,23 @@ pub struct ElidedPair {
     pub tuple_depth: u32,
 }
 
+/// The part of a join [`ReduceKind::Filter`]'s predicate that codegen did
+/// not compile: `let a = x.1 in let b = x.2 in`, which unpacks each pair
+/// `x = [a, b]` of the product. The kernel never builds the pair. It writes
+/// `a` into the first `let`'s slot (`x + 2`) once per element of A, and `b`
+/// into the second's (`x + 3`) once per pair; the block of the body leaves
+/// both slots alone, as it leaves the parked `extra` in `x + 1`. Before
+/// the block it replays the skipped nodes' steps: one per node visit (each
+/// `let`, its selector and the selector's read of `x`), six in all. `[a,
+/// b]` is built only for a pair the predicate keeps.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct JoinPrologue {
+    /// Steps the skipped nodes charge per pair.
+    pub steps: u32,
+    /// Static depth offset of the deepest of them.
+    pub depth: u32,
+}
+
 impl ReduceKind {
     /// Short lowercase label naming the fold strategy (`generic`, `member`,
     /// `quantifier`, `union`, `product`, `insert-app`, `filter`, `bool-acc`,
@@ -691,7 +729,7 @@ impl ReduceKind {
             } => "member",
             ReduceKind::Quantifier { .. } => "quantifier",
             ReduceKind::Union => "union",
-            ReduceKind::Product => "product",
+            ReduceKind::Product { .. } => "product",
             ReduceKind::InsertApp { .. } => "insert-app",
             ReduceKind::Filter { .. } => "filter",
             ReduceKind::BoolAcc { .. } => "bool-acc",
@@ -862,10 +900,10 @@ struct Codegen<'a> {
     nodes: &'a [LExpr],
     summaries: DefSummaries,
     chunk: Chunk,
-    /// The `extra` slot of the innermost app block being compiled for a
-    /// kernel that parks its `extra` there once per fold (see
-    /// [`Codegen::gen_parked_app_block`]): reads of it stay copies.
-    parked: Option<Reg>,
+    /// The slots the kernel of the innermost app block being compiled
+    /// writes itself: the parked `extra`, and a join's unpacked pair (see
+    /// [`Codegen::gen_parked_app_block`]). Reads of them stay copies.
+    parked: Option<Range<Reg>>,
 }
 
 /// The recognized `app` lambda shapes.
@@ -943,39 +981,50 @@ impl<'a> Codegen<'a> {
 
     /// Compiles a reduce-lambda body into its own block sharing the frame.
     fn gen_lambda_block(&mut self, fs: &mut FrameState, lambda: &LLambda) -> BlockId {
-        self.gen_lambda_body(fs, lambda.body, 0, true)
+        self.gen_lambda_body(fs, lambda.body, 2, 0, true)
     }
 
     /// Compiles `body` (a lambda body, or the part of one at depth offset
-    /// `d`) into its own block with the lambda's two parameters bound at
-    /// the next two slots.
-    fn gen_lambda_body(&mut self, fs: &mut FrameState, body: LId, d: u32, tail: bool) -> BlockId {
+    /// `d`) into its own block with `bound` binders at the next slots: the
+    /// lambda's two parameters, then, for a join, the two `let`s its
+    /// kernel replays.
+    fn gen_lambda_body(
+        &mut self,
+        fs: &mut FrameState,
+        body: LId,
+        bound: u16,
+        d: u32,
+        tail: bool,
+    ) -> BlockId {
         let floor = fs.height;
-        fs.height += 2;
+        fs.height += bound;
         let result = fs.alloc();
         let mut code = Vec::new();
         self.gen(fs, &mut code, floor, body, d, result, tail);
         fs.free(1);
-        fs.height -= 2;
+        fs.height -= bound;
         self.push_block(code, result)
     }
 
     /// Compiles the app block of a fused kind whose kernel writes `extra`
     /// into slot `x + 1` once per fold (and once per shard) instead of once
-    /// per element: `InsertApp`, `Filter`, `BoolAcc` and `Scan`. The block
-    /// must leave that slot as it found it, so a tail read of it compiles
-    /// to a [`Insn::Copy`] rather than a [`Insn::Take`]; both charge the
-    /// same step. Nothing else in the block writes the slot: temporaries
-    /// sit above every lexical slot, and nested binders start at `x + 2`.
+    /// per element: `InsertApp`, `Filter`, `BoolAcc` and `Scan`. A join
+    /// filter's kernel also writes the two `let` slots after it (`bound`
+    /// is 4; see [`JoinPrologue`]). The block must leave those slots as it
+    /// found them, so a tail read of one compiles to a [`Insn::Copy`]
+    /// rather than a [`Insn::Take`]; both charge the same step. Nothing
+    /// else in the block writes them: temporaries sit above every lexical
+    /// slot, and nested binders start at `x + bound`.
     fn gen_parked_app_block(
         &mut self,
         fs: &mut FrameState,
         body: LId,
+        bound: u16,
         d: u32,
         tail: bool,
     ) -> BlockId {
-        let outer = self.parked.replace(fs.height + 1);
-        let block = self.gen_lambda_body(fs, body, d, tail);
+        let outer = self.parked.replace(fs.height + 1..fs.height + bound);
+        let block = self.gen_lambda_body(fs, body, bound, d, tail);
         self.parked = outer;
         block
     }
@@ -1015,7 +1064,7 @@ impl<'a> Codegen<'a> {
             }
             LExpr::Local(slot) => {
                 let src = *slot as Reg;
-                if tail && src >= floor && self.parked != Some(src) {
+                if tail && src >= floor && !self.parked.as_ref().is_some_and(|p| p.contains(&src)) {
                     code.push(Insn::Take { dst, src, depth: d });
                 } else {
                     code.push(Insn::Copy { dst, src, depth: d });
@@ -1384,6 +1433,15 @@ impl<'a> Codegen<'a> {
     ) {
         let rset = fs.alloc();
         self.gen(fs, code, floor, set, d + 1, rset, false);
+        // The product fold that is the set, if one is: a join filter over
+        // it takes A and B from it instead of A × B. The set node itself
+        // must be the fold (its instruction then comes last), not an `if`
+        // or `let` with a product in it.
+        let product = code.len().checked_sub(1).filter(|&at| {
+            matches!(self.node(set), LExpr::SetReduce { .. })
+                && matches!(&code[at], Insn::Reduce(r)
+                    if r.dst == rset && matches!(r.kind, ReduceKind::Product { .. }))
+        });
         // Last-use move of the base: a reduce in tail position whose base
         // is a slot that nothing after it reads (neither `extra`, evaluated
         // next, nor either lambda) hands the fold its accumulator uniquely
@@ -1409,8 +1467,13 @@ impl<'a> Codegen<'a> {
                 FoldOrigin::List,
             )
         } else {
-            self.fuse_set_fold(fs, app, acc, base, x_slot)
+            self.fuse_set_fold(fs, app, acc, base, x_slot, product.is_some())
         };
+        if let (ReduceKind::Filter { join: Some(_), .. }, Some(at)) = (&kind, product) {
+            if let Insn::Reduce(r) = &mut code[at] {
+                r.kind = ReduceKind::Product { join: true };
+            }
+        }
         let class = FoldClass::with_origin(&kind, is_list, &origin);
         let unit_cost = self.unit_cost(&kind);
         code.push(Insn::Reduce(Box::new(ReduceInsn {
@@ -1438,13 +1501,19 @@ impl<'a> Codegen<'a> {
     fn unit_cost(&self, kind: &ReduceKind) -> u32 {
         const BASE: u32 = 4; // the fused accumulator arithmetic per element
         match kind {
-            ReduceKind::Quantifier { .. } | ReduceKind::Union | ReduceKind::Product => 0,
+            ReduceKind::Quantifier { .. } | ReduceKind::Union | ReduceKind::Product { .. } => 0,
             // An elided `select` pair counts as the two instructions (the
             // element read and the tuple) its source lambda compiles to, so
-            // the shard gate sees the same cost either way.
+            // the shard gate sees the same cost either way; a join's two
+            // `let`s count as theirs, a `bump` and a `sel` each.
             ReduceKind::Filter {
-                app, pair: Some(_), ..
-            } => BASE.saturating_add(self.block_cost(*app)).saturating_add(2),
+                app,
+                pair: Some(_),
+                join,
+                ..
+            } => BASE
+                .saturating_add(self.block_cost(*app))
+                .saturating_add(if join.is_some() { 2 + 4 } else { 2 }),
             ReduceKind::InsertApp { app }
             | ReduceKind::Filter { app, .. }
             | ReduceKind::BoolAcc { app, .. }
@@ -1471,7 +1540,9 @@ impl<'a> Codegen<'a> {
     }
 
     /// Matches the fold lambdas against the fused shapes (module docs) and
-    /// records where the classification came from.
+    /// records where the classification came from. `over_product` says the
+    /// set is computed by a [`ReduceKind::Product`] fold, which a join
+    /// filter reads from.
     fn fuse_set_fold(
         &mut self,
         fs: &mut FrameState,
@@ -1479,9 +1550,10 @@ impl<'a> Codegen<'a> {
         acc: &LLambda,
         base: LId,
         x: u16,
+        over_product: bool,
     ) -> (ReduceKind, FoldOrigin) {
         if self.is_product(app, acc, base, x) {
-            return (ReduceKind::Product, FoldOrigin::Shape);
+            return (ReduceKind::Product { join: false }, FoldOrigin::Shape);
         }
         let y = x + 1;
         let app_shape = self.app_shape(app.body, x, y);
@@ -1495,7 +1567,7 @@ impl<'a> Codegen<'a> {
             }
             (AppShape::Identity, AccShape::InsertXY) => ReduceKind::Union,
             (_, AccShape::InsertXY) => ReduceKind::InsertApp {
-                app: self.gen_parked_app_block(fs, app.body, 0, true),
+                app: self.gen_parked_app_block(fs, app.body, 2, 0, true),
             },
             (
                 _,
@@ -1505,22 +1577,32 @@ impl<'a> Codegen<'a> {
                     value_index,
                 },
             ) => {
-                let (app, pair) = match self.select_pair(app.body, x, cond_index, value_index) {
+                let pair = self.select_pair(app.body, x, cond_index, value_index);
+                let join = pair
+                    .filter(|_| over_product)
+                    .and_then(|(pred, pair)| self.join_lets(pred, x, pair.tuple_depth + 1));
+                let app = match (pair, join) {
+                    // The body keeps the depth it had below the skipped
+                    // `let`s, in tail position: the slots its kernel writes
+                    // are parked, so none of them is moved out.
+                    (_, Some((body, depth, _))) => {
+                        self.gen_parked_app_block(fs, body, 4, depth, true)
+                    }
                     // The predicate keeps its depth and non-tail position
                     // inside the tuple: slot `x` must still hold the element
                     // after it.
-                    Some((pred, pair)) => (
-                        self.gen_parked_app_block(fs, pred, pair.tuple_depth + 1, false),
-                        Some(pair),
-                    ),
-                    None => (self.gen_parked_app_block(fs, app.body, 0, true), None),
+                    (Some((pred, pair)), None) => {
+                        self.gen_parked_app_block(fs, pred, 2, pair.tuple_depth + 1, false)
+                    }
+                    (None, _) => self.gen_parked_app_block(fs, app.body, 2, 0, true),
                 };
                 ReduceKind::Filter {
                     app,
                     keep_on_true,
                     cond_index,
                     value_index,
-                    pair,
+                    pair: pair.map(|(_, pair)| pair),
+                    join: join.map(|(_, _, prologue)| prologue),
                 }
             }
             (
@@ -1530,16 +1612,16 @@ impl<'a> Codegen<'a> {
                     value_index,
                 },
             ) => ReduceKind::Scan {
-                app: self.gen_parked_app_block(fs, app.body, 0, true),
+                app: self.gen_parked_app_block(fs, app.body, 2, 0, true),
                 cond_index,
                 value_index,
             },
             (_, AccShape::OrXY) => ReduceKind::BoolAcc {
-                app: self.gen_parked_app_block(fs, app.body, 0, true),
+                app: self.gen_parked_app_block(fs, app.body, 2, 0, true),
                 is_or: true,
             },
             (_, AccShape::AndXY) => ReduceKind::BoolAcc {
-                app: self.gen_parked_app_block(fs, app.body, 0, true),
+                app: self.gen_parked_app_block(fs, app.body, 2, 0, true),
                 is_or: false,
             },
             // A spine, local or call-threaded, runs as `Generic`: the proof
@@ -1589,6 +1671,32 @@ impl<'a> Codegen<'a> {
             tuple_depth: 0,
         };
         Some((pred, pair))
+    }
+
+    /// Whether a select predicate at depth offset `d` is a join's: `let a
+    /// = x.1 in let b = x.2 in body`, with a body that does not read `x`.
+    /// Returns the body, its depth offset, and the skipped nodes' charges:
+    /// one step per node visit (each `let`, its selector and the
+    /// selector's read of `x`) at the node's depth, as the tree-walk
+    /// charges them.
+    fn join_lets(&self, pred: LId, x: u16, d: u32) -> Option<(LId, u32, JoinPrologue)> {
+        let mut prologue = JoinPrologue { steps: 0, depth: d };
+        let (mut node, mut depth) = (pred, d);
+        for index in [1, 2] {
+            let LExpr::Let { value, body } = self.node(node) else {
+                return None;
+            };
+            if !matches!(self.node(*value), LExpr::Sel(i, p) if *i == index && self.is_local(*p, x))
+            {
+                return None;
+            }
+            // The `let`, then its selector one level down and the
+            // selector's read of `x` one below that.
+            prologue.steps += 3;
+            prologue.depth = prologue.depth.max(depth + 2);
+            (node, depth) = (*body, depth + 1);
+        }
+        (!reads_slot(self.nodes, node, x)).then_some((node, depth, prologue))
     }
 
     fn is_local(&self, id: LId, slot: u16) -> bool {

@@ -201,6 +201,15 @@ pub struct Evaluator {
     backend: ExecBackend,
 }
 
+/// A batch of fold iterations that stopped early
+/// ([`EvalCore::note_iterations`]): the error, and how many of the batch's
+/// iterations completed before it.
+#[derive(Debug)]
+pub(crate) struct BatchStop {
+    pub(crate) completed: u64,
+    pub(crate) error: EvalError,
+}
+
 /// The mutable evaluation state, split from the compiled program so that the
 /// interpreter loop can borrow a definition body (`&CompiledProgram`) and the
 /// state (`&mut EvalCore`) simultaneously — calls are pure borrows, with no
@@ -601,28 +610,81 @@ impl EvalCore {
     /// armed [`crate::faultpoint::DEADLINE_MID_FOLD`] that falls inside the
     /// batch fires where the per-element loop would: after the earlier
     /// iterations' steps, with `reduce_iterations` at the faulted one.
+    ///
+    /// A batch that stops early says how many of its iterations completed
+    /// ([`BatchStop`]), so the caller can note their accumulator weights
+    /// as the per-element loop noted them: the iterations before the fault,
+    /// or, when the step budget runs out, those whose steps all fit it;
+    /// `reduce_iterations` then counts the iteration that stopped.
     #[inline]
     pub(crate) fn note_iterations(
         &mut self,
         n: u64,
         steps: u64,
         max_depth: usize,
-    ) -> Result<(), EvalError> {
+    ) -> Result<(), BatchStop> {
         let done = self.stats.reduce_iterations;
-        if let Some(k) = crate::faultpoint::armed(crate::faultpoint::DEADLINE_MID_FOLD)
+        let fault = crate::faultpoint::armed(crate::faultpoint::DEADLINE_MID_FOLD)
             .filter(|&k| k <= done + n)
-        {
-            let fired = k.max(done + 1);
-            let completed = fired - done - 1;
-            if completed > 0 {
-                self.stats.reduce_iterations += completed;
-                self.bump_batch(steps * completed, max_depth)?;
+            .map(|k| k.max(done + 1));
+        let run = fault.map_or(n, |fired| fired - done - 1);
+        if run > 0 {
+            let before = self.stats.steps;
+            self.stats.reduce_iterations += run;
+            if let Err(error) = self.bump_batch(steps * run, max_depth) {
+                // The per-element loop stops inside the first iteration
+                // whose steps do not all fit the budget.
+                let completed = match error {
+                    EvalError::StepLimitExceeded { .. } => {
+                        (self.limits.max_steps.saturating_sub(before) / steps.max(1)).min(run)
+                    }
+                    _ => 0,
+                };
+                self.stats.reduce_iterations = done + completed + 1;
+                return Err(BatchStop { completed, error });
             }
-            self.stats.reduce_iterations = fired;
-            return Err(self.deadline_error());
         }
-        self.stats.reduce_iterations += n;
-        self.bump_batch(steps * n, max_depth)
+        match fault {
+            Some(fired) => {
+                self.stats.reduce_iterations = fired;
+                Err(BatchStop {
+                    completed: run,
+                    error: self.deadline_error(),
+                })
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// Charges the `total` leaves a batch of `n` iterations allocates, the
+    /// `i`-th of them `leaves[i]` — the closed-form kinds' replacement for
+    /// their per-element [`EvalCore::charge_allocation`]s, made after the
+    /// batch's [`EvalCore::note_iterations`]. When the size budget runs
+    /// out, `reduce_iterations` rewinds to the iteration whose leaves
+    /// crossed it, where the per-element loop stops, and the [`BatchStop`]
+    /// counts the iterations before it.
+    pub(crate) fn charge_batch_allocation(
+        &mut self,
+        n: usize,
+        total: usize,
+        leaves: impl Iterator<Item = usize>,
+    ) -> Result<(), BatchStop> {
+        let before = self.allocated_leaves;
+        self.charge_allocation(total).map_err(|error| {
+            let mut used = before;
+            let completed = leaves
+                .take_while(|&l| {
+                    used = used.saturating_add(l);
+                    used <= self.limits.max_value_weight
+                })
+                .count();
+            let rewind = n.saturating_sub(completed + 1) as u64;
+            self.stats.reduce_iterations -= rewind;
+            BatchStop {
+                completed: completed as u64,
+                error,
+            }
+        })
     }
 
     #[inline]

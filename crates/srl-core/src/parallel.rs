@@ -99,7 +99,12 @@
 //! `Quantifier`, `Union` and `Product` are proper homs too, but their data
 //! path is already a look at the set's ends (one binary search at most) /
 //! one bulk merge / one ordered pass over `A × B` — there is nothing left
-//! to fan out. Set-building folds are
+//! to fan out. A join `Filter` (one walking its product's `A × B` in
+//! place, see `crate::vm`) never reaches the gate either: its input is
+//! the product's hand-off, not a set, and its per-pair work is a handful
+//! of instructions. Filters over products never won on the 2-vCPU host
+//! of `BENCH_9.json`'s par axis (`E5 tc+dtc n=14` 0.68×, `E9 join n=64`
+//! 0.63×). Set-building folds are
 //! sharded only when the base is a set (any other base is an error or
 //! degenerate case the sequential path reproduces exactly). The handoff is
 //! gated by [`PAR_WORK_THRESHOLD`]: input cardinality times the fold's
@@ -210,7 +215,7 @@ pub(crate) fn try_run(
     let base_is_set = matches!(base_v, Value::Set(_));
     match &r.kind {
         // Already closed-form single-pass operations: nothing to fan out.
-        ReduceKind::Quantifier { .. } | ReduceKind::Union | ReduceKind::Product => None,
+        ReduceKind::Quantifier { .. } | ReduceKind::Union | ReduceKind::Product { .. } => None,
         ReduceKind::BoolAcc { .. } => {
             Some(run_sharded(core, ctx, chunk, r, d, items, base_v, extra_v))
         }
@@ -409,6 +414,7 @@ fn run_shard(
             cond_index,
             value_index,
             pair,
+            ..
         } => {
             let mut acc = Value::empty_set();
             for elem in shard {

@@ -20,9 +20,14 @@
 //! insert loop on a uniquely-held accumulator (the other fused kinds).
 //! Batching is sound because every limit counter is monotone: a batch total
 //! crosses the budget if and only if some step inside the batch crossed it.
-//! The batched kinds count their iterations through
-//! `EvalCore::note_iterations`, so a `DEADLINE_MID_FOLD` fault armed inside
-//! the batch stops them at the same iteration as the per-element loops.
+//! The batched kinds (`Quantifier`, `Union`, `Product`) count their
+//! iterations through `EvalCore::note_iterations` and charge their leaves
+//! through `EvalCore::charge_batch_allocation`. A batch that stops early,
+//! on a `DEADLINE_MID_FOLD` fault armed inside it or on the step or size
+//! budget, stops at the iteration the per-element loop stops at, and says
+//! how many iterations completed before it; the kind notes their
+//! accumulator weights, so the partial `max_accumulator_weight` is the
+//! per-element loop's too.
 //!
 //! The `Union` merge is in place too: codegen moves a last-use base into
 //! the reduce (see `bytecode`'s last-use moves), so the accumulator arrives
@@ -35,15 +40,17 @@
 //! its accumulator either.
 //!
 //! [`ReduceKind::Product`] goes one step further for the stdlib
-//! `cartesian`: instead of building one slice per element and merging each
-//! into the accumulator, it pushes every pair into one vector in order and
-//! builds the set once (see [`product_fold`]).
+//! `cartesian`: it charges the three folds it replaces in closed form per
+//! element of A ([`product_charges`]) and, instead of building one slice
+//! per element and merging each into the accumulator, pushes every pair
+//! into one vector in order and builds the set once ([`product_set`]).
+//! Under a join it builds nothing (see below).
 //!
 //! ## Ownership in the fold loops
 //!
 //! The per-element path owns what it can instead of sharing it, because a
 //! shared `Value` costs an atomic `Arc` increment and decrement per copy.
-//! Three rules, none of which changes a value, a printed form or a
+//! Four rules, none of which changes a value, a printed form or a
 //! counter:
 //!
 //! * **Parked `extra`.** `InsertApp`, `Filter`, `BoolAcc` and `Scan` move
@@ -56,9 +63,10 @@
 //! * **Consumed input.** After `crate::parallel::try_run` declines, a set
 //!   that `Arc::get_mut` proves this fold holds alone, stored in a value
 //!   tier, is emptied and its elements move into slot `x` one by one
-//!   ([`Elems`]); a shared or columnar input is walked by clone. A fresh
-//!   product under E5's and E9's joins feeds its filter this way, and the
-//!   filter's fresh output feeds the map after it.
+//!   ([`Elems`]); a shared or columnar input is walked by clone. The fresh
+//!   output of E5's and E9's join filters feeds the map after them this
+//!   way, as does a fresh product under a filter that is no join (one
+//!   whose predicate reads the pair itself).
 //! * **Elided `select` pair.** A `Filter` whose app is `[x, pred]` or
 //!   `[pred, x]` runs a block for `pred` alone
 //!   ([`ElidedPair`]): the flag is the block's value and
@@ -69,11 +77,24 @@
 //!   `[x, pred]` and after it for `[pred, x]`, then the tuple (one step at
 //!   its depth and one allocated leaf). The fold's `unit_cost` still counts
 //!   the two skipped instructions.
+//! * **Join in place.** A `select` over `cartesian` whose predicate is
+//!   `let a = p.1 in let b = p.2 in body`, with a `body` that does not
+//!   read `p` (the stdlib `join`), never builds A × B. Its product charges
+//!   as always where it stands in the instruction stream, but leaves `[A,
+//!   B]` in its destination, a temporary only the join filter reads. The
+//!   filter ([`join_fold`]) writes `a` into the first `let`'s slot once
+//!   per element of A and `b` into the second's once per pair (codegen
+//!   keeps `body`'s block from moving either out), replays the skipped
+//!   `let`s' steps from their [`JoinPrologue`] inside the elided pair's
+//!   charges, and builds `[a, b]` only for a pair it keeps. So E5's and
+//!   E9's joins allocate per kept pair, not per pair of A × B. The join
+//!   runs sequentially: it never reaches `crate::parallel::try_run`.
 
 use std::sync::Arc;
 
 use crate::bytecode::{
-    BlockId, Chunk, DialectOp, ElidedPair, Insn, Operand, QuantTest, ReduceInsn, ReduceKind,
+    BlockId, Chunk, DialectOp, ElidedPair, Insn, JoinPrologue, Operand, QuantTest, ReduceInsn,
+    ReduceKind,
 };
 use crate::error::EvalError;
 use crate::eval::{
@@ -140,7 +161,7 @@ fn pad_frame(core: &mut EvalCore, frame_size: u16) {
 
 /// Grows a running accumulator weight by a novel element's weight, capped
 /// exactly like [`weight_capped`]: exact while `≤ cap`, pinned to
-/// `cap + 1` beyond. Only [`product_fold`] keeps a running weight: it never
+/// `cap + 1` beyond. [`product_charges`] keeps running weights: it never
 /// materialises the intermediate sets whose weight it replays.
 #[inline]
 fn cap_add(acc_w: usize, w: usize) -> usize {
@@ -571,30 +592,73 @@ pub(crate) fn filter_element(
     d: usize,
 ) -> Result<Option<Value>, EvalError> {
     core.note_iteration()?;
-    let applied = match pair {
-        None => apply_app(core, ctx, chunk, app, x, elem, lambda_base)?,
+    match pair {
+        None => {
+            let applied = apply_app(core, ctx, chunk, app, x, elem, lambda_base)?;
+            filter_decide(core, &applied, Some(cond_index), keep_on_true, d, |_| {
+                sel_component_ref(&applied, value_index).cloned()
+            })
+        }
         Some(pair) => {
             core.set_reg(x, elem);
-            let read = lambda_base + pair.read_depth as usize;
-            if pair.elem_first {
-                core.bump_step(read)?;
-            }
-            run_block(core, ctx, chunk, app, lambda_base)?;
-            if !pair.elem_first {
-                core.bump_step(read)?;
-            }
-            core.bump_step(lambda_base + pair.tuple_depth as usize)?;
-            core.charge_allocation(1)?;
-            core.take_reg(chunk.block(app).result())
+            let flag = elided_pair_flag(core, ctx, chunk, app, pair, None, lambda_base)?;
+            filter_decide(core, &flag, None, keep_on_true, d, |core| {
+                Ok(core.take_reg(x))
+            })
         }
-    };
+    }
+}
+
+/// Runs the predicate block of an [`ElidedPair`] and returns the flag,
+/// replaying the skipped nodes' charges where the pair's block made them:
+/// the element read before the predicate (`[x, pred]`) or after it
+/// (`[pred, x]`), then the tuple's step and leaf. A join's skipped `let`s
+/// ([`JoinPrologue`]) open the predicate.
+fn elided_pair_flag(
+    core: &mut EvalCore,
+    ctx: &VmCtx<'_>,
+    chunk: &Chunk,
+    app: BlockId,
+    pair: ElidedPair,
+    join: Option<JoinPrologue>,
+    lambda_base: usize,
+) -> Result<Value, EvalError> {
+    let read = lambda_base + pair.read_depth as usize;
+    if pair.elem_first {
+        core.bump_step(read)?;
+    }
+    if let Some(join) = join {
+        core.bump_batch(join.steps.into(), lambda_base + join.depth as usize)?;
+    }
+    run_block(core, ctx, chunk, app, lambda_base)?;
+    if !pair.elem_first {
+        core.bump_step(read)?;
+    }
+    core.bump_step(lambda_base + pair.tuple_depth as usize)?;
+    core.charge_allocation(1)?;
+    Ok(core.take_reg(chunk.block(app).result()))
+}
+
+/// The fused filter accumulator's charges for one applied element: the
+/// `if`, the flag's shape checks (the flag is component `cond_index` of
+/// `applied`, or `applied` itself for an elided pair), and for a kept
+/// element the insert body's charges around `kept`, which yields the value
+/// to insert.
+fn filter_decide(
+    core: &mut EvalCore,
+    applied: &Value,
+    cond_index: Option<usize>,
+    keep_on_true: bool,
+    d: usize,
+    kept: impl FnOnce(&mut EvalCore) -> Result<Value, EvalError>,
+) -> Result<Option<Value>, EvalError> {
     // if at d+2, flag selector at d+3, its slot read at d+4.
     core.bump_batch(3, d + 4)?;
-    let flag_value = match pair {
-        None => sel_component_ref(&applied, cond_index)?,
-        Some(_) => &applied,
+    let flag = match cond_index {
+        Some(index) => sel_component_ref(applied, index)?,
+        None => applied,
     };
-    let flag = match flag_value {
+    let flag = match flag {
         Value::Bool(b) => *b,
         other => {
             return Err(EvalError::Shape {
@@ -607,10 +671,7 @@ pub(crate) fn filter_element(
     if flag == keep_on_true {
         // insert at d+3, value selector at d+4, its slot read at d+5 …
         core.bump_batch(3, d + 5)?;
-        let v = match pair {
-            None => sel_component_ref(&applied, value_index)?.clone(),
-            Some(_) => core.take_reg(x),
-        };
+        let v = kept(core)?;
         // … then the accumulator slot read at d+4.
         core.bump_batch(1, d + 4)?;
         Ok(Some(v))
@@ -703,6 +764,18 @@ fn run_reduce(
         return Ok(());
     }
 
+    // A join filter's set register holds what its product handed over, A
+    // and B, not a set: it walks A × B itself, sequentially, and never
+    // reaches the shard gate below.
+    if let ReduceKind::Filter { join: Some(_), .. } = r.kind {
+        core.set_reg(x + 1, extra_v);
+        let result = join_fold(core, ctx, chunk, r, set_v, base_v, d)?;
+        // The pairs it walks are tuples, never stored in a columnar tier.
+        core.record_tier_engagement(&SetRepr::new(), &result);
+        core.set_reg(r.dst, result);
+        return Ok(());
+    }
+
     let mut items = match set_v {
         Value::Set(items) => items,
         other => {
@@ -742,7 +815,15 @@ fn run_reduce(
             &extra_v,
             lb,
         )?,
-        ReduceKind::Product => product_fold(core, &items, &extra_v, d)?,
+        ReduceKind::Product { join } => {
+            let total = product_charges(core, &items, &extra_v, d)?;
+            if *join {
+                // The join filter that reads this register walks A × B.
+                Value::tuple([Value::Set(Arc::clone(&items)), extra_v])
+            } else {
+                product_set(&items, &extra_v, total)
+            }
+        }
         ReduceKind::Quantifier { is_or, test } => {
             // Per element: app `x ⋈ y` is 3 steps (the comparison at d+2,
             // two slot reads at d+3), acc `or`/`and` is 3 steps (if at d+2,
@@ -751,18 +832,31 @@ fn run_reduce(
             if n == 0 {
                 base_v
             } else {
-                core.note_iterations(n as u64, 6, d + 3)?;
                 let w0 = weight_capped(&base_v, ACCUMULATOR_WEIGHT_CAP);
-                let (first_flips, any_flips) = quantifier_flips(&items, &extra_v, *is_or, *test);
                 // Once an element flips the accumulator it is a boolean for
                 // every later iteration.
-                core.note_accumulator_weight(if first_flips {
-                    1
-                } else if any_flips {
-                    w0.max(1)
-                } else {
-                    w0
-                });
+                let weight = |first_flips: bool, any_flips: bool| {
+                    if first_flips {
+                        1
+                    } else if any_flips {
+                        w0.max(1)
+                    } else {
+                        w0
+                    }
+                };
+                core.note_iterations(n as u64, 6, d + 3).map_err(|stop| {
+                    // The iterations before the stop noted their weights.
+                    let mut flips = items
+                        .iter()
+                        .take(stop.completed as usize)
+                        .map(|e| test.holds(&e, &extra_v) == *is_or);
+                    if let Some(first) = flips.next() {
+                        core.note_accumulator_weight(weight(first, first || flips.any(|f| f)));
+                    }
+                    stop.error
+                })?;
+                let (first_flips, any_flips) = quantifier_flips(&items, &extra_v, *is_or, *test);
+                core.note_accumulator_weight(weight(first_flips, any_flips));
                 if any_flips {
                     Value::Bool(*is_or)
                 } else {
@@ -779,9 +873,26 @@ fn run_reduce(
                         // Per element: identity app is 1 step at d+2, the
                         // insert body 3 steps (insert at d+2, two slot reads
                         // at d+3); each insert charges the element's weight.
-                        core.note_iterations(n as u64, 4, d + 3)?;
-                        core.stats.inserts += n as u64;
-                        core.charge_allocation(items.weight_sum())?;
+                        core.note_iterations(n as u64, 4, d + 3)
+                            .and_then(|()| {
+                                core.stats.inserts += n as u64;
+                                let leaves = items.iter().map(|e| e.weight());
+                                core.charge_batch_allocation(n, items.weight_sum(), leaves)
+                            })
+                            .map_err(|stop| {
+                                // The iterations before the stop grew the
+                                // accumulator by their novel elements.
+                                if stop.completed > 0 {
+                                    let prefix = items.iter().take(stop.completed as usize);
+                                    let grown = prefix
+                                        .filter(|e| !b.contains(e))
+                                        .fold(cap_add(1, b.weight_sum()), |w, e| {
+                                            cap_add(w, e.weight())
+                                        });
+                                    core.note_accumulator_weight(grown);
+                                }
+                                stop.error
+                            })?;
                         // One bulk merge into the accumulator — in place
                         // when codegen moved it here uniquely owned, into a
                         // copy otherwise. Ties keep the accumulator's copy,
@@ -830,6 +941,7 @@ fn run_reduce(
             cond_index,
             value_index,
             pair,
+            ..
         } => {
             core.set_reg(x + 1, extra_v);
             let mut acc = base_v;
@@ -977,47 +1089,41 @@ fn elems(items: &mut Arc<SetRepr>) -> Elems<'_> {
     }
 }
 
-/// The [`ReduceKind::Product`] kernel: `cartesian(A, B)` as one nested
-/// loop. The pairs `[a, b]` come out in ascending order (A and B are walked
-/// in order, tuples compare lexicographically) and are pairwise distinct, so
-/// they go into one vector and the set is built once, on the tier a fresh
-/// build picks.
-///
-/// The charges replay, per pair, what the three folds it replaces charge,
-/// in the VM's usual order of a node's operands before the node (`d` is
-/// the outer reduce's depth):
+/// The [`ReduceKind::Product`] charges: what `cartesian(A, B)`'s three
+/// nested folds charge, in closed form per element of A, in the VM's usual
+/// order of a node's operands before the node (`d` is the outer reduce's
+/// depth). Returns the summed weight of the pairs.
 ///
 /// * per `a`: the outer iteration, then the app's inner map — its `bs`,
 ///   `emptyset` and `a` operands at `d + 3` and its reduce node at `d + 2`,
 ///   where a non-set `B` raises the inner reduce's shape error;
-/// * per `b`: the map's iteration, the `[aa, b]` tuple (two slot reads at
-///   `d + 5`, the tuple at `d + 4`, one allocation), the insert body (three
-///   steps to `d + 5`), the insert with the pair's weight, and the slice's
-///   weight;
+/// * per `b`, batched: the map's iteration, the `[aa, b]` tuple (two slot
+///   reads at `d + 5`, the tuple at `d + 4`, one allocation), the insert
+///   body (three steps to `d + 5`), the insert with the pair's weight, and
+///   the slice's weight;
 /// * per `a` again: the acc's union — its `slice`, `acc` and `emptyset`
-///   operands at `d + 3`, its reduce node at `d + 2` — and then per pair of
-///   the slice its iteration, the identity app and insert body (four steps
-///   to `d + 5`), the insert, and the accumulator's weight.
+///   operands at `d + 3`, its reduce node at `d + 2` — and then, batched,
+///   per pair of the slice its iteration, the identity app and insert body
+///   (four steps to `d + 5`), the insert, and the accumulator's weight.
 ///
-/// Every insert is novel, so both weights are running sums. The union's
-/// charges go per pair rather than in [`ReduceKind::Union`]'s one batch;
-/// totals are the same, and a limit or `DEADLINE_MID_FOLD` that trips
-/// inside the product stops at the same iteration as on the tree-walk.
-fn product_fold(
+/// Every insert is novel and the pair `[a, b]` weighs `1 + |a| + |b|`, so
+/// both weights are running sums and a slice sums to `m·(1 + |a|) + |B|`
+/// over `m = |B|` pairs. A batch that stops early notes the weights its
+/// completed pairs reached, so a limit or `DEADLINE_MID_FOLD` inside the
+/// product leaves the partial `max_accumulator_weight` the tree-walk
+/// leaves.
+fn product_charges(
     core: &mut EvalCore,
     items: &SetRepr,
     bs: &Value,
     d: usize,
-) -> Result<Value, EvalError> {
+) -> Result<usize, EvalError> {
     let empty_w = weight_capped(&Value::empty_set(), ACCUMULATOR_WEIGHT_CAP);
     let mut acc_w = empty_w;
-    let mut pairs = Vec::new();
-    let mut slice_weights = Vec::new();
     let mut total = 0usize;
     for a in items.iter() {
         core.note_iteration()?;
-        core.bump_batch(3, d + 3)?;
-        core.bump_step(d + 2)?;
+        core.bump_batch(4, d + 3)?;
         let Value::Set(bs) = bs else {
             return Err(EvalError::Shape {
                 operator: "set-reduce",
@@ -1025,42 +1131,125 @@ fn product_fold(
                 found: bs.to_string(),
             });
         };
+        let m = bs.len();
         let wa = a.weight();
-        let mut slice_w = empty_w;
-        slice_weights.clear();
-        for b in bs.iter() {
-            core.note_iteration()?;
-            core.bump_batch(2, d + 5)?;
-            core.bump_step(d + 4)?;
-            core.charge_allocation(1)?;
-            core.bump_batch(3, d + 5)?;
-            core.stats.inserts += 1;
-            // `Value::weight` of the pair `[a, b]`.
-            let w = 1 + wa + b.weight();
-            core.charge_allocation(w)?;
-            slice_w = cap_add(slice_w, w);
-            core.note_accumulator_weight(slice_w);
-            pairs.push(Value::tuple([a.clone(), b]));
-            slice_weights.push(w);
-        }
-        core.bump_batch(3, d + 3)?;
-        core.bump_step(d + 2)?;
-        for &w in &slice_weights {
-            core.note_iteration()?;
-            core.bump_batch(4, d + 5)?;
-            core.stats.inserts += 1;
-            core.charge_allocation(w)?;
-            acc_w = cap_add(acc_w, w);
-            core.note_accumulator_weight(acc_w);
-            total += w;
-        }
+        let pair_w = |b: Value| 1 + wa + b.weight();
+        let slice_sum = m.saturating_mul(1 + wa).saturating_add(bs.weight_sum());
+        // One batched pass over the slice: `steps` and, besides the pair's
+        // weight, `leaves` allocated per pair; the running weight grows
+        // from `from`. A stopped pass notes the weights its completed
+        // pairs reached.
+        let pass = |core: &mut EvalCore, steps: u64, leaves: usize, from: usize| {
+            if m == 0 {
+                return Ok(from);
+            }
+            core.note_iterations(m as u64, steps, d + 5)
+                .and_then(|()| {
+                    core.stats.inserts += m as u64;
+                    let per_pair = bs.iter().map(|b| leaves + pair_w(b));
+                    core.charge_batch_allocation(m, m * leaves + slice_sum, per_pair)
+                })
+                .map_err(|stop| {
+                    if stop.completed > 0 {
+                        let prefix = bs.iter().take(stop.completed as usize);
+                        core.note_accumulator_weight(
+                            prefix.fold(from, |w, b| cap_add(w, pair_w(b))),
+                        );
+                    }
+                    stop.error
+                })?;
+            let grown = cap_add(from, slice_sum);
+            core.note_accumulator_weight(grown);
+            Ok(grown)
+        };
+        // The map's pairs: the tuple's leaf and the insert of its weight.
+        pass(core, 6, 1, empty_w)?;
+        core.bump_batch(4, d + 3)?;
+        // The union's inserts of the same pairs.
+        acc_w = pass(core, 4, 0, acc_w)?;
         // The outer fold's own observation, the only one when `B` is empty.
         core.note_accumulator_weight(acc_w);
+        total = total.saturating_add(slice_sum);
     }
-    Ok(Value::Set(Arc::new(SetRepr::from_sorted_vec(
-        pairs,
-        Some(total),
-    ))))
+    Ok(total)
+}
+
+/// The standalone [`ReduceKind::Product`]'s set, once its charges are
+/// made: the pairs `[a, b]` come out in ascending order (A and B are walked
+/// in order, tuples compare lexicographically) and are pairwise distinct,
+/// so they go into one vector and the set is built once, on the tier a
+/// fresh build picks. `B` is a set unless `A` is empty.
+fn product_set(items: &SetRepr, bs: &Value, total: usize) -> Value {
+    let mut pairs = Vec::new();
+    if let Value::Set(bs) = bs {
+        pairs.reserve(items.len() * bs.len());
+        for a in items.iter() {
+            pairs.extend(bs.iter().map(|b| Value::tuple([a.clone(), b])));
+        }
+    }
+    Value::Set(Arc::new(SetRepr::from_sorted_vec(pairs, Some(total))))
+}
+
+/// The join [`ReduceKind::Filter`] kernel: the filter over A × B, walked in
+/// place from the `[A, B]` its product handed over (`handoff`), the charges
+/// of each pair's predicate and accumulator made exactly as the filter over
+/// the built product makes them. The pair is never built to be taken
+/// apart: `a` goes into the first `let`'s slot once per element of A, `b`
+/// into the second's per pair, the skipped `let`s are replayed from their
+/// [`JoinPrologue`], and `[a, b]` is built only when the filter keeps it.
+/// `extra` is already parked in slot `x + 1`.
+fn join_fold(
+    core: &mut EvalCore,
+    ctx: &VmCtx<'_>,
+    chunk: &Chunk,
+    r: &ReduceInsn,
+    handoff: Value,
+    base_v: Value,
+    d: usize,
+) -> Result<Value, EvalError> {
+    let ReduceKind::Filter {
+        app,
+        keep_on_true,
+        pair: Some(pair),
+        join: Some(join),
+        ..
+    } = r.kind
+    else {
+        unreachable!(
+            "codegen sets a join only on an elided pair, got {:?}",
+            r.kind
+        )
+    };
+    let Value::Tuple(ab) = handoff else {
+        unreachable!("a join filter's set is its product's hand-off, got {handoff}")
+    };
+    let (x, lambda_base) = (r.x_slot, d + 2);
+    let (a_slot, b_slot) = (x + 2, x + 3);
+    let mut acc = base_v;
+    // `B` is a set unless `A` is empty: the product checked it.
+    if let (Value::Set(a_set), Value::Set(bs)) = (&ab[0], &ab[1]) {
+        for a in a_set.iter() {
+            core.set_reg(a_slot, a);
+            for b in bs.iter() {
+                core.note_iteration()?;
+                core.set_reg(b_slot, b);
+                let flag = elided_pair_flag(core, ctx, chunk, app, pair, Some(join), lambda_base)?;
+                let kept = filter_decide(core, &flag, None, keep_on_true, d, |core| {
+                    Ok(Value::tuple([
+                        core.reg(a_slot).clone(),
+                        core.take_reg(b_slot),
+                    ]))
+                })?;
+                if let Some(v) = kept {
+                    acc = core.insert_value(v, acc)?;
+                }
+                core.note_accumulator_weight(weight_capped(&acc, ACCUMULATOR_WEIGHT_CAP));
+            }
+        }
+    }
+    core.clear_lambda_slots(x);
+    core.clear_lambda_slots(a_slot);
+    Ok(acc)
 }
 
 /// The tree-walk reduce loop over blocks: both lambdas dispatched per

@@ -6,8 +6,9 @@
 //! offsets, the fused superinstructions a fold compiled to, and the block
 //! structure of the reduce lambdas. Read it when auditing which folds fused (a `reduce`
 //! line names its kind: `member`, `quantifier`, `union/merge`, `product`,
-//! `insert-app`, `filter`, `bool-acc`, `scan`, or `generic`) or when
-//! debugging codegen.
+//! `insert-app`, `filter`, `join-filter`, `bool-acc`, `scan`, or
+//! `generic`; a product a join filter reads ends in `=> [A, B] for the
+//! join-filter`) or when debugging codegen.
 //!
 //! Registers print as `r<n>`; frame slots and temporaries share one
 //! register space (slots below each frame's lexical height, temporaries
@@ -190,7 +191,7 @@ fn render_insn(chunk: &Chunk, insn: &Insn) -> String {
                     test.label()
                 ),
                 ReduceKind::Union => "union [fused: SetMerge]".to_string(),
-                ReduceKind::Product => "product [fused: one pass over A x B]".to_string(),
+                ReduceKind::Product { .. } => "product [fused: one pass over A x B]".to_string(),
                 ReduceKind::InsertApp { app } => format!("insert-app app=b{app}"),
                 ReduceKind::Filter {
                     app,
@@ -198,6 +199,7 @@ fn render_insn(chunk: &Chunk, insn: &Insn) -> String {
                     cond_index,
                     value_index,
                     pair,
+                    join,
                 } => {
                     // An elided `select` pair: the app block computes the
                     // flag alone; the element read and the tuple it skips
@@ -215,8 +217,24 @@ fn render_insn(chunk: &Chunk, insn: &Insn) -> String {
                             p.tuple_depth,
                         ),
                     };
+                    // A join: the app block is the predicate's body; the
+                    // kernel writes the pair's components into the two
+                    // `let` slots and replays the skipped `let`s' steps.
+                    let (label, lets) = match join {
+                        None => ("filter", String::new()),
+                        Some(j) => (
+                            "join-filter",
+                            format!(
+                                " lets=r{},r{} prologue={}@{}",
+                                r.x_slot + 2,
+                                r.x_slot + 3,
+                                j.steps,
+                                j.depth
+                            ),
+                        ),
+                    };
                     format!(
-                        "filter app=b{app} keep-on-{keep_on_true} flag=.{cond_index} value=.{value_index}{elided}"
+                        "{label} app=b{app} keep-on-{keep_on_true} flag=.{cond_index} value=.{value_index}{elided}{lets}"
                     )
                 }
                 ReduceKind::BoolAcc { app, is_or } => {
@@ -247,8 +265,14 @@ fn render_insn(chunk: &Chunk, insn: &Insn) -> String {
                 }
                 FoldOrigin::List => " origin=list".to_string(),
             };
+            // A product read by a join filter leaves A and B in its
+            // destination for that filter instead of building A × B.
+            let handoff = match r.kind {
+                ReduceKind::Product { join: true } => " => [A, B] for the join-filter",
+                _ => "",
+            };
             format!(
-                "r{} <- {}reduce[{kind}] class={}{origin} cost={} set=r{} base=r{} extra=r{} x=r{}  @{}",
+                "r{} <- {}reduce[{kind}] class={}{origin} cost={} set=r{} base=r{} extra=r{} x=r{}{handoff}  @{}",
                 r.dst,
                 if r.is_list { "list-" } else { "" },
                 r.class.label(),
@@ -501,6 +525,18 @@ mod tests {
         for (label, e, reduces) in cases {
             let text = disasm_expr(&e, &["A", "B"]);
             assert!(text.contains(product), "{label}:\n{text}");
+            // A join's product hands A and B to the join filter after it.
+            let joins = matches!(label, "join" | "tc");
+            assert_eq!(
+                text.contains("reduce[join-filter"),
+                joins,
+                "{label}:\n{text}"
+            );
+            assert_eq!(
+                text.contains("for the join-filter"),
+                joins,
+                "{label}:\n{text}"
+            );
             // One instruction stands for all three folds of the cartesian.
             assert_eq!(text.matches("reduce[").count(), reduces, "{label}:\n{text}");
         }
@@ -591,7 +627,8 @@ mod tests {
     // `extra` into slot `x + 1` once per fold and once per shard, so no
     // instruction their app runs may move out of or write that slot (nor,
     // for an elided `select` pair, slot `x`, which still holds the element
-    // the kernel inserts after the block).
+    // the kernel inserts after the block, nor, for a join, the two `let`
+    // slots holding the pair's components).
     // -----------------------------------------------------------------
 
     use srl_core::bytecode::{BlockId, Reg};
@@ -643,7 +680,9 @@ mod tests {
             | ReduceKind::Filter { app, .. }
             | ReduceKind::BoolAcc { app, .. }
             | ReduceKind::Scan { app, .. } => vec![*app],
-            ReduceKind::Quantifier { .. } | ReduceKind::Union | ReduceKind::Product => Vec::new(),
+            ReduceKind::Quantifier { .. } | ReduceKind::Union | ReduceKind::Product { .. } => {
+                Vec::new()
+            }
         }
     }
 
@@ -657,6 +696,11 @@ mod tests {
             for insn in block.code() {
                 let Insn::Reduce(r) = insn else { continue };
                 let (app, protected) = match &r.kind {
+                    // A join's kernel also writes the pair's components
+                    // into the two slots after `extra`; slot `x` is unused.
+                    ReduceKind::Filter {
+                        app, join: Some(_), ..
+                    } => (*app, vec![r.x_slot + 1, r.x_slot + 2, r.x_slot + 3]),
                     ReduceKind::Filter {
                         app, pair: Some(_), ..
                     } => (*app, vec![r.x_slot, r.x_slot + 1]),
@@ -769,6 +813,16 @@ mod tests {
                     var("A"),
                     var("B"),
                     pick(),
+                    lam("a", "b", tuple([var("a"), var("b")])),
+                ),
+            ),
+            // A join whose predicate hands back `b` in tail position.
+            (
+                "join on b",
+                join(
+                    var("A"),
+                    var("B"),
+                    lam("a", "b", var("b")),
                     lam("a", "b", tuple([var("a"), var("b")])),
                 ),
             ),

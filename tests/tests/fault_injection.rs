@@ -184,36 +184,59 @@ fn deadline_mid_fold_reports_exact_partial_stats() {
     assert_eq!(ev.last_error_stats(), None, "reset clears the snapshot");
 }
 
+/// Arms `DEADLINE_MID_FOLD` at every fold iteration of `expr` in turn and
+/// asserts that every engine stops at that iteration with the tree-walk's
+/// partial `max_accumulator_weight`: a fold that charges its iterations in
+/// one batch notes the weights of those it completed, as the per-element
+/// loop does. Returns how many iterations the full run takes.
+fn deadline_at_every_iteration(
+    label: &str,
+    matrix: &Matrix,
+    expr: &srl_core::Expr,
+    env: &Env,
+) -> u64 {
+    let full = matrix.eval(label, expr, env).stats();
+    for k in 1..=full.reduce_iterations {
+        let label = format!("{label}: deadline at {k}");
+        let runs = matrix.run(&label, &[], |ev, _| {
+            faultpoint::arm(faultpoint::DEADLINE_MID_FOLD, k);
+            let outcome = ev.eval(expr, env);
+            faultpoint::disarm_all();
+            outcome
+        });
+        assert_eq!(runs.error().kind(), "deadline_exceeded", "{label}");
+        let partial =
+            |run: &srl_integration_tests::Run| run.partial.expect("failed run leaves a snapshot");
+        let tree = partial(&runs.runs[0]);
+        for run in &runs.runs {
+            let partial = partial(run);
+            assert_eq!(partial.reduce_iterations, k, "{label} [{}]", run.config);
+            assert_eq!(
+                partial.max_accumulator_weight, tree.max_accumulator_weight,
+                "{label} [{}]: partial max_accumulator_weight",
+                run.config
+            );
+        }
+    }
+    full.reduce_iterations
+}
+
 #[test]
 fn deadline_inside_the_product_stops_every_engine_at_that_iteration() {
     let _g = serialized();
-    // The fused product replays the iterations of the three folds it
-    // replaces one by one: a deadline at any of them stops the VM exactly
-    // where the tree-walk stops.
+    // The fused product charges the iterations of the three folds it
+    // replaces in batches per element of A: a deadline at any of them
+    // stops the VM exactly where the tree-walk stops.
     let program = Program::srl();
     let pairs = Value::set((0..7).map(|i| Value::tuple([Value::atom(i), Value::atom(i + 1)])));
     let env = Env::new().bind("A", atom_set(0..6)).bind("B", pairs);
     let expr = srl_stdlib::derived::cartesian(var("A"), var("B"));
     let limits = EvalLimits::benchmark().with_deadline_ms(3_600_000);
     let matrix = Matrix::new(&program).limits(limits);
-    let full = matrix.eval("the product", &expr, &env).stats();
     // Six outer iterations, then per element of A seven to build its slice
     // and seven to union it in.
-    assert_eq!(full.reduce_iterations, 6 + 2 * 6 * 7);
-    for k in 1..=full.reduce_iterations {
-        let label = format!("deadline at {k}");
-        let runs = matrix.run(&label, &[], |ev, _| {
-            faultpoint::arm(faultpoint::DEADLINE_MID_FOLD, k);
-            let outcome = ev.eval(&expr, &env);
-            faultpoint::disarm_all();
-            outcome
-        });
-        assert_eq!(runs.error().kind(), "deadline_exceeded", "{label}");
-        for run in &runs.runs {
-            let partial = run.partial.expect("failed run leaves a snapshot");
-            assert_eq!(partial.reduce_iterations, k, "{label} [{}]", run.config);
-        }
-    }
+    let iterations = deadline_at_every_iteration("the product", &matrix, &expr, &env);
+    assert_eq!(iterations, 6 + 2 * 6 * 7);
 }
 
 #[test]
@@ -259,23 +282,34 @@ fn deadline_inside_a_batched_fold_stops_every_engine_at_that_iteration() {
     for (name, kind, program, expr, fold) in folds {
         assert_eq!(fold.kind.label(), kind, "{name} runs a batched kind");
         let matrix = Matrix::new(&program).limits(limits);
-        let full = matrix.eval(name, &expr, &env).stats();
-        assert_eq!(full.reduce_iterations, 12, "{name}");
-        for k in 1..=full.reduce_iterations {
-            let label = format!("{name}: deadline at {k}");
-            let runs = matrix.run(&label, &[], |ev, _| {
-                faultpoint::arm(faultpoint::DEADLINE_MID_FOLD, k);
-                let outcome = ev.eval(&expr, &env);
-                faultpoint::disarm_all();
-                outcome
-            });
-            assert_eq!(runs.error().kind(), "deadline_exceeded", "{label}");
-            for run in &runs.runs {
-                let partial = run.partial.expect("failed run leaves a snapshot");
-                assert_eq!(partial.reduce_iterations, k, "{label} [{}]", run.config);
-            }
-        }
+        let iterations = deadline_at_every_iteration(name, &matrix, &expr, &env);
+        assert_eq!(iterations, 12, "{name}");
     }
+}
+
+#[test]
+fn deadline_inside_a_join_stops_every_engine_at_that_iteration() {
+    let _g = serialized();
+    // The join's product charges in batches and its filter walks A × B in
+    // place: a deadline at any iteration of either, or of the map after
+    // them, leaves the tree-walk's partial iteration count and weight.
+    let program = Program::srl();
+    let chain = |from: u64| {
+        Value::set((from..from + 4).map(|i| Value::tuple([Value::atom(i), Value::atom(i + 1)])))
+    };
+    let env = Env::new().bind("A", chain(0)).bind("B", chain(1));
+    let expr = srl_stdlib::derived::join(
+        var("A"),
+        var("B"),
+        lam("a", "b", eq(sel(var("a"), 2), sel(var("b"), 1))),
+        lam("a", "b", tuple([sel(var("a"), 1), sel(var("b"), 2)])),
+    );
+    let limits = EvalLimits::benchmark().with_deadline_ms(3_600_000);
+    let matrix = Matrix::new(&program).limits(limits);
+    // The product's 4 + 2·16, the filter's 16, and the map's one per
+    // joined pair: `[i, i + 1]` meets `[i + 1, i + 2]` for i in 0..4.
+    let iterations = deadline_at_every_iteration("the join", &matrix, &expr, &env);
+    assert_eq!(iterations, 4 + 2 * 16 + 16 + 4);
 }
 
 #[test]

@@ -40,6 +40,11 @@ fn filters(program: &Program, expr: &Expr, scope: &[&str]) -> Vec<ReduceInsn> {
         .collect()
 }
 
+/// Whether `r` is a join filter, walking the product it reads in place.
+fn is_join(r: &ReduceInsn) -> bool {
+    matches!(r.kind, ReduceKind::Filter { join: Some(_), .. })
+}
+
 fn pair_of(r: &ReduceInsn) -> Option<ElidedPair> {
     match r.kind {
         ReduceKind::Filter { pair, .. } => pair,
@@ -353,6 +358,12 @@ fn unique_and_shared_inputs_fold_alike() {
     for (label, expr) in &cases {
         agree(&program, expr, &small_env(), label);
     }
+    // The fresh filters' predicates read `q` itself, so they are no joins:
+    // each filters a product built for it alone, and consumes it.
+    for (label, expr) in &cases[..2] {
+        let folds = filters(&program, expr, &["S", "T", "P"]);
+        assert!(!folds.iter().any(is_join), "{label} became a join");
+    }
     let shared = agree(&program, &cases[4].1, &small_env(), "shared by a let");
     let Value::Tuple(parts) = shared else {
         panic!("a triple")
@@ -375,7 +386,23 @@ fn the_closure_and_join_workloads_elide_every_select() {
         let folds = filters(&program, &expr, scope);
         assert!(!folds.is_empty(), "{label}");
         assert!(folds.iter().all(|r| pair_of(r).is_some()), "{label}");
+        // Every pivot join walks its product in place.
+        assert!(folds.iter().any(is_join), "{label}: no join");
     }
+    // A select over a product whose predicate reads the pair itself
+    // filters the built product.
+    let reads_pair = select(
+        cartesian(var("D"), var("D")),
+        lam(
+            "p",
+            "u",
+            let_in("a", sel(var("p"), 1), eq(var("a"), sel(var("p"), 2))),
+        ),
+        empty_set(),
+    );
+    let folds = filters(&program, &reads_pair, &["D"]);
+    assert_eq!(folds.len(), 1);
+    assert!(pair_of(&folds[0]).is_some() && !is_join(&folds[0]));
     let g = Digraph::random(7, 0.3, 5);
     let graph = Env::new()
         .bind("D", g.vertices_value())

@@ -134,21 +134,23 @@ fn e4_permutation_product_agrees() {
 }
 
 #[test]
-fn e5_tc_dtc_agree_and_shard() {
+fn e5_tc_dtc_joins_above_the_gate_agree_and_run_in_place() {
     use srl_bench::queries;
     use workloads::digraph::Digraph;
 
     let program = Program::new(Dialect::full());
     // Each pivot's join filters the cartesian square of the closure so
     // far, which holds at least the `n` reflexive pairs. From the `n` whose
-    // square clears the gate, every join shards. A perfect matching keeps
-    // the closure, and so the test, small.
-    let filter_cost = expr_folds(&program, &queries::tc_query(), &["D", "E"])
+    // square clears the gate at the join's unit cost, a filter over the
+    // built square would shard; the join walks the square in place
+    // instead, sequentially on every engine. A perfect matching keeps the
+    // closure, and so the test, small.
+    let join_cost = expr_folds(&program, &queries::tc_query(), &["D", "E"])
         .into_iter()
-        .find(|r| matches!(r.kind, ReduceKind::Filter { .. }))
-        .expect("the pivot join filters its product")
+        .find(|r| matches!(r.kind, ReduceKind::Filter { join: Some(_), .. }))
+        .expect("the pivot join walks its product in place")
         .unit_cost;
-    let pairs = shard_cardinality(filter_cost);
+    let pairs = shard_cardinality(join_cost);
     let n = (1..).find(|n| n * n >= pairs).unwrap() as usize;
     let g = Digraph::new(n, (0..n / 2).map(|i| (2 * i, 2 * i + 1)));
     let env = Env::new()
@@ -159,7 +161,9 @@ fn e5_tc_dtc_agree_and_shard() {
         ("E5 TC", queries::tc_query()),
         ("E5 DTC", queries::dtc_query()),
     ] {
-        assert_pooled_shard(label, &matrix.eval(label, &expr, &env));
+        for run in &matrix.eval(label, &expr, &env).runs {
+            assert_eq!(run.sharded, 0, "{label} [{}]: a fold sharded", run.config);
+        }
     }
 }
 
